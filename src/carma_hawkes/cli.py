@@ -167,7 +167,7 @@ def cmd_diagnose(args) -> int:
     write_report_json(report, out_dir / f"{stem}.report.json")
     for series in report.residuals:
         write_residuals_csv(series, out_dir / f"{stem}.residuals_{series.component}.csv")
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
     return EXIT_OK
 
 

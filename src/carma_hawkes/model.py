@@ -313,7 +313,7 @@ def compensator_increment(spec: Spec, state: ProcessState, t0: float, t1: float)
     d1 = max(t1 - te, 0.0)
     _guard_exponent(dyn.decay, d1)
     diff = [
-        z * (cmath.exp(lam * d1) - cmath.exp(lam * d0)) / lam
+        z * cmath.exp(lam * d0) * _cexpm1(lam * (d1 - d0)) / lam
         for z, lam in zip(state.modes, dyn.lams)
     ]
     vals = []
@@ -321,6 +321,15 @@ def compensator_increment(spec: Spec, state: ProcessState, t0: float, t1: float)
         inc = mu_c * (t1 - t0) + sum((wj * dj).real for wj, dj in zip(w, diff))
         vals.append(inc)
     return vals[0] if len(vals) == 1 else tuple(vals)
+
+
+def _cexpm1(w: complex) -> complex:
+    """exp(w) - 1 without the cancellation of the direct form at small |w|."""
+    half_sin = math.sin(0.5 * w.imag)
+    return complex(
+        math.expm1(w.real) * math.cos(w.imag) - 2.0 * half_sin * half_sin,
+        math.exp(w.real) * math.sin(w.imag),
+    )
 
 
 def _guard_exponent(decay: float, dt: float) -> None:

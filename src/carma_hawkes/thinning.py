@@ -253,7 +253,10 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             if not line:
                 continue
             t_str, m_str = line.split(",")
-            times.append(float(t_str))
+            t = float(t_str)
+            if not math.isfinite(t):
+                raise ValueError(f"event time must be finite, got {t_str!r}")
+            times.append(t)
             marks.append(int(m_str))
     meta = SimulationMeta(
         seed=None,
@@ -276,6 +279,12 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             wall_time_seconds=float(data.get("wall_time_seconds", 0.0)),
             spec_hash=data.get("spec_hash"),
         )
+        if not (math.isfinite(meta.horizon) and math.isfinite(meta.acceptance_ratio)):
+            raise ValueError("metadata horizon and acceptance_ratio must be finite")
+        if times and meta.horizon < times[-1]:
+            raise ValueError(
+                f"metadata horizon {meta.horizon!r} precedes the last event time {times[-1]!r}"
+            )
     return EventLog(times=tuple(times), marks=tuple(marks), meta=meta)
 
 

@@ -204,6 +204,40 @@ class TestDiagnoseCommand:
         code = main(["diagnose", "--model", model_h, "--events", str(out / "events_0.csv")])
         assert code == 2
 
+    def test_mark_outside_model_exits_2(self, tmp_path, hawkes, capsys):
+        model = write_spec(tmp_path, hawkes)
+        events = tmp_path / "events.csv"
+        events.write_text("time,mark\n1.0,1\n2.0,2\n")
+        assert main(["diagnose", "--model", model, "--events", str(events)]) == 2
+        assert "mark" in capsys.readouterr().err
+
+    def test_nonfinite_time_exits_2(self, tmp_path, hawkes, capsys):
+        model = write_spec(tmp_path, hawkes)
+        for bad in ("inf", "nan"):
+            events = tmp_path / f"events_{bad}.csv"
+            events.write_text(f"time,mark\n1.0,1\n{bad},1\n")
+            assert main(["diagnose", "--model", model, "--events", str(events)]) == 2
+            captured = capsys.readouterr()
+            assert "finite" in captured.err
+            assert captured.out == ""
+
+    def test_bad_sidecar_exits_2(self, tmp_path, carma21, capsys):
+        # a horizon before the last event, or a non-finite sidecar number
+        model = write_spec(tmp_path, carma21)
+        out = tmp_path / "runs"
+        main(["simulate", "--model", model, "--horizon", "200", "--seed", "5",
+              "--out", str(out)])
+        capsys.readouterr()
+        meta_path = out / "events_0.meta.json"
+        good = json.loads(meta_path.read_text())
+        for bad in ({"horizon": 100.0}, {"horizon": math.inf}, {"acceptance_ratio": math.nan}):
+            meta_path.write_text(json.dumps({**good, **bad}))
+            assert main(["diagnose", "--model", model, "--events",
+                         str(out / "events_0.csv")]) == 2
+            captured = capsys.readouterr()
+            assert "metadata" in captured.err
+            assert captured.out == ""
+
     def test_missing_events_exits_2(self, tmp_path, carma21):
         model = write_spec(tmp_path, carma21)
         assert main(["diagnose", "--model", model, "--events",

@@ -2,19 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from carma_hawkes import (
+    DiagnosticsReport,
     EmptySample,
+    NumericalOverflow,
     SpecLogMismatch,
     UnivariateSpec,
+    dynamics,
     kolmogorov_survival,
     ks_exp1,
     residual_transform,
     simulate_bivariate,
     simulate_univariate,
     summarize,
+    write_report_json,
 )
+from carma_hawkes.diagnostics import BLOCK_EVENTS, BLOCK_EXPONENT
+
+PARITY_RTOL = 1e-10
 
 
 class TestResidualTransform:
@@ -74,6 +83,78 @@ class TestResidualTransform:
     def test_no_hash_no_check(self, hawkes):
         log = util.make_log([1.0, 2.0])  # no spec hash in metadata
         assert len(residual_transform(hawkes, log)) == 2
+
+    def test_mark_outside_spec(self, hawkes):
+        log = util.make_log([1.0, 2.0], [1, 2])
+        with pytest.raises(SpecLogMismatch):
+            residual_transform(hawkes, log)
+
+
+def _assert_matches_oracle(spec, log):
+    """Scan and oracle agree to PARITY_RTOL relative to each residual's size.
+
+    The size is the oracle's sum of absolute terms.  It equals |tau| when
+    nothing cancels; a residual that cancels towards 0 (a negative
+    intensity, or modal weights of opposite sign) is only ever known to
+    rounding on that larger scale, by either implementation.
+    """
+    for c in range(1, spec.n_components + 1):
+        got = np.array(residual_transform(spec, log, component=c).taus)
+        want, sizes = (np.array(v) for v in util.residual_transform_scalar(spec, log, component=c))
+        assert got.shape == want.shape
+        worst = np.max(np.abs(got - want) / sizes, initial=0.0)
+        assert worst <= PARITY_RTOL, f"component {c}: relative disagreement {worst:.3g}"
+
+
+def _random_log(rng, n_comp, n, scale):
+    times = np.cumsum(rng.exponential(scale, size=n)) + 1e-3
+    marks = rng.integers(1, n_comp + 1, size=n)
+    return util.make_log(times, marks)
+
+
+class TestResidualScanParity:
+    """The blocked scan against the per-event scalar oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bivariate=st.booleans(),
+        n=st.integers(1, 400),
+        log_scale=st.floats(-2.0, 2.0),
+    )
+    def test_random_specs_and_logs(self, seed, bivariate, n, log_scale):
+        rng = np.random.default_rng(seed)
+        if bivariate:
+            spec = util.random_bivariate_spec(rng)
+        else:
+            spec = util.random_univariate_spec(rng)
+        _assert_matches_oracle(spec, _random_log(rng, spec.n_components, n, 10.0**log_scale))
+
+    def test_log_crosses_blocks_by_count_and_span(self, biv_cross):
+        # a dense stretch fills blocks by event count, a sparse one by span
+        rng = np.random.default_rng(5)
+        gaps = np.concatenate(
+            [rng.exponential(0.01, size=3 * BLOCK_EVENTS), rng.exponential(20.0, size=600)]
+        )
+        times = np.cumsum(gaps)
+        marks = rng.integers(1, 3, size=len(times))
+        max_rate = max(abs(lam.real) for lam in dynamics(biv_cross).lams)
+        assert times[3 * BLOCK_EVENTS - 1] * max_rate < BLOCK_EXPONENT
+        sparse_span = times[-1] - times[3 * BLOCK_EVENTS]
+        assert sparse_span * max_rate > 10 * BLOCK_EXPONENT
+        _assert_matches_oracle(biv_cross, util.make_log(times, marks))
+
+    def test_single_long_gap(self, carma31):
+        times = [0.5, 1.0, 1.7, 1.7 + 1e4, 1e4 + 2.0, 1e4 + 2.4]
+        _assert_matches_oracle(carma31, util.make_log(times))
+
+    def test_forced_nonstationary_overflow(self):
+        spec = UnivariateSpec(mu=0.3, a=(-0.5,), b=(1.0,))  # root at +0.5
+        log = util.make_log([1.0, 2.0, 2002.0])
+        with pytest.raises(NumericalOverflow):
+            util.residual_transform_scalar(spec, log)
+        with pytest.raises(NumericalOverflow):
+            residual_transform(spec, log)
 
 
 class TestKsTest:
@@ -143,6 +224,18 @@ class TestKsTest:
 
 
 class TestSummarize:
+    def test_report_json_is_strict(self, hawkes, tmp_path):
+        log = util.make_log([1.0], spec=hawkes)
+        report = summarize(hawkes, log)
+        bad = DiagnosticsReport(
+            components=report.components,
+            horizon=math.inf,
+            acceptance_ratio=report.acceptance_ratio,
+            residuals=report.residuals,
+        )
+        with pytest.raises(ValueError):
+            write_report_json(bad, tmp_path / "report.json")
+
     def test_empty_log(self, hawkes):
         log = util.make_log([], horizon=100.0, spec=hawkes)
         report = summarize(hawkes, log)

@@ -277,6 +277,13 @@ class TestCompensator:
             expected, rel=1e-12
         )
         assert expected == pytest.approx(0.616738, abs=5e-7)
+        # a short interval keeps its relative precision (no exp(x) - 1
+        # cancellation): mu h + (1/3)(1 - e^{-3h})
+        h = 1e-9
+        short = 0.3 * h - math.expm1(-3.0 * h) / 3.0
+        assert compensator_increment(hawkes, state, 0.0, h) == pytest.approx(
+            short, rel=1e-14
+        )
 
     def test_carma21_one_event(self, carma21):
         # oracle: mu + 0.7 (1 - e^-1) - 0.2 (1 - e^-2)

@@ -1,6 +1,7 @@
 """Shared fixtures' guts: reference parameter sets, random spec generators,
 and small helpers used across the test modules."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,6 +11,10 @@ from carma_hawkes import (
     EventLog,
     SimulationMeta,
     UnivariateSpec,
+    apply_event,
+    compensator_increment,
+    dynamics,
+    initial_state,
     spec_hash,
 )
 
@@ -167,3 +172,43 @@ def make_log(times, marks=None, horizon=None, spec=None) -> EventLog:
         spec_hash=spec_hash(spec) if spec is not None else None,
     )
     return EventLog(times=times, marks=tuple(marks), meta=meta)
+
+
+# ---------------------------------------------------------------------------
+# scalar residual oracle
+
+
+def residual_transform_scalar(spec, log, component=1):
+    """Per-event reference for diagnostics.residual_transform.
+
+    Walks the log one event at a time with the model's closed-form
+    compensator_increment and apply_event; the vectorised scan must agree
+    with it.  Returns (taus, sizes): the residuals, and for each one the sum
+    of the absolute values of the terms it adds up (mu_c dt and each mode's
+    contribution over each gap).  Rounding acts on that scale, so it bounds
+    what any floating-point evaluation of a residual can be trusted to.
+    """
+    dyn = dynamics(spec)
+    mu = dyn.mus[component - 1]
+    weights = dyn.weights[component - 1]
+    n_comp = spec.n_components
+    state = initial_state(spec)
+    acc = size = 0.0
+    taus = []
+    sizes = []
+    t_prev = 0.0
+    for t, mark in zip(log.times, log.marks):
+        inc = compensator_increment(spec, state, t_prev, t)
+        acc += inc if n_comp == 1 else inc[component - 1]
+        dt = t - t_prev
+        size += mu * dt + sum(
+            abs(w * z * (cmath.exp(lam * dt) - 1.0) / lam)
+            for w, z, lam in zip(weights, state.modes, dyn.lams)
+        )
+        state = apply_event(spec, state, t, mark)
+        if mark == component:
+            taus.append(acc)
+            sizes.append(size)
+            acc = size = 0.0
+        t_prev = t
+    return tuple(taus), tuple(sizes)
