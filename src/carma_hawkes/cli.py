@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,25 +37,10 @@ EXIT_BAD_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_BOUND_VIOLATION = 4
 
-THREADS_ENV = "CARMA_HAWKES_THREADS"
-
 
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
-
-
-def _worker_count(reps: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 1
-        cap = max(1, cap)
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(reps, cap))
 
 
 def _load_spec_or_none(path: str):
@@ -107,17 +90,16 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(k: int):
-        log = simulate(spec, args.horizon, rng=args.seed + k, override_validation=True)
-        write_events_csv(log, out_dir / f"events_{k}.csv")
-        write_meta_json(log, out_dir / f"events_{k}.meta.json")
-        if args.trace_intensity is not None:
-            _write_trace(spec, log, args.horizon, args.trace_intensity, out_dir / f"trace_{k}.csv")
-        return log
-
+    events, ratios = [], []
     try:
-        with ThreadPoolExecutor(max_workers=_worker_count(args.reps)) as pool:
-            logs = list(pool.map(run_one, range(args.reps)))
+        for k in range(args.reps):
+            log = simulate(spec, args.horizon, rng=args.seed + k, override_validation=True)
+            write_events_csv(log, out_dir / f"events_{k}.csv")
+            write_meta_json(log, out_dir / f"events_{k}.meta.json")
+            if args.trace_intensity is not None:
+                _write_trace(spec, log, args.horizon, args.trace_intensity, out_dir / f"trace_{k}.csv")
+            events.append(len(log))
+            ratios.append(log.meta.acceptance_ratio)
     except BoundViolation as exc:
         return _fail(f"envelope violation during simulation: {exc}", EXIT_BOUND_VIOLATION)
     except (NonStationarySpec, HorizonNonPositive) as exc:
@@ -128,8 +110,8 @@ def cmd_simulate(args) -> int:
         "replications": args.reps,
         "seed": args.seed,
         "horizon": args.horizon,
-        "events": [len(log) for log in logs],
-        "acceptance_ratio": [log.meta.acceptance_ratio for log in logs],
+        "events": events,
+        "acceptance_ratio": ratios,
     }
     print(json.dumps(summary, indent=2))
     return EXIT_OK

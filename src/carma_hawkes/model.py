@@ -42,6 +42,11 @@ KERNEL_GRID_SPAN = 20.0
 
 _INTENSITY_SLACK = 1e-9
 
+# Entries kept by each of the spec caches behind dynamics, _spectral_of and
+# validate.  Unbounded, they grow by a few kB per distinct spec for the life
+# of the process; a run touches a handful of specs, a sweep many thousands.
+CACHE_MAXSIZE = 512
+
 
 def _finite_tuple(vals, name: str) -> tuple[float, ...]:
     out = tuple(float(v) for v in vals)
@@ -182,7 +187,7 @@ class Dynamics:
     block_sizes: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def dynamics(spec: Spec) -> Dynamics:
     if isinstance(spec, UnivariateSpec):
         sd = _spectral_of(spec.a)
@@ -227,7 +232,7 @@ def dynamics(spec: Spec) -> Dynamics:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _spectral_of(a: tuple[float, ...]) -> spectral.SpectralData:
     return spectral.spectral_decompose(a)
 
@@ -450,7 +455,7 @@ def _branching_entry(b: Sequence[float], a: Sequence[float]) -> float:
     return b[0] / a[-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def validate(spec: Spec) -> ValidationReport:
     """Stationarity, decay, and kernel non-negativity checks.
 

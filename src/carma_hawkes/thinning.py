@@ -1,15 +1,26 @@
 """Thinning simulation with a recursively maintained intensity envelope.
 
-Candidates are drawn from a homogeneous rate equal to the current value of a
-dominating envelope lam_bar(t) >= lam(t) and accepted with probability
-lam(t)/lam_bar.  The envelope decays geometrically from a per-event anchor:
+One loop serves every model: it reads the spec's Dynamics (modes, per-
+component weights, per-mark jumps and envelope constants) and does not care
+how many components there are.  Candidates are drawn from a homogeneous rate
+equal to the current value of a dominating envelope lam_bar(t) >= lam(t),
+where lam is the SUM of the component intensities.  The envelope decays
+geometrically from a per-event anchor:
 
     lam_bar(t) = base + exp(decay * (t - anchor)) * (lam_bar_anchor - base)
 
-and jumps by a spectrally derived constant K at each accepted event.  For the
-bivariate model the envelope dominates the SUM of the two intensities and a
-single candidate stream is routed to the components by where the acceptance
-uniform falls in (0, lam1] versus (lam1, lam1+lam2].
+and jumps by a spectrally derived constant K_m at each accepted event of
+mark m.  The first arrival is the earliest of one exponential candidate per
+component at its baseline rate (the lowest component wins a tie).
+
+A later candidate with acceptance uniform D is routed by the running sums of
+the component intensities in component order: it is accepted as the first
+component c with D * lam_bar <= lam_1 + ... + lam_c, the last component
+being tested against the total, and rejected otherwise.  A kernel that dips
+negative (a validation override) can make a component's intensity negative;
+the running sums are then not increasing, and a candidate above the total
+may still be accepted by an earlier component whose partial sum exceeds it.
+The rule is kept exactly so that seeded output never changes.
 
 K is re-added only at accepted events; between events (including after
 rejected candidates) the envelope only decays.  This keeps the bound equal to
@@ -26,6 +37,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
+from operator import add, mul
 from typing import Sequence
 
 import numpy as np
@@ -338,6 +350,96 @@ def _finish_log(times, marks, stream, horizon, proposed, spec, t_start) -> Event
     return EventLog(times=tuple(times), marks=tuple(marks), meta=meta)
 
 
+def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
+    """The thinning loop for any number of components, driven by Dynamics.
+
+    The first arrival and the routing rule are set out in the module
+    docstring.
+    """
+    horizon = _check_horizon(horizon)
+    _require_admissible(spec, override_validation)
+    stream = as_uniform_stream(rng)
+    dyn = dynamics(spec)
+    t_start = time.perf_counter()
+
+    draw = stream.draw
+    base = dyn.base
+    lams = dyn.lams
+    jumps = dyn.jumps
+    k_consts = dyn.bound_jumps
+    decay = dyn.decay
+    # the envelope bounds the summed intensity, whose modal weights are the
+    # column sums of the per-component weights
+    w_total = [sum(col) for col in zip(*dyn.weights)]
+    last_mark = len(dyn.mus)
+    # every component but the last is routed by the running sum of the
+    # intensities up to it; the last is tested against the total
+    routed = list(zip(range(1, last_mark), dyn.mus, dyn.weights))
+    mexp = math.exp
+    cexp = cmath.exp
+    mlog = math.log
+
+    times: list[float] = []
+    marks: list[int] = []
+    proposed = last_mark
+    firsts = [-mlog(draw()) / mu_c for mu_c in dyn.mus]
+    t = min(firsts)
+    if t > horizon:
+        return _finish_log(times, marks, stream, horizon, proposed, spec, t_start)
+
+    mark = firsts.index(t) + 1
+    z = list(jumps[mark - 1])
+    excess = k_consts[mark - 1]
+    t_last = t
+    times.append(t)
+    marks.append(mark)
+    lam_bar = base + excess
+    while True:
+        proposed += 1
+        t += -mlog(draw()) / lam_bar
+        if t > horizon:
+            break
+        # D times the rate this candidate was drawn at
+        threshold = draw() * lam_bar
+        dt = t - t_last
+        # one pass propagates the modes and sums the total intensity
+        zz = []
+        lam = base
+        for zj, lj, wj in zip(z, lams, w_total):
+            zj *= cexp(lj * dt)
+            zz.append(zj)
+            lam += (wj * zj).real
+        bexp = mexp(decay * dt)
+        # the envelope here, and the next proposal rate if this candidate
+        # is rejected
+        lam_bar = base + excess * bexp
+        # absolute slack plus a small relative term: overridden (explosive)
+        # runs compound rounding drift at large scales, while any genuine
+        # constant bug overshoots at the kernel scale itself
+        if lam > lam_bar + _BOUND_SLACK + _BOUND_RTOL * lam_bar:
+            raise BoundViolation(
+                f"intensity {lam} exceeded envelope {lam_bar} at t={t}"
+            )
+        cum = 0.0
+        for mark, mu_c, w in routed:
+            cum += mu_c
+            for x in map(mul, w, zz):
+                cum += x.real
+            if threshold <= cum:
+                break
+        else:
+            if threshold > lam:
+                continue
+            mark = last_mark
+        z = list(map(add, zz, jumps[mark - 1]))
+        excess = excess * bexp + k_consts[mark - 1]
+        lam_bar = base + excess
+        t_last = t
+        times.append(t)
+        marks.append(mark)
+    return _finish_log(times, marks, stream, horizon, proposed, spec, t_start)
+
+
 def simulate_univariate(
     spec: UnivariateSpec,
     horizon: float,
@@ -355,59 +457,7 @@ def simulate_univariate(
     """
     if not isinstance(spec, UnivariateSpec):
         raise TypeError("simulate_univariate needs a UnivariateSpec")
-    horizon = _check_horizon(horizon)
-    _require_admissible(spec, override_validation)
-    stream = as_uniform_stream(rng)
-    dyn = dynamics(spec)
-    t_start = time.perf_counter()
-
-    mu = spec.mu
-    lams = dyn.lams
-    w = dyn.weights[0]
-    jump = dyn.jumps[0]
-    k_const = dyn.bound_jumps[0]
-    decay = dyn.decay
-    n_modes = len(lams)
-    mexp = math.exp
-    cexp = cmath.exp
-    mlog = math.log
-
-    times: list[float] = []
-    proposed = 1
-    t = -mlog(stream.draw()) / mu
-    if t > horizon:
-        return _finish_log(times, [], stream, horizon, proposed, spec, t_start)
-
-    times.append(t)
-    z = list(jump)
-    excess = k_const
-    t_last = t
-    while True:
-        lam_bar = mu + excess * mexp(decay * (t - t_last))
-        proposed += 1
-        t += -mlog(stream.draw()) / lam_bar
-        if t > horizon:
-            break
-        d = stream.draw()
-        dt = t - t_last
-        ez = [cexp(lams[j] * dt) for j in range(n_modes)]
-        lam_t = mu + sum((w[j] * z[j] * ez[j]).real for j in range(n_modes))
-        bexp = mexp(decay * dt)
-        bound_here = mu + excess * bexp
-        # absolute slack plus a small relative term: overridden (explosive)
-        # runs compound rounding drift at large scales, while any genuine
-        # constant bug overshoots at the kernel scale itself
-        if lam_t > bound_here + _BOUND_SLACK + _BOUND_RTOL * bound_here:
-            raise BoundViolation(
-                f"intensity {lam_t} exceeded envelope {bound_here} at t={t}"
-            )
-        if d * lam_bar <= lam_t:
-            for j in range(n_modes):
-                z[j] = z[j] * ez[j] + jump[j]
-            excess = excess * bexp + k_const
-            t_last = t
-            times.append(t)
-    return _finish_log(times, [1] * len(times), stream, horizon, proposed, spec, t_start)
+    return _thin(spec, horizon, rng, override_validation)
 
 
 def simulate_bivariate(
@@ -426,80 +476,11 @@ def simulate_bivariate(
     """
     if not isinstance(spec, BivariateSpec):
         raise TypeError("simulate_bivariate needs a BivariateSpec")
-    horizon = _check_horizon(horizon)
-    _require_admissible(spec, override_validation)
-    stream = as_uniform_stream(rng)
-    dyn = dynamics(spec)
-    t_start = time.perf_counter()
-
-    mu1, mu2 = dyn.mus
-    base = dyn.base
-    lams = dyn.lams
-    w1, w2 = dyn.weights
-    jump1, jump2 = dyn.jumps
-    k1, k2 = dyn.bound_jumps
-    decay = dyn.decay
-    n_modes = len(lams)
-    mexp = math.exp
-    cexp = cmath.exp
-    mlog = math.log
-
-    times: list[float] = []
-    marks: list[int] = []
-    proposed = 2
-    t_plus = -mlog(stream.draw()) / mu1
-    t_minus = -mlog(stream.draw()) / mu2
-    t = min(t_plus, t_minus)
-    if t > horizon:
-        return _finish_log(times, marks, stream, horizon, proposed, spec, t_start)
-
-    mark = 1 if t_plus <= t_minus else 2
-    z = list(jump1 if mark == 1 else jump2)
-    excess = k1 if mark == 1 else k2
-    t_last = t
-    times.append(t)
-    marks.append(mark)
-    while True:
-        lam_bar = base + excess * mexp(decay * (t - t_last))
-        proposed += 1
-        t += -mlog(stream.draw()) / lam_bar
-        if t > horizon:
-            break
-        d = stream.draw()
-        dt = t - t_last
-        ez = [cexp(lams[j] * dt) for j in range(n_modes)]
-        lam1 = mu1
-        lam2 = mu2
-        for j in range(n_modes):
-            zz = z[j] * ez[j]
-            lam1 += (w1[j] * zz).real
-            lam2 += (w2[j] * zz).real
-        bexp = mexp(decay * dt)
-        bound_here = base + excess * bexp
-        if lam1 + lam2 > bound_here + _BOUND_SLACK + _BOUND_RTOL * bound_here:
-            raise BoundViolation(
-                f"summed intensity {lam1 + lam2} exceeded envelope "
-                f"{bound_here} at t={t}"
-            )
-        threshold = d * lam_bar
-        if threshold <= lam1:
-            mark = 1
-        elif threshold <= lam1 + lam2:
-            mark = 2
-        else:
-            continue
-        jump = jump1 if mark == 1 else jump2
-        for j in range(n_modes):
-            z[j] = z[j] * ez[j] + jump[j]
-        excess = excess * bexp + (k1 if mark == 1 else k2)
-        t_last = t
-        times.append(t)
-        marks.append(mark)
-    return _finish_log(times, marks, stream, horizon, proposed, spec, t_start)
+    return _thin(spec, horizon, rng, override_validation)
 
 
 def simulate(spec: Spec, horizon: float, rng=None, override_validation: bool = False) -> EventLog:
-    """Dispatch to the univariate or bivariate simulator by spec type."""
-    if isinstance(spec, UnivariateSpec):
-        return simulate_univariate(spec, horizon, rng, override_validation)
-    return simulate_bivariate(spec, horizon, rng, override_validation)
+    """Simulate a univariate or bivariate model on [0, horizon] by thinning."""
+    if not isinstance(spec, (UnivariateSpec, BivariateSpec)):
+        raise TypeError("simulate needs a UnivariateSpec or a BivariateSpec")
+    return _thin(spec, horizon, rng, override_validation)

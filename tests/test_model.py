@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import util
+from carma_hawkes import model
 from carma_hawkes import (
     BivariateSpec,
     NegativeIntensity,
@@ -149,6 +150,16 @@ class TestValidate:
                 assert rep.branching_matrix[i - 1][j - 1] == pytest.approx(
                     integral, abs=1e-6
                 )
+
+    def test_spec_caches_are_bounded(self):
+        # a sweep over more distinct specs than the caches hold must not
+        # grow them past their bound
+        for i in range(model.CACHE_MAXSIZE + 20):
+            validate(UnivariateSpec(mu=0.3, a=(3.0 + 1e-3 * i, 2.0), b=(1.0,)))
+        for cached in (model.dynamics, model._spectral_of, model.validate):
+            info = cached.cache_info()
+            assert info.maxsize == model.CACHE_MAXSIZE
+            assert info.currsize <= model.CACHE_MAXSIZE
 
 
 class TestKernel:

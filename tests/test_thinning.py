@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from carma_hawkes import (
@@ -23,6 +25,7 @@ from carma_hawkes import (
     simulate_univariate,
     spec_hash,
     stationary_rates,
+    validate,
     write_events_csv,
     write_meta_json,
 )
@@ -194,6 +197,8 @@ class TestSimulationGuards:
             simulate_univariate(biv_independent, 10.0, rng=1)
         with pytest.raises(TypeError):
             simulate_bivariate(hawkes, 10.0, rng=1)
+        with pytest.raises(TypeError):
+            simulate(object(), 10.0, rng=1)
 
     def test_dispatch(self, hawkes, biv_independent):
         assert simulate(hawkes, 20.0, rng=3).marks.count(2) == 0
@@ -209,6 +214,13 @@ class TestDeterminismAndMeta:
         d = simulate_bivariate(biv_cross, 300.0, rng=1234)
         assert c.times == d.times and c.marks == d.marks
         assert a.times != simulate_univariate(carma21, 300.0, rng=1235).times
+
+    def test_negative_intensity_routing_pinned(self, biv_lagged):
+        # biv_lagged's intensities dip below zero, so a candidate above the
+        # summed intensity can still be accepted as component 1 when lam1
+        # exceeds the total; these counts pin that routing rule
+        log = simulate(biv_lagged, 2000.0, rng=1, override_validation=True)
+        assert (len(log), log.meta.proposed, log.marks.count(1)) == (1990, 20030, 1379)
 
     def test_meta_counters(self, carma21):
         log = simulate_univariate(carma21, 500.0, rng=7)
@@ -235,6 +247,24 @@ class TestDomination:
             total = lam if lam.ndim == 1 else lam.sum(axis=1)
             bar = bound_path(spec, log, ts)
             assert np.all(total <= bar + 1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bivariate=st.booleans())
+    def test_random_admissible_specs(self, seed, bivariate):
+        rng = np.random.default_rng(seed)
+        make = util.random_bivariate_spec if bivariate else util.random_univariate_spec
+        spec = make(rng, p_max=3)
+        while not validate(spec).admissible:
+            spec = make(rng, p_max=3)
+        log = simulate(spec, 50.0, rng=seed)
+        ts = np.sort(rng.uniform(0.0, 50.0, size=400))
+        lam = intensity_path(spec, log, ts)
+        total = lam if lam.ndim == 1 else lam.sum(axis=1)
+        assert np.all(total <= bound_path(spec, log, ts) + 1e-9)
+        assert set(log.marks) <= set(range(1, spec.n_components + 1))
+        again = simulate(spec, 50.0, rng=seed)
+        assert (again.times, again.marks) == (log.times, log.marks)
+        assert again.meta.proposed == log.meta.proposed
 
     def test_exponential_case_envelope_is_tight(self, hawkes):
         log = simulate_univariate(hawkes, 300.0, rng=19)
