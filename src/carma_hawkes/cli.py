@@ -66,52 +66,69 @@ def _write_trace(spec, log, horizon: float, dt: float, path: Path) -> None:
                 fh.write(f"{t:.15g},{row[0]:.15g},{row[1]:.15g},{b:.15g}\n")
 
 
-def cmd_simulate(args) -> int:
+def _checked_run(args):
+    """The spec and the checks simulate and bench share: (spec, None) or (None, exit code)."""
     spec = _load_spec_or_none(args.model)
     if spec is None:
-        return EXIT_BAD_CONFIG
+        return None, EXIT_BAD_CONFIG
     if not (math.isfinite(args.horizon) and args.horizon > 0):
-        return _fail(f"horizon must be > 0, got {args.horizon}", EXIT_BAD_CONFIG)
+        return None, _fail(f"horizon must be > 0, got {args.horizon}", EXIT_BAD_CONFIG)
     if args.reps < 1:
-        return _fail(f"reps must be >= 1, got {args.reps}", EXIT_BAD_CONFIG)
+        return None, _fail(f"reps must be >= 1, got {args.reps}", EXIT_BAD_CONFIG)
     if args.seed < 0:
-        return _fail("seed must be a non-negative integer", EXIT_BAD_CONFIG)
-    if args.trace_intensity is not None and args.trace_intensity <= 0:
-        return _fail("--trace-intensity step must be > 0", EXIT_BAD_CONFIG)
-
+        return None, _fail("seed must be a non-negative integer", EXIT_BAD_CONFIG)
     report = validate(spec)
     if not report.admissible and not args.force:
         print(json.dumps(report.to_dict(), indent=2))
-        return _fail(
+        return None, _fail(
             f"spec failed validation ({', '.join(report.flags)}); use --force to simulate anyway",
             EXIT_VALIDATION,
         )
+    return spec, None
+
+
+def _replicate(spec, args, each):
+    """Replications k = 0..reps-1 with seed+k: each(k, log)'s results and the exit code."""
+    results = []
+    try:
+        for k in range(args.reps):
+            log = simulate(spec, args.horizon, rng=args.seed + k, override_validation=True)
+            results.append(each(k, log))
+    except BoundViolation as exc:
+        return results, _fail(f"envelope violation during simulation: {exc}", EXIT_BOUND_VIOLATION)
+    except (NonStationarySpec, HorizonNonPositive) as exc:
+        return results, _fail(str(exc), EXIT_VALIDATION)
+    return results, EXIT_OK
+
+
+def cmd_simulate(args) -> int:
+    step = args.trace_intensity
+    if step is not None and not (math.isfinite(step) and step > 0):
+        return _fail("--trace-intensity step must be finite and > 0", EXIT_BAD_CONFIG)
+    spec, code = _checked_run(args)
+    if spec is None:
+        return code
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    events, ratios = [], []
-    try:
-        for k in range(args.reps):
-            log = simulate(spec, args.horizon, rng=args.seed + k, override_validation=True)
-            write_events_csv(log, out_dir / f"events_{k}.csv")
-            write_meta_json(log, out_dir / f"events_{k}.meta.json")
-            if args.trace_intensity is not None:
-                _write_trace(spec, log, args.horizon, args.trace_intensity, out_dir / f"trace_{k}.csv")
-            events.append(len(log))
-            ratios.append(log.meta.acceptance_ratio)
-    except BoundViolation as exc:
-        return _fail(f"envelope violation during simulation: {exc}", EXIT_BOUND_VIOLATION)
-    except (NonStationarySpec, HorizonNonPositive) as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    def write(k, log):
+        write_events_csv(log, out_dir / f"events_{k}.csv")
+        write_meta_json(log, out_dir / f"events_{k}.meta.json")
+        if step is not None:
+            _write_trace(spec, log, args.horizon, step, out_dir / f"trace_{k}.csv")
+        return len(log), log.meta.acceptance_ratio
 
+    results, code = _replicate(spec, args, write)
+    if code != EXIT_OK:
+        return code
     summary = {
         "out": str(out_dir),
         "replications": args.reps,
         "seed": args.seed,
         "horizon": args.horizon,
-        "events": events,
-        "acceptance_ratio": ratios,
+        "events": [n for n, _ in results],
+        "acceptance_ratio": [r for _, r in results],
     }
     print(json.dumps(summary, indent=2))
     return EXIT_OK
@@ -154,30 +171,15 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec = _load_spec_or_none(args.model)
+    spec, code = _checked_run(args)
     if spec is None:
-        return EXIT_BAD_CONFIG
-    if not (math.isfinite(args.horizon) and args.horizon > 0):
-        return _fail(f"horizon must be > 0, got {args.horizon}", EXIT_BAD_CONFIG)
-    if args.reps < 1:
-        return _fail(f"reps must be >= 1, got {args.reps}", EXIT_BAD_CONFIG)
-    report = validate(spec)
-    if not report.admissible and not args.force:
-        return _fail(
-            f"spec failed validation ({', '.join(report.flags)}); use --force",
-            EXIT_VALIDATION,
-        )
-    total_events = 0
-    total_proposed = 0
+        return code
     t0 = time.perf_counter()
-    try:
-        for k in range(args.reps):
-            log = simulate(spec, args.horizon, rng=args.seed + k, override_validation=True)
-            total_events += len(log)
-            total_proposed += log.meta.proposed
-    except BoundViolation as exc:
-        return _fail(f"envelope violation during simulation: {exc}", EXIT_BOUND_VIOLATION)
+    results, code = _replicate(spec, args, lambda k, log: (len(log), log.meta.proposed))
     wall = time.perf_counter() - t0
+    if code != EXIT_OK:
+        return code
+    total_events, total_proposed = (sum(col) for col in zip(*results))
     result = {
         "model": args.model,
         "horizon": args.horizon,

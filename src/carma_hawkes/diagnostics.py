@@ -37,7 +37,6 @@ from .model import (
     dynamics,
     spec_hash,
     stationary_rates,
-    validate,
 )
 from .thinning import EventLog
 
@@ -255,7 +254,6 @@ class DiagnosticsReport:
 
 def summarize(spec: Spec, log: EventLog) -> DiagnosticsReport:
     """Per-component event counts, rates, and residual KS results."""
-    validate(spec)  # populate caches; admissibility is the caller's concern
     rates = stationary_rates(spec)
     horizon = log.meta.horizon if log.meta.horizon > 0 else (log.times[-1] if log.times else 0.0)
     comps = []

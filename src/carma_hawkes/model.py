@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,9 +43,9 @@ KERNEL_GRID_SPAN = 20.0
 
 _INTENSITY_SLACK = 1e-9
 
-# Entries kept by each of the spec caches behind dynamics, _spectral_of and
-# validate.  Unbounded, they grow by a few kB per distinct spec for the life
-# of the process; a run touches a handful of specs, a sweep many thousands.
+# Entries kept by each of the spec caches behind dynamics and validate.
+# Unbounded, they grow by a few kB per distinct spec for the life of the
+# process; a run touches a handful of specs, a sweep many thousands.
 CACHE_MAXSIZE = 512
 
 
@@ -101,6 +102,11 @@ class UnivariateSpec:
     def n_components(self) -> int:
         return 1
 
+    @property
+    def block_form(self):
+        """The one-block case of BivariateSpec.block_form: ((a,), ((b,),), (mu,))."""
+        return (self.a,), ((self.b,),), (self.mu,)
+
 
 @dataclass(frozen=True)
 class BivariateSpec:
@@ -151,6 +157,13 @@ class BivariateSpec:
     def n_components(self) -> int:
         return 2
 
+    @property
+    def block_form(self):
+        """(AR blocks, MA rows, baselines).  Block m is driven by component m;
+        row c holds component c's MA vector on each block, so row c, block m
+        is the kernel h_{c,m} of a component-m event on component c."""
+        return (self.a1, self.a2), ((self.b11, self.b12), (self.b21, self.b22)), self.mu
+
 
 Spec = Union[UnivariateSpec, BivariateSpec]
 
@@ -189,52 +202,35 @@ class Dynamics:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def dynamics(spec: Spec) -> Dynamics:
-    if isinstance(spec, UnivariateSpec):
-        sd = _spectral_of(spec.a)
-        w = tuple(spectral.ma_value(spec.b, lam) for lam in sd.eigenvalues)
-        k = spectral.bound_constant(sd, spec.b)
-        return Dynamics(
-            lams=sd.eigenvalues,
-            weights=(w,),
-            jumps=(sd.sinv_e,),
-            mus=(spec.mu,),
-            base=spec.mu,
-            decay=sd.decay,
-            bound_jumps=(k,),
-            block_sizes=(spec.p,),
-        )
-    sd1 = _spectral_of(spec.a1)
-    sd2 = _spectral_of(spec.a2)
-    lams = sd1.eigenvalues + sd2.eigenvalues
-    w1 = tuple(spectral.ma_value(spec.b11, lam) for lam in sd1.eigenvalues) + tuple(
-        spectral.ma_value(spec.b12, lam) for lam in sd2.eigenvalues
+    ars, mas, mus = spec.block_form
+    sds = tuple(spectral.spectral_decompose(a) for a in ars)
+    weights = tuple(
+        tuple(spectral.ma_value(b, lam) for b, sd in zip(row, sds) for lam in sd.eigenvalues)
+        for row in mas
     )
-    w2 = tuple(spectral.ma_value(spec.b21, lam) for lam in sd1.eigenvalues) + tuple(
-        spectral.ma_value(spec.b22, lam) for lam in sd2.eigenvalues
+    jumps = tuple(
+        sum((sd.sinv_e if k == m else (0j,) * sd.p for k, sd in enumerate(sds)), ())
+        for m in range(len(sds))
     )
-    p1, p2 = spec.p
-    jump1 = sd1.sinv_e + (0j,) * p2
-    jump2 = (0j,) * p1 + sd2.sinv_e
     # The envelope bounds the SUM of the intensities: its row weights are the
-    # column sums of the coefficient matrix evaluated at the modes.
-    wsum_norm = spectral._l2(wa + wb for wa, wb in zip(w1, w2))
-    k1 = wsum_norm * spectral._l2(sd1.sinv_e)
-    k2 = wsum_norm * spectral._l2(sd2.sinv_e)
+    # column sums W of the coefficient matrix evaluated at the modes, and the
+    # jump at a mark-m event is K_m = ||W|| * ||S_m^{-1} e||.  bound_constant
+    # cross-checks each block's share of that product, ||W_m|| * ||S_m^{-1} e||,
+    # against its dense Vandermonde form; with one block it is K itself.
+    for m, sd in enumerate(sds):
+        column_ma = tuple(map(sum, zip(*(row[m] for row in mas))))
+        spectral.bound_constant(sd, column_ma)
+    wsum_norm = spectral._l2(sum(col) for col in zip(*weights))
     return Dynamics(
-        lams=lams,
-        weights=(w1, w2),
-        jumps=(jump1, jump2),
-        mus=spec.mu,
-        base=spec.mu[0] + spec.mu[1],
-        decay=max(sd1.decay, sd2.decay),
-        bound_jumps=(k1, k2),
-        block_sizes=(p1, p2),
+        lams=sum((sd.eigenvalues for sd in sds), ()),
+        weights=weights,
+        jumps=jumps,
+        mus=mus,
+        base=sum(mus),
+        decay=max(sd.decay for sd in sds),
+        bound_jumps=tuple(wsum_norm * spectral._l2(sd.sinv_e) for sd in sds),
+        block_sizes=tuple(sd.p for sd in sds),
     )
-
-
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _spectral_of(a: tuple[float, ...]) -> spectral.SpectralData:
-    return spectral.spectral_decompose(a)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +246,16 @@ def state_vector(spec: Spec, state: ProcessState) -> np.ndarray:
     """Physical state vector x (length p, or p1+p2) from modal coordinates."""
     dyn = dynamics(spec)
     out = []
-    off = 0
-    for size in dyn.block_sizes:
-        lams = np.array(dyn.lams[off : off + size])
-        z = np.array(state.modes[off : off + size])
-        mat = np.vander(lams, N=size, increasing=True).T
-        out.append((mat @ z).real)
-        off += size
+    for lams, z in zip(_by_block(dyn, dyn.lams), _by_block(dyn, state.modes)):
+        mat = np.vander(np.array(lams), N=len(lams), increasing=True).T
+        out.append((mat @ np.array(z)).real)
     return np.concatenate(out)
+
+
+def _by_block(dyn: Dynamics, per_mode: Sequence) -> list:
+    """A per-mode sequence cut into the runs of modes of each AR block."""
+    ends = (0,) + tuple(itertools.accumulate(dyn.block_sizes))
+    return [per_mode[start:end] for start, end in zip(ends, ends[1:])]
 
 
 def apply_event(spec: Spec, state: ProcessState, t: float, mark: int = 1) -> ProcessState:
@@ -455,14 +453,23 @@ def _branching_entry(b: Sequence[float], a: Sequence[float]) -> float:
     return b[0] / a[-1]
 
 
+def _branching_matrix(spec: Spec) -> tuple[tuple[float, ...], ...]:
+    """Entry (c, m): integral of the kernel of a component-m event on component c."""
+    ars, mas, _ = spec.block_form
+    return tuple(tuple(_branching_entry(b, a) for b, a in zip(row, ars)) for row in mas)
+
+
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def validate(spec: Spec) -> ValidationReport:
     """Stationarity, decay, and kernel non-negativity checks.
 
     Failures come back as report flags, not exceptions; simulation entry
-    points refuse flagged specs unless explicitly overridden.
+    points refuse flagged specs unless explicitly overridden.  A one-block
+    (univariate) spec reports its scalar `branching`; a multi-block spec
+    reports `branching_matrix` and the per-kernel minima `kernel_mins`.
     """
-    kind = "univariate" if isinstance(spec, UnivariateSpec) else "bivariate"
+    one_block = len(spec.block_form[0]) == 1
+    kind = "univariate" if one_block else "bivariate"
     try:
         dyn = dynamics(spec)
     except DegenerateEigenvalues as exc:
@@ -470,35 +477,20 @@ def validate(spec: Spec) -> ValidationReport:
     except RootFindingFailure as exc:
         return ValidationReport(kind, ("RootFindingFailure",), detail=str(exc))
 
-    flags = []
-    if isinstance(spec, UnivariateSpec):
-        branching = _branching_entry(spec.b, spec.a)
-        radius = abs(branching)
-        kmin = _kernel_min_on_grid(dyn, 0, 0, dyn.decay)
-        kernel_mins = None
-        bmatrix = None
+    bmatrix = _branching_matrix(spec)
+    if all(math.isfinite(v) for row in bmatrix for v in row):
+        radius = float(max(abs(np.linalg.eigvals(np.array(bmatrix)))))
     else:
-        sd1 = _spectral_of(spec.a1)
-        sd2 = _spectral_of(spec.a2)
-        bmatrix = (
-            (_branching_entry(spec.b11, spec.a1), _branching_entry(spec.b12, spec.a2)),
-            (_branching_entry(spec.b21, spec.a1), _branching_entry(spec.b22, spec.a2)),
-        )
-        branching = None
-        if all(math.isfinite(v) for row in bmatrix for v in row):
-            radius = float(max(abs(np.linalg.eigvals(np.array(bmatrix)))))
-        else:
-            radius = math.inf
-        decays = (sd1.decay, sd1.decay, sd2.decay, sd2.decay)
-        names = ("h11", "h21", "h12", "h22")
-        pairs = ((0, 0), (1, 0), (0, 1), (1, 1))
-        mins = tuple(
-            (name, _kernel_min_on_grid(dyn, comp, mark, dec))
-            for name, (comp, mark), dec in zip(names, pairs, decays)
-        )
-        kernel_mins = tuple(sorted(mins))
-        kmin = min(v for _, v in mins)
+        radius = math.inf
+    # kernel h_{c,m} decays at the rate of block m, the source's block
+    mins = tuple(
+        (f"h{c + 1}{m + 1}", _kernel_min_on_grid(dyn, c, m, max(lam.real for lam in lams)))
+        for m, lams in enumerate(_by_block(dyn, dyn.lams))
+        for c in range(len(dyn.weights))
+    )
+    kmin = min(v for _, v in mins)
 
+    flags = []
     if dyn.decay >= 0 or radius >= 1:
         flags.append("NonStationary")
     if kmin < KERNEL_NEG_TOL:
@@ -506,12 +498,12 @@ def validate(spec: Spec) -> ValidationReport:
     return ValidationReport(
         process_type=kind,
         flags=tuple(flags),
-        branching=branching,
-        branching_matrix=bmatrix,
+        branching=bmatrix[0][0] if one_block else None,
+        branching_matrix=None if one_block else bmatrix,
         spectral_radius=radius,
         decay=dyn.decay,
         kernel_min=kmin,
-        kernel_mins=kernel_mins,
+        kernel_mins=None if one_block else tuple(sorted(mins)),
         eigenvalues=dyn.lams,
         bound_constants=dyn.bound_jumps,
     )
@@ -523,15 +515,13 @@ def _kernels_nonnegative(spec: Spec) -> bool:
 
 
 def stationary_rates(spec: Spec) -> tuple[float, ...]:
-    """Long-run event rate per component; inf when non-stationary."""
+    """Long-run event rate per component, (I - K)^{-1} mu; inf when non-stationary."""
     report = validate(spec)
     if report.spectral_radius is None or report.spectral_radius >= 1:
         return (math.inf,) * spec.n_components
-    if isinstance(spec, UnivariateSpec):
-        return (spec.mu / (1.0 - report.branching),)
-    k = np.array(report.branching_matrix)
-    rates = np.linalg.solve(np.eye(2) - k, np.array(spec.mu))
-    return (float(rates[0]), float(rates[1]))
+    k = np.array(_branching_matrix(spec))
+    rates = np.linalg.solve(np.eye(len(k)) - k, np.array(spec.block_form[2]))
+    return tuple(float(r) for r in rates)
 
 
 # ---------------------------------------------------------------------------

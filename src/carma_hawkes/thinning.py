@@ -282,15 +282,20 @@ def read_events_csv(path, meta_path=None) -> EventLog:
     if meta_path is not None:
         with open(meta_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        meta = SimulationMeta(
-            seed=data.get("seed"),
-            horizon=float(data.get("horizon", meta.horizon)),
-            proposed=int(data.get("proposed", 0)),
-            accepted=int(data.get("accepted", len(times))),
-            acceptance_ratio=float(data.get("acceptance_ratio", 0.0)),
-            wall_time_seconds=float(data.get("wall_time_seconds", 0.0)),
-            spec_hash=data.get("spec_hash"),
-        )
+        if not isinstance(data, dict):
+            raise ValueError(f"metadata must be a JSON object, got {type(data).__name__}")
+        try:
+            meta = SimulationMeta(
+                seed=data.get("seed"),
+                horizon=float(data.get("horizon", meta.horizon)),
+                proposed=int(data.get("proposed", 0)),
+                accepted=int(data.get("accepted", len(times))),
+                acceptance_ratio=float(data.get("acceptance_ratio", 0.0)),
+                wall_time_seconds=float(data.get("wall_time_seconds", 0.0)),
+                spec_hash=data.get("spec_hash"),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"metadata field is not a number: {exc}") from None
         if not (math.isfinite(meta.horizon) and math.isfinite(meta.acceptance_ratio)):
             raise ValueError("metadata horizon and acceptance_ratio must be finite")
         if times and meta.horizon < times[-1]:

@@ -126,6 +126,14 @@ class TestSimulateCommand:
             _, lam, bar = row.split(",")
             assert float(lam) <= float(bar) + 1e-9
 
+    def test_bad_trace_step_exits_2(self, tmp_path, carma21, capsys):
+        model = write_spec(tmp_path, carma21)
+        for step in ("0", "nan", "inf"):
+            code = main(["simulate", "--model", model, "--horizon", "10", "--seed", "1",
+                         "--out", str(tmp_path / "x"), "--trace-intensity", step])
+            assert code == 2
+            assert "--trace-intensity" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_admissible_report(self, tmp_path, carma21, capsys):
@@ -222,7 +230,8 @@ class TestDiagnoseCommand:
             assert captured.out == ""
 
     def test_bad_sidecar_exits_2(self, tmp_path, carma21, capsys):
-        # a horizon before the last event, or a non-finite sidecar number
+        # a horizon before the last event, a non-finite or null sidecar
+        # number, or a sidecar that is valid JSON but not an object
         model = write_spec(tmp_path, carma21)
         out = tmp_path / "runs"
         main(["simulate", "--model", model, "--horizon", "200", "--seed", "5",
@@ -230,8 +239,14 @@ class TestDiagnoseCommand:
         capsys.readouterr()
         meta_path = out / "events_0.meta.json"
         good = json.loads(meta_path.read_text())
-        for bad in ({"horizon": 100.0}, {"horizon": math.inf}, {"acceptance_ratio": math.nan}):
-            meta_path.write_text(json.dumps({**good, **bad}))
+        bad_sidecars = [
+            {**good, **bad}
+            for bad in ({"horizon": 100.0}, {"horizon": math.inf},
+                        {"acceptance_ratio": math.nan}, {"horizon": None},
+                        {"proposed": math.inf})
+        ] + [[1, 2]]
+        for sidecar in bad_sidecars:
+            meta_path.write_text(json.dumps(sidecar))
             assert main(["diagnose", "--model", model, "--events",
                          str(out / "events_0.csv")]) == 2
             captured = capsys.readouterr()
@@ -259,6 +274,24 @@ class TestBenchCommand:
     def test_zero_reps_exits_2(self, tmp_path, carma21):
         model = write_spec(tmp_path, carma21)
         assert main(["bench", "--model", model, "--horizon", "10", "--reps", "0"]) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, carma21, capsys):
+        # a negative seed would silently give the stream of its absolute value
+        model = write_spec(tmp_path, carma21)
+        assert main(["bench", "--model", model, "--horizon", "10", "--seed", "-3"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_growing_envelope_exits_3_under_force(self, tmp_path, capsys):
+        # a root with positive real part cannot be thinned, forced or not;
+        # bench and simulate refuse it with the same exit code
+        from carma_hawkes import UnivariateSpec
+
+        model = write_spec(tmp_path, UnivariateSpec(mu=0.3, a=(-1.0,), b=(0.5,)))
+        for command in (["bench"], ["simulate", "--out", str(tmp_path / "x")]):
+            code = main(command + ["--model", model, "--horizon", "5", "--seed", "1",
+                                   "--force"])
+            assert code == 3
+            assert "decay rate" in capsys.readouterr().err
 
     def test_tight_envelope_accepts_more(self, tmp_path, hawkes, carma21, capsys):
         # order-1 envelope is exact, so its acceptance ratio beats order 2

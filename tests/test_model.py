@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import util
-from carma_hawkes import model
+from carma_hawkes import model, spectral
 from carma_hawkes import (
     BivariateSpec,
     NegativeIntensity,
     ProcessState,
+    RootFindingFailure,
     UnivariateSpec,
     apply_event,
     channel_kernel,
@@ -151,12 +154,33 @@ class TestValidate:
                     integral, abs=1e-6
                 )
 
+    def test_envelope_cross_check_runs_per_block(self, monkeypatch):
+        # dynamics passes each AR block, with its column-summed MA vector,
+        # through bound_constant's dense cross-check
+        seen = []
+        checked = spectral.bound_constant
+        monkeypatch.setattr(
+            spectral, "bound_constant", lambda sd, b: seen.append((sd.p, b)) or checked(sd, b)
+        )
+        validate(UnivariateSpec(mu=0.37, a=(3.1, 2.2), b=(0.4, 0.1)))
+        validate(BivariateSpec(mu=(0.37, 0.2), a1=(3.1, 2.2), a2=(1.7,),
+                               b11=(0.4,), b12=(0.1,), b21=(0.2, 0.3), b22=(0.5,)))
+        assert seen == [(2, (0.4, 0.1)), (2, pytest.approx((0.6, 0.3))), (1, (0.6,))]
+
+        def disagree(sd, b):
+            raise RootFindingFailure("envelope-constant formulas disagree")
+
+        monkeypatch.setattr(spectral, "bound_constant", disagree)
+        rep = validate(BivariateSpec(mu=(0.38, 0.2), a1=(3.1, 2.2), a2=(1.7,),
+                                     b11=(0.4,), b12=(0.1,), b21=(0.2,), b22=(0.5,)))
+        assert rep.flags == ("RootFindingFailure",)
+
     def test_spec_caches_are_bounded(self):
         # a sweep over more distinct specs than the caches hold must not
         # grow them past their bound
         for i in range(model.CACHE_MAXSIZE + 20):
             validate(UnivariateSpec(mu=0.3, a=(3.0 + 1e-3 * i, 2.0), b=(1.0,)))
-        for cached in (model.dynamics, model._spectral_of, model.validate):
+        for cached in (model.dynamics, model.validate):
             info = cached.cache_info()
             assert info.maxsize == model.CACHE_MAXSIZE
             assert info.currsize <= model.CACHE_MAXSIZE
@@ -369,6 +393,30 @@ class TestBivariateDecoupling:
         # identical up to rounding from the different event segmentation
         np.testing.assert_allclose(lam_full[:, 0], lam_1[:, 0], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(lam_full[:, 1], lam_2[:, 1], rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_diagonal_blocks_validate_as_univariate(self, seed):
+        # with b12 = b21 = 0 a bivariate spec is two univariate models side by
+        # side, so the two forms of validate and stationary_rates must agree
+        rng = np.random.default_rng(seed)
+        u1, u2 = util.random_univariate_spec(rng), util.random_univariate_spec(rng)
+        spec = BivariateSpec(
+            mu=(u1.mu, u2.mu), a1=u1.a, a2=u2.a, b11=u1.b, b12=(0.0,), b21=(0.0,), b22=u2.b
+        )
+        rep, rep1, rep2 = validate(spec), validate(u1), validate(u2)
+        assert rep.branching_matrix[0][0] == rep1.branching
+        assert rep.branching_matrix[1][1] == rep2.branching
+        assert rep.branching_matrix[0][1] == rep.branching_matrix[1][0] == 0.0
+        mins = dict(rep.kernel_mins)
+        for name, uni, uni_rep in (("h11", u1, rep1), ("h22", u2, rep2)):
+            # the grid sums cancel; allow rounding at the scale of their terms
+            dyn = model.dynamics(uni)
+            scale = sum(abs(w * dz) for w, dz in zip(dyn.weights[0], dyn.jumps[0]))
+            assert mins[name] == pytest.approx(uni_rep.kernel_min, rel=1e-12, abs=1e-14 * scale)
+        assert mins["h12"] == mins["h21"] == 0.0
+        rates = stationary_rates(u1) + stationary_rates(u2)
+        assert stationary_rates(spec) == pytest.approx(rates, rel=1e-12)
 
 
 class TestRatesAndIO:
