@@ -175,11 +175,13 @@ def cmd_bench(args) -> int:
     if spec is None:
         return code
     t0 = time.perf_counter()
-    results, code = _replicate(spec, args, lambda k, log: (len(log), log.meta.proposed))
+    results, code = _replicate(
+        spec, args, lambda k, log: (len(log), log.meta.proposed, log.meta.squeezed)
+    )
     wall = time.perf_counter() - t0
     if code != EXIT_OK:
         return code
-    total_events, total_proposed = (sum(col) for col in zip(*results))
+    total_events, total_proposed, total_squeezed = (sum(col) for col in zip(*results))
     result = {
         "model": args.model,
         "horizon": args.horizon,
@@ -190,6 +192,7 @@ def cmd_bench(args) -> int:
         "events_per_sec": total_events / wall if wall > 0 else math.inf,
         "proposals_per_sec": total_proposed / wall if wall > 0 else math.inf,
         "acceptance_ratio": total_events / total_proposed if total_proposed else 0.0,
+        "squeezed_share": total_squeezed / total_proposed if total_proposed else 0.0,
     }
     print(json.dumps(result, indent=2))
     return EXIT_OK

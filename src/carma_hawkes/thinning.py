@@ -27,17 +27,36 @@ rejected candidates) the envelope only decays.  This keeps the bound equal to
 the exponentially decayed sum over realised jumps, which dominates the
 intensity pointwise, and gives a strictly tighter envelope (higher acceptance
 ratio) than re-inflating it on every candidate.
+
+Most candidates are rejected, and most rejections are decided without the
+intensity (the rejection-sampling squeeze; Devroye 1986, II.5).  With z the
+modal state at the last event, W^(c) = w_1 + ... + w_c the running-sum weight
+rows and a_j = max_c |W^(c)_j|, every running sum and the total at t obey
+
+    |Re(W^(c)_j z_j e^{lam_j dt})| <= a_j |z_j| e^{decay dt}
+    =>  lam_1 + ... + lam_c <= base + s e^{decay dt},  s = sum_j a_j |z_j|,
+
+as the baselines are positive.  A candidate with D * lam_bar above that (s
+and base carry a 1e-12 relative margin for rounding) is rejected before any
+mode is propagated.  The
+routing rule would reject it too, and the test comes after the envelope's
+decay, so candidates, decisions and seeded output are those of the loop
+without it.  Squeezed candidates never evaluate lam, so the per-candidate
+check lam <= lam_bar does not see them; they are covered instead by a
+certificate checked once per run, sum_j |W_j| |J_mj| <= K_m for every mark m,
+which bounds lam - base by lam_bar - base at every t.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import random
 import time
 from dataclasses import dataclass, replace
-from operator import add, mul
+from operator import add, lt, mul
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +78,10 @@ from .model import (
 
 _BOUND_SLACK = 1e-9
 _BOUND_RTOL = 1e-10
+# relative margin on the squeeze's weights and constant: far above the few
+# ulps by which a computed running sum can exceed its exact value, so rounding
+# never squeezes a candidate that routing would accept
+_SQUEEZE_MARGIN = 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +224,8 @@ class SimulationMeta:
     acceptance_ratio: float
     wall_time_seconds: float
     spec_hash: str | None = None
+    # candidates rejected by the squeeze pretest, without evaluating lam
+    squeezed: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -211,6 +236,7 @@ class SimulationMeta:
             "acceptance_ratio": self.acceptance_ratio,
             "wall_time_seconds": self.wall_time_seconds,
             "spec_hash": self.spec_hash,
+            "squeezed": self.squeezed,
         }
 
 
@@ -225,12 +251,11 @@ class EventLog:
     def __post_init__(self):
         if len(self.times) != len(self.marks):
             raise ValueError("times and marks must have equal length")
-        prev = 0.0
-        for t in self.times:
-            if not t > prev:
-                raise ValueError("event times must be strictly increasing and > 0")
-            prev = t
-        if any(m not in (1, 2) for m in self.marks):
+        times = self.times
+        later = itertools.islice(times, 1, None)
+        if times and not (times[0] > 0 and all(map(lt, times, later))):
+            raise ValueError("event times must be strictly increasing and > 0")
+        if not set(self.marks) <= {1, 2}:
             raise ValueError("marks must be 1 or 2")
 
     def __len__(self) -> int:
@@ -293,9 +318,14 @@ def read_events_csv(path, meta_path=None) -> EventLog:
                 acceptance_ratio=float(data.get("acceptance_ratio", 0.0)),
                 wall_time_seconds=float(data.get("wall_time_seconds", 0.0)),
                 spec_hash=data.get("spec_hash"),
+                squeezed=data.get("squeezed", 0),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"metadata field is not a number: {exc}") from None
+        if type(meta.squeezed) is not int or meta.squeezed < 0:
+            raise ValueError(
+                f"metadata squeezed must be a non-negative integer, got {meta.squeezed!r}"
+            )
         if not (math.isfinite(meta.horizon) and math.isfinite(meta.acceptance_ratio)):
             raise ValueError("metadata horizon and acceptance_ratio must be finite")
         if times and meta.horizon < times[-1]:
@@ -341,7 +371,7 @@ def _require_admissible(spec: Spec, override: bool) -> None:
         )
 
 
-def _finish_log(times, marks, stream, horizon, proposed, spec, t_start) -> EventLog:
+def _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start) -> EventLog:
     accepted = len(times)
     meta = SimulationMeta(
         seed=getattr(stream, "seed", None),
@@ -351,15 +381,33 @@ def _finish_log(times, marks, stream, horizon, proposed, spec, t_start) -> Event
         acceptance_ratio=accepted / proposed if proposed else 0.0,
         wall_time_seconds=time.perf_counter() - t_start,
         spec_hash=spec_hash(spec),
+        squeezed=squeezed,
     )
     return EventLog(times=tuple(times), marks=tuple(marks), meta=meta)
+
+
+def _certify_envelope(w_total, jumps, k_consts) -> None:
+    """Refuse envelope jumps that do not dominate the intensity for all t.
+
+    By the triangle inequality, sum_j |W_j| |J_mj| <= K_m for every mark m
+    bounds lam(t) - base by the decayed sum of K over past events, which is
+    lam_bar(t) - base, at every t: squeezed candidates, whose intensity is
+    never computed, are covered by this check rather than the per-candidate
+    one.
+    """
+    for m, (jump, k) in enumerate(zip(jumps, k_consts), start=1):
+        reach = sum(abs(w) * abs(j) for w, j in zip(w_total, jump))
+        if not reach <= k * (1.0 + _BOUND_RTOL):
+            raise BoundViolation(
+                f"envelope jump K_{m} = {k} is below the intensity's reach {reach}"
+            )
 
 
 def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
     """The thinning loop for any number of components, driven by Dynamics.
 
-    The first arrival and the routing rule are set out in the module
-    docstring.
+    The first arrival, the routing rule and the squeeze pretest are set out
+    in the module docstring.
     """
     horizon = _check_horizon(horizon)
     _require_admissible(spec, override_validation)
@@ -376,6 +424,12 @@ def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
     # the envelope bounds the summed intensity, whose modal weights are the
     # column sums of the per-component weights
     w_total = [sum(col) for col in zip(*dyn.weights)]
+    _certify_envelope(w_total, jumps, k_consts)
+    # the squeeze's a_j = max_c |W^(c)_j| over the running-sum rows and its
+    # constant (module docstring), each with its rounding margin
+    rows = itertools.accumulate(dyn.weights, lambda acc, w: list(map(add, acc, w)))
+    squeeze_w = [max(map(abs, col)) * _SQUEEZE_MARGIN for col in zip(*rows)]
+    squeeze_base = base * _SQUEEZE_MARGIN
     last_mark = len(dyn.mus)
     # every component but the last is routed by the running sum of the
     # intensities up to it; the last is tested against the total
@@ -387,13 +441,15 @@ def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
     times: list[float] = []
     marks: list[int] = []
     proposed = last_mark
+    squeezed = 0
     firsts = [-mlog(draw()) / mu_c for mu_c in dyn.mus]
     t = min(firsts)
     if t > horizon:
-        return _finish_log(times, marks, stream, horizon, proposed, spec, t_start)
+        return _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start)
 
     mark = firsts.index(t) + 1
     z = list(jumps[mark - 1])
+    s = sum(map(mul, squeeze_w, map(abs, z)))
     excess = k_consts[mark - 1]
     t_last = t
     times.append(t)
@@ -407,6 +463,13 @@ def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
         # D times the rate this candidate was drawn at
         threshold = draw() * lam_bar
         dt = t - t_last
+        bexp = mexp(decay * dt)
+        # the envelope here, and the next proposal rate if this candidate
+        # is rejected
+        lam_bar = base + excess * bexp
+        if threshold > squeeze_base + s * bexp:
+            squeezed += 1
+            continue
         # one pass propagates the modes and sums the total intensity
         zz = []
         lam = base
@@ -414,10 +477,6 @@ def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
             zj *= cexp(lj * dt)
             zz.append(zj)
             lam += (wj * zj).real
-        bexp = mexp(decay * dt)
-        # the envelope here, and the next proposal rate if this candidate
-        # is rejected
-        lam_bar = base + excess * bexp
         # absolute slack plus a small relative term: overridden (explosive)
         # runs compound rounding drift at large scales, while any genuine
         # constant bug overshoots at the kernel scale itself
@@ -437,12 +496,13 @@ def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
                 continue
             mark = last_mark
         z = list(map(add, zz, jumps[mark - 1]))
+        s = sum(map(mul, squeeze_w, map(abs, z)))
         excess = excess * bexp + k_consts[mark - 1]
         lam_bar = base + excess
         t_last = t
         times.append(t)
         marks.append(mark)
-    return _finish_log(times, marks, stream, horizon, proposed, spec, t_start)
+    return _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start)
 
 
 def simulate_univariate(

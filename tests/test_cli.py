@@ -243,7 +243,8 @@ class TestDiagnoseCommand:
             {**good, **bad}
             for bad in ({"horizon": 100.0}, {"horizon": math.inf},
                         {"acceptance_ratio": math.nan}, {"horizon": None},
-                        {"proposed": math.inf})
+                        {"proposed": math.inf}, {"squeezed": math.inf},
+                        {"squeezed": 2.5}, {"squeezed": None})
         ] + [[1, 2]]
         for sidecar in bad_sidecars:
             meta_path.write_text(json.dumps(sidecar))
@@ -270,6 +271,13 @@ class TestBenchCommand:
         assert out["proposed"] >= out["events"]
         assert 0 < out["acceptance_ratio"] <= 1
         assert out["events_per_sec"] > 0
+
+    def test_reports_squeezed_share(self, tmp_path, carma31, capsys):
+        # carma31's envelope is loose, so the squeeze decides most rejections
+        model = write_spec(tmp_path, carma31)
+        assert main(["bench", "--model", model, "--horizon", "500", "--seed", "0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 0 < out["squeezed_share"] <= 1 - out["acceptance_ratio"]
 
     def test_zero_reps_exits_2(self, tmp_path, carma21):
         model = write_spec(tmp_path, carma21)

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import util
 from carma_hawkes import (
+    BivariateSpec,
     BoundViolation,
     EventLog,
     HorizonNonPositive,
@@ -17,6 +19,7 @@ from carma_hawkes import (
     bound_after_event,
     bound_path,
     bound_value,
+    dynamics,
     initial_bound,
     intensity_path,
     read_events_csv,
@@ -273,6 +276,109 @@ class TestDomination:
         assert np.max(np.abs(gap)) < 1e-12
 
 
+class TestSqueeze:
+    """The squeeze pretest rejects without evaluating the intensity; it must
+    never change a candidate, a decision or a proposal count."""
+
+    # forced kernel-negative specs can explode (ROADMAP item 5); draws whose
+    # reference run passes this many events are skipped
+    EVENT_CAP = 2000
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bivariate=st.booleans(), forced=st.booleans())
+    def test_matches_reference_loop(self, seed, bivariate, forced):
+        rng = np.random.default_rng(seed)
+        make = util.random_bivariate_spec if bivariate else util.random_univariate_spec
+        spec = make(rng, p_max=3)
+        while validate(spec).admissible == forced:
+            spec = make(rng, p_max=3)
+        horizon = 5.0 if forced else 50.0
+        ref = util.thin_reference(spec, horizon, seed, max_events=self.EVENT_CAP)
+        assume(ref is not None)
+        log = simulate(spec, horizon, rng=seed, override_validation=forced)
+        assert (log.times, log.marks, log.meta.proposed) == ref
+        assert 0 <= log.meta.squeezed <= log.meta.proposed - len(log)
+
+    def test_bounds_every_running_sum(self):
+        # opposite-signed weights on mode 1: the running-sum row W(1) = 0.9
+        # there, the total W = 0.05.  After the event at t = 1 the candidate
+        # at t = 1.1 has D * lam_bar = 0.98 * (0.6 + K) ~ 1.080, above the
+        # total (0.6 + 0.05 e^-0.1 ~ 0.645) and the envelope there (~1.055),
+        # but below lam_1 = 0.3 + 0.9 e^-0.1 ~ 1.114, so it is accepted as
+        # component 1.  A squeeze weighted by |W|, or by the envelope,
+        # would reject it.  The candidate at t = 3.1 is squeezed.
+        spec = BivariateSpec(
+            mu=(0.3, 0.3), a1=(1.0,), a2=(2.0,),
+            b11=(0.9,), b12=(0.0,), b21=(-0.85,), b22=(0.5,),
+        )
+        k = dynamics(spec).bound_jumps[0]
+        assert k == pytest.approx(math.hypot(0.05, 0.5), rel=1e-14)
+        lam_bar = 0.6 + k
+        lam_bar_2 = 0.6 + k * math.exp(-0.1) + k
+        uniforms = [
+            math.exp(-0.3), math.exp(-3.0),    # first arrivals at 1 and 10
+            math.exp(-0.1 * lam_bar), 0.98,    # t = 1.1, routed to component 1
+            math.exp(-2.0 * lam_bar_2), 0.9,   # t = 3.1, squeezed
+            1e-300,
+        ]
+        log = simulate(spec, 20.0, rng=ScriptedUniforms(uniforms), override_validation=True)
+        assert log.times == pytest.approx((1.0, 1.1), abs=1e-12)
+        assert log.marks == (1, 1)
+        assert (log.meta.proposed, log.meta.squeezed) == (5, 1)
+        assert util.thin_reference(spec, 20.0, ScriptedUniforms(uniforms)) == (
+            log.times, log.marks, log.meta.proposed
+        )
+
+    def test_margin_covers_rounding(self):
+        # two blocks with the same root -0.2 and weights 0.01; candidates
+        # 1e-16 apart, so every exponential factor rounds to exactly 1.
+        # After events of marks 1 and 2 the routing compares against
+        # (0.2 + 0.01) + 0.01, which rounds one ulp above the squeeze's
+        # 0.2 + (0.01 + 0.01); the last candidate's D * lam_bar equals the
+        # former, so it is accepted, and only the squeeze's relative margin
+        # keeps it from being squeezed
+        assert (0.2 + 0.01) + 0.01 > 0.2 + (0.01 + 0.01)
+        spec = BivariateSpec(
+            mu=(0.1, 0.1), a1=(0.2,), a2=(0.2,),
+            b11=(0.01,), b12=(0.0,), b21=(0.0,), b22=(0.01,),
+        )
+        u_tiny = 1.0 - 2.0**-53
+        d_last = 0.9637107225907751
+        k = dynamics(spec).bound_jumps[0]
+        assert d_last * (0.2 + (k + k)) == (0.2 + 0.01) + 0.01
+        uniforms = [
+            math.exp(-0.1e-3), math.exp(-1.0),  # first arrivals at 1e-3 and 10
+            u_tiny, 0.747167293974951,          # routed to component 2
+            u_tiny, d_last,                     # D * lam_bar equals the total
+            1e-300,
+        ]
+        log = simulate(spec, 5.0, rng=ScriptedUniforms(uniforms))
+        assert log.marks == (1, 2, 2)
+        assert (log.meta.proposed, log.meta.squeezed) == (5, 0)
+        assert util.thin_reference(spec, 5.0, ScriptedUniforms(uniforms)) == (
+            log.times, log.marks, log.meta.proposed
+        )
+
+    def test_short_envelope_constant_raises(self, hawkes, monkeypatch):
+        # with K halved the envelope no longer dominates; the certificate
+        # must refuse it although the squeeze hides the intensity from the
+        # per-candidate check
+        from carma_hawkes import thinning
+
+        def halved(spec):
+            dyn = dynamics(spec)
+            return dataclasses.replace(dyn, bound_jumps=tuple(k / 2 for k in dyn.bound_jumps))
+
+        monkeypatch.setattr(thinning, "dynamics", halved)
+        with pytest.raises(BoundViolation):
+            simulate(hawkes, 200.0, rng=1)
+        # the only candidate, at t = 2, is squeezed (0.9 * 0.8 against
+        # lam = 0.3 + e^-3) although lam exceeds the halved envelope there
+        uniforms = [math.exp(-0.3), math.exp(-0.8), 0.9, 1e-300]
+        with pytest.raises(BoundViolation):
+            simulate(hawkes, 20.0, rng=ScriptedUniforms(uniforms))
+
+
 class TestLongRunRates:
     def test_univariate_rate_near_theory(self, carma21):
         log = simulate_univariate(carma21, 5000.0, rng=2024)
@@ -313,6 +419,17 @@ class TestEventLogContainer:
         assert again.marks == log.marks
         assert again.meta.seed == 5
         assert again.meta.spec_hash == log.meta.spec_hash
+
+    def test_sidecar_carries_squeezed(self, tmp_path, carma31):
+        log = simulate_univariate(carma31, 200.0, rng=5)
+        csv_path = tmp_path / "events.csv"
+        meta_path = tmp_path / "events.meta.json"
+        write_events_csv(log, csv_path)
+        write_meta_json(log, meta_path)
+        assert read_events_csv(csv_path, meta_path).meta.squeezed == log.meta.squeezed > 0
+        # sidecars written before the field existed read as 0
+        meta_path.write_text('{"horizon": 200.0}')
+        assert read_events_csv(csv_path, meta_path).meta.squeezed == 0
 
     def test_csv_without_meta(self, tmp_path, carma21):
         log = simulate_univariate(carma21, 50.0, rng=5)

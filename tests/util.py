@@ -3,13 +3,16 @@ and small helpers used across the test modules."""
 
 import cmath
 import math
+from operator import add, mul
 
 import numpy as np
 
 from carma_hawkes import (
     BivariateSpec,
+    BoundViolation,
     EventLog,
     SimulationMeta,
+    UniformStream,
     UnivariateSpec,
     apply_event,
     compensator_increment,
@@ -212,3 +215,79 @@ def residual_transform_scalar(spec, log, component=1):
             acc = size = 0.0
         t_prev = t
     return tuple(taus), tuple(sizes)
+
+
+# ---------------------------------------------------------------------------
+# thinning oracle
+
+
+def thin_reference(spec, horizon, rng, max_events=None):
+    """Reference thinning loop: every candidate propagates the modes and is
+    routed by the running sums, with no squeeze pretest.
+
+    rng is an int seed or an object with .draw().  Returns (times, marks,
+    proposed), or None once more than max_events events are accepted (some
+    forced kernel-negative specs explode).  simulate must agree exactly.
+    """
+    dyn = dynamics(spec)
+    draw = (UniformStream(rng) if isinstance(rng, int) else rng).draw
+    base = dyn.base
+    lams = dyn.lams
+    jumps = dyn.jumps
+    k_consts = dyn.bound_jumps
+    decay = dyn.decay
+    w_total = [sum(col) for col in zip(*dyn.weights)]
+    last_mark = len(dyn.mus)
+    routed = list(zip(range(1, last_mark), dyn.mus, dyn.weights))
+
+    times = []
+    marks = []
+    proposed = last_mark
+    firsts = [-math.log(draw()) / mu_c for mu_c in dyn.mus]
+    t = min(firsts)
+    if t > horizon:
+        return tuple(times), tuple(marks), proposed
+    mark = firsts.index(t) + 1
+    z = list(jumps[mark - 1])
+    excess = k_consts[mark - 1]
+    t_last = t
+    times.append(t)
+    marks.append(mark)
+    lam_bar = base + excess
+    while True:
+        proposed += 1
+        t += -math.log(draw()) / lam_bar
+        if t > horizon:
+            break
+        threshold = draw() * lam_bar
+        dt = t - t_last
+        zz = []
+        lam = base
+        for zj, lj, wj in zip(z, lams, w_total):
+            zj *= cmath.exp(lj * dt)
+            zz.append(zj)
+            lam += (wj * zj).real
+        bexp = math.exp(decay * dt)
+        lam_bar = base + excess * bexp
+        if lam > lam_bar + 1e-9 + 1e-10 * lam_bar:
+            raise BoundViolation(f"intensity {lam} exceeded envelope {lam_bar} at t={t}")
+        cum = 0.0
+        for mark, mu_c, w in routed:
+            cum += mu_c
+            for x in map(mul, w, zz):
+                cum += x.real
+            if threshold <= cum:
+                break
+        else:
+            if threshold > lam:
+                continue
+            mark = last_mark
+        z = list(map(add, zz, jumps[mark - 1]))
+        excess = excess * bexp + k_consts[mark - 1]
+        lam_bar = base + excess
+        t_last = t
+        times.append(t)
+        marks.append(mark)
+        if max_events is not None and len(times) > max_events:
+            return None
+    return tuple(times), tuple(marks), proposed
