@@ -45,6 +45,28 @@ without it.  Squeezed candidates never evaluate lam, so the per-candidate
 check lam <= lam_bar does not see them; they are covered instead by a
 certificate checked once per run, sum_j |W_j| |J_mj| <= K_m for every mark m,
 which bounds lam - base by lam_bar - base at every t.
+
+The loop is not interpreted over lists of modes.  _kernel writes it out once
+per Dynamics as straight-line Python, compiled with compile/exec (as
+dataclasses builds __init__) and cached: each mode's state is a local
+variable, every constant a local name, and each sum an unrolled expression
+in mode order.  Modes come in three kinds.  A mode whose lam, weights and
+jumps all have imaginary part exactly 0 runs in float with math.exp; the
+complex products it replaces multiply only exact zeros into the imaginary
+parts, so the real parts are the same doubles.  A mode equal to the
+conjugate of the one before it in lam and in every weight and jump row is
+not carried: CPython's complex *, + and cmath.exp are conjugate-symmetric
+bit for bit, so its state stays the exact conjugate of its partner's, and
+the partner's real part is added twice at the two positions.  Any other mode
+stays complex.  Terms whose weight is exactly 0 are left out, as adding a
+zero changes no sum (the sums start at a positive base, so none is -0.0),
+and so is a mode that every weight row misses.  A float mode whose lam is
+the decay reuses the envelope's exp(decay * dt), the same double.  Every
+other operation is the one the generic loop did, in its order, so seeded
+output is that of the generic loop (kept as the test oracle
+tests/util.thin_reference).  Uniforms come straight from
+random.Random.random when the stream is a UniformStream, redrawing an exact
+0 as UniformStream.draw does; any other stream is called through .draw().
 """
 
 from __future__ import annotations
@@ -56,7 +78,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
-from operator import add, lt, mul
+from functools import lru_cache
+from operator import add, lt
 from typing import Sequence
 
 import numpy as np
@@ -68,7 +91,9 @@ from .errors import (
     NumericalOverflow,
 )
 from .model import (
+    CACHE_MAXSIZE,
     BivariateSpec,
+    Dynamics,
     Spec,
     UnivariateSpec,
     dynamics,
@@ -266,10 +291,12 @@ class EventLog:
 
 
 def write_events_csv(log: EventLog, path) -> None:
+    """Write time,mark rows; 17 significant digits read back as the same
+    doubles."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,mark\n")
         for t, m in zip(log.times, log.marks):
-            fh.write(f"{t:.15g},{m}\n")
+            fh.write(f"{t:.17g},{m}\n")
 
 
 def write_meta_json(log: EventLog, path) -> None:
@@ -403,105 +430,203 @@ def _certify_envelope(w_total, jumps, k_consts) -> None:
             )
 
 
-def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
-    """The thinning loop for any number of components, driven by Dynamics.
+def _total_weights(dyn: Dynamics) -> list:
+    # the envelope bounds the summed intensity, whose modal weights are the
+    # column sums of the per-component weights
+    return [sum(col) for col in zip(*dyn.weights)]
 
-    The first arrival, the routing rule and the squeeze pretest are set out
-    in the module docstring.
+
+def _mode_kinds(lams, rows) -> list[str]:
+    """How the kernel carries each mode, given every constant row over modes.
+
+    "real": lam_j and every row's entry have imaginary part exactly 0, so
+    the mode runs in float.  "pair"/"conj": modes j and j + 1 are exact
+    conjugates in lam and in every row, so mode j is propagated once and
+    stands for both.  "complex": anything else.
     """
+    kinds: list[str] = []
+    j = 0
+    while j < len(lams):
+        lam = lams[j]
+        if lam.imag == 0 and all(row[j].imag == 0 for row in rows):
+            kinds.append("real")
+        elif (
+            j + 1 < len(lams)
+            and lams[j + 1] == lam.conjugate()
+            and all(row[j + 1] == row[j].conjugate() for row in rows)
+        ):
+            kinds += ["pair", "conj"]
+            j += 1
+        else:
+            kinds.append("complex")
+        j += 1
+    return kinds
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _kernel(dyn: Dynamics, plain_uniforms: bool):
+    """Compile the thinning loop for dyn as straight-line Python.
+
+    The loop, its exactness and the mode kinds are set out in the module
+    docstring.  plain_uniforms selects draws straight from the Mersenne
+    Twister of a UniformStream over calls to .draw().
+    """
+    n_comp = len(dyn.mus)
+    w_total = _total_weights(dyn)
+    # the squeeze's a_j = max_c |W^(c)_j| over the running-sum rows and its
+    # constant (module docstring), each with its rounding margin
+    sums = itertools.accumulate(dyn.weights, lambda acc, w: list(map(add, acc, w)))
+    squeeze_w = [max(map(abs, col)) * _SQUEEZE_MARGIN for col in zip(*sums)]
+    kinds = _mode_kinds(dyn.lams, (*dyn.weights, *dyn.jumps, w_total, squeeze_w))
+    # a mode with every running-sum weight 0 reaches no sum: it is dropped
+    modes = [j for j, kind in enumerate(kinds) if kind != "conj" and squeeze_w[j] != 0]
+    consts = {
+        "base": dyn.base,
+        "decay": dyn.decay,
+        "squeeze_base": dyn.base * _SQUEEZE_MARGIN,
+        "slack": _BOUND_SLACK,
+        "rtol": _BOUND_RTOL,
+    }
+
+    def const(name, value, j):
+        consts[name] = value.real if kinds[j] == "real" else value
+        return name
+
+    def total(head, row, name, term):
+        """head plus row[j] * mode j over the modes, in mode order; a conjugate
+        pair's term is computed once and added twice."""
+        parts = [head] if head else []
+        for j in modes:
+            if row[j] == 0:
+                continue
+            x = term(const(f"{name}{j}", row[j], j), j)
+            parts += [f"(p := {x}) + p"] if kinds[j] == "pair" else [x]
+        return " + ".join(parts) or "0.0"
+
+    def real_part(c, j):
+        return f"{c} * y{j}" if kinds[j] == "real" else f"({c} * y{j}).real"
+
+    squeeze_sum = total("", squeeze_w, "a", lambda c, j: f"{c} * abs(z{j})")
+
+    def event(m, first):
+        """Lines that record an event of mark m at t: the jump added to the
+        propagated state y, or for the first event the jump alone."""
+        jump = dyn.jumps[m - 1]
+        lines = []
+        for j in modes:
+            if first:
+                lines.append(f"z{j} = {const(f'J{m}_{j}', jump[j], j)}")
+            elif jump[j] == 0:
+                lines.append(f"z{j} = y{j}")
+            else:
+                lines.append(f"z{j} = y{j} + {const(f'J{m}_{j}', jump[j], j)}")
+        consts[f"K{m}"] = dyn.bound_jumps[m - 1]
+        lines += [
+            f"s = {squeeze_sum}",
+            f"excess = K{m}" if first else f"excess = excess * bexp + K{m}",
+            "lam_bar = base + excess",
+            "t_last = t",
+            "append_time(t)",
+            f"append_mark({m})",
+        ]
+        return lines
+
+    def block(lines, depth):
+        return ["    " * depth + line for line in lines]
+
+    uniform = "rand() or draw()" if plain_uniforms else "draw()"
+    body = []
+    for m in range(1, n_comp + 1):
+        body += [f"{'if' if m == 1 else 'elif'} mark == {m}:", *block(event(m, True), 1)]
+    propagate = []
+    for j in modes:
+        if kinds[j] != "real":
+            propagate.append(f"y{j} = z{j} * cexp({const(f'l{j}', dyn.lams[j], j)} * dt)")
+        elif dyn.lams[j].real == dyn.decay:
+            propagate.append(f"y{j} = z{j} * bexp")  # the same exp(decay * dt)
+        else:
+            propagate.append(f"y{j} = z{j} * mexp({const(f'l{j}', dyn.lams[j], j)} * dt)")
+    # every component but the last is routed by the running sum of the
+    # intensities up to it; the last is tested against the total
+    route = []
+    for c in range(1, n_comp):
+        consts[f"mu{c}"] = dyn.mus[c - 1]
+        cum = total(f"mu{c}" if c == 1 else f"cum + mu{c}", dyn.weights[c - 1], f"r{c}_", real_part)
+        route += [f"{'if' if c == 1 else 'elif'} threshold <= (cum := {cum}):"]
+        route += block(event(c, False), 1)
+    last = ["if threshold > lam:", "    continue", *event(n_comp, False)]
+    route += ["else:", *block(last, 1)] if n_comp > 1 else last
+    body += [
+        f"proposed = {n_comp}",
+        "squeezed = 0",
+        "while True:",
+        "    proposed += 1",
+        f"    t += -mlog({uniform}) / lam_bar",
+        "    if t > horizon:",
+        "        return proposed, squeezed",
+        # D times the rate this candidate was drawn at
+        f"    threshold = ({uniform}) * lam_bar",
+        "    dt = t - t_last",
+        "    bexp = mexp(decay * dt)",
+        # the envelope here, and the next proposal rate if this candidate
+        # is rejected
+        "    lam_bar = base + excess * bexp",
+        "    if threshold > squeeze_base + s * bexp:",
+        "        squeezed += 1",
+        "        continue",
+        *block(propagate, 1),
+        f"    lam = {total('base', w_total, 'w', real_part)}",
+        # absolute slack plus a small relative term: overridden (explosive)
+        # runs compound rounding drift at large scales, while any genuine
+        # constant bug overshoots at the kernel scale itself
+        "    if lam > lam_bar + slack + rtol * lam_bar:",
+        '        raise BoundViolation(f"intensity {lam} exceeded envelope {lam_bar} at t={t}")',
+        *block(route, 1),
+    ]
+    consts.update(mexp=math.exp, cexp=cmath.exp, mlog=math.log)
+    src = "\n".join(
+        [
+            "def loop(rand, draw, horizon, t, mark, append_time, append_mark):",
+            f"    {', '.join(consts)} = CONSTS",
+            *block(body, 1),
+        ]
+    )
+    namespace = {"CONSTS": tuple(consts.values()), "BoundViolation": BoundViolation}
+    exec(compile(src, f"<thinning kernel of {len(dyn.lams)} modes>", "exec"), namespace)
+    return namespace["loop"]
+
+
+def _run(dyn: Dynamics, horizon: float, stream) -> tuple[list, list, int, int]:
+    """One thinning run over dyn: times, marks, proposed and squeezed.
+
+    The first arrival is drawn here; the compiled kernel does the rest.
+    """
+    _certify_envelope(_total_weights(dyn), dyn.jumps, dyn.bound_jumps)
+    plain = type(stream) is UniformStream
+    loop = _kernel(dyn, plain)
+    draw = stream.draw
+    times: list[float] = []
+    marks: list[int] = []
+    firsts = [-math.log(draw()) / mu_c for mu_c in dyn.mus]
+    t = min(firsts)
+    if t > horizon:
+        return times, marks, len(firsts), 0
+    rand = stream._rng.random if plain else None
+    proposed, squeezed = loop(
+        rand, draw, horizon, t, firsts.index(t) + 1, times.append, marks.append
+    )
+    return times, marks, proposed, squeezed
+
+
+def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
+    """Check the inputs, run the thinning kernel for the spec's Dynamics and
+    wrap the result in an EventLog."""
     horizon = _check_horizon(horizon)
     _require_admissible(spec, override_validation)
     stream = as_uniform_stream(rng)
     dyn = dynamics(spec)
     t_start = time.perf_counter()
-
-    draw = stream.draw
-    base = dyn.base
-    lams = dyn.lams
-    jumps = dyn.jumps
-    k_consts = dyn.bound_jumps
-    decay = dyn.decay
-    # the envelope bounds the summed intensity, whose modal weights are the
-    # column sums of the per-component weights
-    w_total = [sum(col) for col in zip(*dyn.weights)]
-    _certify_envelope(w_total, jumps, k_consts)
-    # the squeeze's a_j = max_c |W^(c)_j| over the running-sum rows and its
-    # constant (module docstring), each with its rounding margin
-    rows = itertools.accumulate(dyn.weights, lambda acc, w: list(map(add, acc, w)))
-    squeeze_w = [max(map(abs, col)) * _SQUEEZE_MARGIN for col in zip(*rows)]
-    squeeze_base = base * _SQUEEZE_MARGIN
-    last_mark = len(dyn.mus)
-    # every component but the last is routed by the running sum of the
-    # intensities up to it; the last is tested against the total
-    routed = list(zip(range(1, last_mark), dyn.mus, dyn.weights))
-    mexp = math.exp
-    cexp = cmath.exp
-    mlog = math.log
-
-    times: list[float] = []
-    marks: list[int] = []
-    proposed = last_mark
-    squeezed = 0
-    firsts = [-mlog(draw()) / mu_c for mu_c in dyn.mus]
-    t = min(firsts)
-    if t > horizon:
-        return _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start)
-
-    mark = firsts.index(t) + 1
-    z = list(jumps[mark - 1])
-    s = sum(map(mul, squeeze_w, map(abs, z)))
-    excess = k_consts[mark - 1]
-    t_last = t
-    times.append(t)
-    marks.append(mark)
-    lam_bar = base + excess
-    while True:
-        proposed += 1
-        t += -mlog(draw()) / lam_bar
-        if t > horizon:
-            break
-        # D times the rate this candidate was drawn at
-        threshold = draw() * lam_bar
-        dt = t - t_last
-        bexp = mexp(decay * dt)
-        # the envelope here, and the next proposal rate if this candidate
-        # is rejected
-        lam_bar = base + excess * bexp
-        if threshold > squeeze_base + s * bexp:
-            squeezed += 1
-            continue
-        # one pass propagates the modes and sums the total intensity
-        zz = []
-        lam = base
-        for zj, lj, wj in zip(z, lams, w_total):
-            zj *= cexp(lj * dt)
-            zz.append(zj)
-            lam += (wj * zj).real
-        # absolute slack plus a small relative term: overridden (explosive)
-        # runs compound rounding drift at large scales, while any genuine
-        # constant bug overshoots at the kernel scale itself
-        if lam > lam_bar + _BOUND_SLACK + _BOUND_RTOL * lam_bar:
-            raise BoundViolation(
-                f"intensity {lam} exceeded envelope {lam_bar} at t={t}"
-            )
-        cum = 0.0
-        for mark, mu_c, w in routed:
-            cum += mu_c
-            for x in map(mul, w, zz):
-                cum += x.real
-            if threshold <= cum:
-                break
-        else:
-            if threshold > lam:
-                continue
-            mark = last_mark
-        z = list(map(add, zz, jumps[mark - 1]))
-        s = sum(map(mul, squeeze_w, map(abs, z)))
-        excess = excess * bexp + k_consts[mark - 1]
-        lam_bar = base + excess
-        t_last = t
-        times.append(t)
-        marks.append(mark)
+    times, marks, proposed, squeezed = _run(dyn, horizon, stream)
     return _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start)
 
 

@@ -199,6 +199,29 @@ class TestKsTest:
             )
             assert kolmogorov_survival(kappa) == pytest.approx(deep, abs=1e-10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        taus=st.lists(
+            st.floats(0.0, 50.0, allow_nan=False) | st.sampled_from([0.0, math.log(2.0), 1e-300]),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_matches_scalar_loop_exactly(self, taus):
+        res = ks_exp1(taus)
+        assert (res.statistic, res.p_value) == util.ks_exp1_scalar(taus)
+        assert res.n == len(taus)
+
+    def test_matches_scalar_loop_on_seeded_samples(self):
+        # a single point above ln 2 makes D = F(x) itself, so an F one ulp
+        # off shows; the long samples cover the sort and the steps
+        rng = np.random.default_rng(5)
+        samples = [[x] for x in rng.uniform(0.7, 30.0, size=2000).tolist()]
+        samples += [(rng.exponential(size=n) * 1.1).tolist() for n in (1000, 30000)]
+        for taus in samples:
+            res = ks_exp1(taus)
+            assert (res.statistic, res.p_value) == util.ks_exp1_scalar(taus)
+
     def test_statistic_matches_brute_force_grid(self):
         # oracle: max |F_emp - F| over a dense grid augmented with both
         # one-sided empirical CDF values at every sample point

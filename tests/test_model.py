@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import util
-from carma_hawkes import model, spectral
+from carma_hawkes import model, spectral, thinning
 from carma_hawkes import (
     BivariateSpec,
     NegativeIntensity,
@@ -24,6 +24,7 @@ from carma_hawkes import (
     kernel_value,
     load_spec,
     save_spec,
+    simulate,
     spec_from_dict,
     spec_hash,
     spec_to_dict,
@@ -179,8 +180,8 @@ class TestValidate:
         # a sweep over more distinct specs than the caches hold must not
         # grow them past their bound
         for i in range(model.CACHE_MAXSIZE + 20):
-            validate(UnivariateSpec(mu=0.3, a=(3.0 + 1e-3 * i, 2.0), b=(1.0,)))
-        for cached in (model.dynamics, model.validate):
+            simulate(UnivariateSpec(mu=0.3, a=(3.0 + 1e-3 * i, 2.0), b=(1.0,)), 1.0, rng=i)
+        for cached in (model.dynamics, model.validate, thinning._kernel):
             info = cached.cache_info()
             assert info.maxsize == model.CACHE_MAXSIZE
             assert info.currsize <= model.CACHE_MAXSIZE

@@ -1,5 +1,9 @@
 import dataclasses
+import itertools
 import math
+import os
+import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -379,6 +383,96 @@ class TestSqueeze:
             simulate(hawkes, 20.0, rng=ScriptedUniforms(uniforms))
 
 
+class TestCompiledKernel:
+    """The loop compiled per Dynamics must equal the generic reference loop,
+    including on paths that the random specs never reach."""
+
+    def test_inexact_conjugates_stay_complex(self, carma31, monkeypatch):
+        # one jump entry of the conjugate pair nudged by 1 ulp: the pair is
+        # no longer exact, so both modes must be carried as complex
+        from carma_hawkes import thinning
+
+        dyn = dynamics(carma31)
+        j1, j2 = dyn.jumps[0][1:]
+        nudged = complex(math.nextafter(j2.real, math.inf), j2.imag)
+        assert nudged != j1.conjugate()
+        bent = dataclasses.replace(dyn, jumps=((dyn.jumps[0][0], j1, nudged),))
+        def kinds(d):
+            return thinning._mode_kinds(d.lams, (*d.weights, *d.jumps))
+
+        assert kinds(dyn) == ["real", "pair", "conj"]
+        assert kinds(bent) == ["real", "complex", "complex"]
+        # the built loops: mode 2 has a state of its own only when unfolded
+        assert "z2" not in thinning._kernel(dyn, True).__code__.co_varnames
+        assert "z2" in thinning._kernel(bent, True).__code__.co_varnames
+        monkeypatch.setattr(thinning, "dynamics", lambda spec: bent)
+        monkeypatch.setattr(util, "dynamics", lambda spec: bent)
+        for seed in range(1, 6):
+            log = simulate(carma31, 300.0, rng=seed)
+            ref = util.thin_reference(carma31, 300.0, seed)
+            assert (log.times, log.marks, log.meta.proposed) == ref
+
+    def test_three_components(self, monkeypatch):
+        # a hand-built cyclic 1 -> 2 -> 3 -> 1 Dynamics (EventLog takes only
+        # marks 1 and 2, so the kernel is driven directly): blocks of orders
+        # 1, 2 (a conjugate pair) and 1, one per component
+        from carma_hawkes import model, thinning
+
+        class Cyclic:
+            block_form = (
+                ((1.0,), (1.0, 2.0), (2.0,)),
+                (
+                    ((0.2,), (0.0, 0.0), (0.5,)),
+                    ((0.5,), (0.3, 0.2), (0.0,)),
+                    ((0.0,), (0.6, 0.4), (0.3,)),
+                ),
+                (0.2, 0.3, 0.25),
+            )
+
+        dyn = model.dynamics.__wrapped__(Cyclic())
+        rows = (*dyn.weights, *dyn.jumps)
+        assert thinning._mode_kinds(dyn.lams, rows) == ["real", "pair", "conj", "real"]
+        monkeypatch.setattr(util, "dynamics", lambda spec: dyn)
+        for seed in range(1, 6):
+            times, marks, proposed, squeezed = thinning._run(dyn, 200.0, UniformStream(seed))
+            assert set(marks) == {1, 2, 3}
+            assert (tuple(times), tuple(marks), proposed) == util.thin_reference(
+                Cyclic(), 200.0, seed
+            )
+            assert 0 < squeezed <= proposed - len(times)
+
+    def test_exact_zero_uniform_is_redrawn(self, carma31):
+        # the kernel reads a UniformStream's generator directly; a 0.0 from
+        # it must be skipped as UniformStream.draw skips it
+        class ZeroThird(random.Random):
+            calls = 0
+
+            def random(self):
+                self.calls += 1
+                return 0.0 if self.calls == 3 else super().random()
+
+        stream = UniformStream(4)
+        stream._rng = ZeroThird(4)
+        log = simulate(carma31, 300.0, rng=stream)
+        ref = simulate(carma31, 300.0, rng=4)
+        assert stream._rng.calls > 3
+        assert (log.times, log.marks, log.meta.proposed) == (ref.times, ref.marks, ref.meta.proposed)
+
+    def test_draw_objects_match_plain_streams(self, carma31, biv_cross):
+        # a UniformStream is read straight from its Mersenne Twister; any
+        # other object goes through .draw() and must see the same run
+        class Wrapped:
+            def __init__(self, seed):
+                self.draw = UniformStream(seed).draw
+
+        for spec in (carma31, biv_cross):
+            a = simulate(spec, 300.0, rng=3)
+            b = simulate(spec, 300.0, rng=Wrapped(3))
+            assert (a.times, a.marks, a.meta.proposed, a.meta.squeezed) == (
+                b.times, b.marks, b.meta.proposed, b.meta.squeezed
+            )
+
+
 class TestLongRunRates:
     def test_univariate_rate_near_theory(self, carma21):
         log = simulate_univariate(carma21, 5000.0, rng=2024)
@@ -414,8 +508,7 @@ class TestEventLogContainer:
         write_events_csv(log, csv_path)
         write_meta_json(log, meta_path)
         again = read_events_csv(csv_path, meta_path)
-        # the file carries 15 significant digits; compare at that precision
-        assert again.times == tuple(float(f"{t:.15g}") for t in log.times)
+        assert again.times == log.times
         assert again.marks == log.marks
         assert again.meta.seed == 5
         assert again.meta.spec_hash == log.meta.spec_hash
@@ -436,8 +529,31 @@ class TestEventLogContainer:
         path = tmp_path / "events.csv"
         write_events_csv(log, path)
         again = read_events_csv(path)
-        assert again.times == tuple(float(f"{t:.15g}") for t in log.times)
+        assert again.times == log.times
         assert again.meta.spec_hash is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.floats(1e-300, 1e4, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=60,
+        ),
+        data=st.data(),
+    )
+    def test_csv_roundtrip_is_exact(self, gaps, data):
+        # any strictly increasing positive doubles, tiny and huge, read back
+        # bit for bit
+        times = sorted(set(itertools.accumulate(gaps)))
+        times += data.draw(st.sampled_from([[], [2.0**53 + 2.0], [1e300]]))
+        marks = data.draw(st.lists(st.sampled_from([1, 2]), min_size=len(times), max_size=len(times)))
+        log = util.make_log(times, marks)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "events.csv")
+            write_events_csv(log, path)
+            again = read_events_csv(path)
+        assert [t.hex() for t in again.times] == [t.hex() for t in log.times]
+        assert again.marks == log.marks
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "junk.csv"

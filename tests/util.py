@@ -18,6 +18,7 @@ from carma_hawkes import (
     compensator_increment,
     dynamics,
     initial_state,
+    kolmogorov_survival,
     spec_hash,
 )
 
@@ -215,6 +216,25 @@ def residual_transform_scalar(spec, log, component=1):
             acc = size = 0.0
         t_prev = t
     return tuple(taus), tuple(sizes)
+
+
+# ---------------------------------------------------------------------------
+# KS oracle
+
+
+def ks_exp1_scalar(taus):
+    """Per-point reference for diagnostics.ks_exp1: (statistic, p_value).
+
+    D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) with F(x) = -expm1(-x),
+    one sorted point at a time; the vectorised form must agree exactly.
+    """
+    xs = sorted(taus)
+    n = len(xs)
+    d = 0.0
+    for i, x in enumerate(xs, start=1):
+        f = -math.expm1(-x)
+        d = max(d, i / n - f, f - (i - 1) / n)
+    return d, kolmogorov_survival(math.sqrt(n) * d)
 
 
 # ---------------------------------------------------------------------------
