@@ -1,7 +1,8 @@
 """Command-line front end: simulate, validate, diagnose, bench.
 
-Exit codes: 0 success, 2 invalid configuration or input, 3 validation
-failure without --force, 4 runtime envelope violation (internal assertion).
+Exit codes: 0 success, 2 invalid configuration or input (an unusable path
+included), 3 validation failure without --force, 4 runtime envelope
+violation (internal assertion).
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ EXIT_BAD_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_BOUND_VIOLATION = 4
 
+# Largest --trace-intensity grid, in rows: horizon / step + 1 beyond it is
+# refused before any simulation runs.
+TRACE_MAX_ROWS = 10**7
+
 
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
@@ -53,17 +58,14 @@ def _load_spec_or_none(path: str):
 
 def _write_trace(spec, log, horizon: float, dt: float, path: Path) -> None:
     grid = np.arange(0.0, horizon + dt / 2, dt)
-    lam = intensity_path(spec, log, grid)
+    lam = intensity_path(spec, log, grid).reshape(len(grid), -1)
+    n_comp = lam.shape[1]
+    names = [f"intensity{c}" for c in range(1, n_comp + 1)] if n_comp > 1 else ["intensity"]
     bar = bound_path(spec, log, grid)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if lam.ndim == 1:
-            fh.write("time,intensity,bound\n")
-            for t, v, b in zip(grid, lam, bar):
-                fh.write(f"{t:.15g},{v:.15g},{b:.15g}\n")
-        else:
-            fh.write("time,intensity1,intensity2,bound\n")
-            for t, row, b in zip(grid, lam, bar):
-                fh.write(f"{t:.15g},{row[0]:.15g},{row[1]:.15g},{b:.15g}\n")
+        fh.write(",".join(["time", *names, "bound"]) + "\n")
+        for t, row, b in zip(grid, lam, bar):
+            fh.write(",".join(f"{v:.15g}" for v in (t, *row, b)) + "\n")
 
 
 def _checked_run(args):
@@ -108,6 +110,11 @@ def cmd_simulate(args) -> int:
     spec, code = _checked_run(args)
     if spec is None:
         return code
+    if step is not None and args.horizon / step + 1 > TRACE_MAX_ROWS:
+        return _fail(
+            f"--trace-intensity step {step} gives more than {TRACE_MAX_ROWS} grid rows",
+            EXIT_BAD_CONFIG,
+        )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="DT",
-        help="also write a sampled intensity/envelope grid with this step",
+        help="also write a sampled intensity/envelope grid with this step "
+        f"(at most {TRACE_MAX_ROWS:,} rows)",
     )
     sim.set_defaults(func=cmd_simulate)
 
@@ -247,7 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CarmaHawkesError as exc:
+    except (CarmaHawkesError, OSError) as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
 
 

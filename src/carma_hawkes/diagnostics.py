@@ -6,20 +6,11 @@ simulator the transformed inter-event gaps tau_i = Lam(T_i) - Lam(T_{i-1})
 are i.i.d. unit exponentials.  A one-sample Kolmogorov-Smirnov test against
 Exp(1) turns that into a single statistic and p-value per component.
 
-The compensator increments come from one vectorised pass over the log.  The
-modal state after event k solves the linear recurrence
-z_k = exp(lam * (t_k - t_{k-1})) z_{k-1} + J_{m_k}, which a prefix scan
-evaluates in closed form: anchored at the first event time A of a block,
-z_k = exp(lam (t_k - A)) (z_A + sum_{l<=k} J_{m_l} exp(-lam (t_l - A))),
-where z_A is the carried state decayed to A.  The log is cut into blocks of
-at most BLOCK_EVENTS events whose span keeps max|Re lam| * (t - A) below
-BLOCK_EXPONENT, so neither exponential factor can overflow or underflow and
-the working arrays stay a fixed size; the state carries from one block to
-the next.  The exponents are formed as exact products (_outer_exact), so
-their size costs no accuracy.  Each event's increment is then
-mu_c dt + Re sum_j (w_cj / lam_j) z_{k-1,j} expm1(lam_j dt), and each
-residual is the sum of its own segment of increments (np.add.reduceat),
-never a difference of one running total.
+The increment over the gap before event k is
+mu_c dt + Re sum_j (w_cj / lam_j) z_{k-1,j} expm1(lam_j dt), with the modal
+states z from the blocked scan model.modal_scan, and each residual is the sum
+of its own segment of increments (np.add.reduceat), never a difference of
+one running total.
 """
 
 from __future__ import annotations
@@ -31,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample, SpecLogMismatch
-from .model import (
+from .model import (  # the scan's block limits are re-exported
+    BLOCK_EVENTS,
+    BLOCK_EXPONENT,
     Spec,
-    _guard_exponent,
     dynamics,
+    modal_scan,
     spec_hash,
     stationary_rates,
 )
@@ -46,12 +39,6 @@ _SERIES_TOL = 1e-12
 # Below this argument the survival function is 1 within 1e-12; short-circuit
 # to keep the series loop bounded.
 _KAPPA_FLOOR = 0.18
-# Residual scan blocks: at most this many events, and a span short enough
-# that max|Re lam| * span stays below this exponent (exp(600) ~ 4e260).
-BLOCK_EVENTS = 2048
-BLOCK_EXPONENT = 600.0
-# Veltkamp's splitting constant, 2**27 + 1.
-_SPLITTER = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -81,8 +68,8 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
 
     The compensator of the chosen component is accumulated in closed form
     across every global event (events of the other components change the
-    state and therefore the integrand), by the blocked scan described in
-    the module docstring.  The trailing censored gap after the last event
+    state and therefore the integrand), by the blocked scan of
+    model.modal_scan.  The trailing censored gap after the last event
     is discarded.  Raises SpecLogMismatch when the log carries a spec hash
     that differs from the given spec's, or a mark the spec does not have.
     """
@@ -104,30 +91,12 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     if not lams.all():
         raise ValueError("zero eigenvalue: compensator closed form undefined")
     gaps = np.diff(times, prepend=0.0)
-    _guard_exponent(dyn.decay, float(gaps.max()))
-
-    jumps = np.array(dyn.jumps)
     coef = np.array(dyn.weights[component - 1]) / lams
     mu = dyn.mus[component - 1]
-    max_rate = float(np.abs(lams.real).max())
-    span = BLOCK_EXPONENT / max_rate if max_rate > 0 else math.inf
     incs = np.empty(len(times))
-    z = np.zeros(len(lams), dtype=complex)  # state after the previous event
-    start = 0
-    while start < len(times):
-        stop = min(
-            start + BLOCK_EVENTS,
-            max(start + 1, int(np.searchsorted(times, times[start] + span))),
-        )
-        hi, lo = _outer_exact(times[start:stop] - times[start], lams)
+    for start, stop, states in modal_scan(lams, np.array(dyn.jumps), times, marks):
         dts = gaps[start:stop]
-        scaled = np.cumsum(jumps[marks[start:stop] - 1] * (np.exp(-hi) * (1.0 - lo)), axis=0)
-        scaled += z * np.exp(lams * dts[0])
-        after = np.exp(hi) * (1.0 + lo) * scaled
-        before = np.vstack((z, after[:-1]))
-        incs[start:stop] = mu * dts + ((before * np.expm1(np.outer(dts, lams))) @ coef).real
-        z = after[-1]
-        start = stop
+        incs[start:stop] = mu * dts + ((states[:-1] * np.expm1(np.outer(dts, lams))) @ coef).real
 
     own = np.flatnonzero(marks == component)
     if not len(own):
@@ -135,33 +104,6 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     starts = np.concatenate(([0], own[:-1] + 1))
     taus = np.add.reduceat(incs[: own[-1] + 1], starts)
     return ResidualSeries(taus=tuple(taus.tolist()), component=component)
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp split: a == hi + lo with each half on 26 significant bits."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _outer_exact(rel: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """outer(rel, lams) as hi + lo, lo holding the rounding error of hi.
-
-    Dekker's exact product, on the real and imaginary parts at once.  The
-    scan's exponents reach BLOCK_EXPONENT in size, where the rounding of a
-    plain product alone would cost ~1e-13 relative in every exp factor;
-    exp(hi) * (1 + lo) keeps them to a few ulp.
-    """
-    parts = lams.view(np.float64)  # real and imaginary parts, interleaved
-    prod = np.multiply.outer(rel, parts)
-    rel_hi, rel_lo = _split(rel)
-    parts_hi, parts_lo = _split(parts)
-    err = (
-        (np.multiply.outer(rel_hi, parts_hi) - prod)
-        + np.multiply.outer(rel_hi, parts_lo)
-        + np.multiply.outer(rel_lo, parts_hi)
-    ) + np.multiply.outer(rel_lo, parts_lo)
-    return prod.view(np.complex128), err.view(np.complex128)
 
 
 def kolmogorov_survival(kappa: float) -> float:

@@ -11,7 +11,8 @@ matrix: the state is carried as complex modal coordinates z with
 z_j(t) = exp(lam_j dt) z_j(t0) between events and z_j += 1/a'(lam_j) at an
 event of the block's driving component.  Intensities, kernels and
 compensators are then closed-form sums over modes, with no quadrature and
-no time discretisation anywhere.
+no time discretisation anywhere.  Along a recorded log one blocked prefix
+scan (modal_scan) gives the states to the residuals and both sampled paths.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ _INTENSITY_SLACK = 1e-9
 # Unbounded, they grow by a few kB per distinct spec for the life of the
 # process; a run touches a handful of specs, a sweep many thousands.
 CACHE_MAXSIZE = 512
+
+# modal_scan blocks: at most this many events, and a span short enough that
+# max|Re lam| * span stays below this exponent (exp(600) ~ 4e260).
+BLOCK_EVENTS = 2048
+BLOCK_EXPONENT = 600.0
+# Veltkamp's splitting constant, 2**27 + 1.
+_SPLITTER = 134217729.0
 
 
 def _finite_tuple(vals, name: str) -> tuple[float, ...]:
@@ -525,31 +533,108 @@ def stationary_rates(spec: Spec) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# intensity along a recorded path
+# modal states along a recorded log
+
+
+def modal_scan(lams: np.ndarray, jumps: np.ndarray, times: np.ndarray, marks: np.ndarray):
+    """The modal states of a log, block by block: from z = 0 at time 0,
+    z_k = exp(lam (t_k - t_{k-1})) z_{k-1} + J_{m_k} just after event k.
+
+    Anchored at the first time A of a block, a prefix scan gives
+    z_k = exp(lam (t_k - A)) (z_A + sum_{l<=k} J_{m_l} exp(-lam (t_l - A))),
+    z_A being the carried state decayed to A.  Blocks hold at most
+    BLOCK_EVENTS events and keep max|Re lam| (t - A) below BLOCK_EXPONENT, so
+    no factor overflows or underflows and the working arrays stay a fixed
+    size; the exponents are exact products (_outer_exact), so their size
+    costs no accuracy.  Yields (start, stop, states), states[i] = z_{start+i-1}.
+    """
+    gaps = np.diff(times, prepend=0.0)
+    _guard_exponent(float(lams.real.max()), float(gaps.max(initial=0.0)))
+    max_rate = float(np.abs(lams.real).max())
+    span = BLOCK_EXPONENT / max_rate if max_rate > 0 else math.inf
+    z = np.zeros(len(lams), dtype=complex)
+    start = 0
+    while start < len(times):
+        stop = min(
+            start + BLOCK_EVENTS,
+            max(start + 1, int(np.searchsorted(times, times[start] + span))),
+        )
+        hi, lo = _outer_exact(times[start:stop] - times[start], lams)
+        scaled = np.cumsum(jumps[marks[start:stop] - 1] * (np.exp(-hi) * (1.0 - lo)), axis=0)
+        scaled += z * np.exp(lams * gaps[start])
+        states = np.vstack((z, np.exp(hi) * (1.0 + lo) * scaled))
+        yield start, stop, states
+        z = states[-1]
+        start = stop
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split: a == hi + lo with each half on 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _outer_exact(rel: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """outer(rel, lams) as hi + lo, lo holding the rounding error of hi.
+
+    Dekker's exact product, on the real and imaginary parts at once.  The
+    scan's exponents reach BLOCK_EXPONENT in size, where the rounding of a
+    plain product alone would cost ~1e-13 relative in every exp factor;
+    exp(hi) * (1 + lo) keeps them to a few ulp.
+    """
+    parts = lams.view(np.float64)  # real and imaginary parts, interleaved
+    prod = np.multiply.outer(rel, parts)
+    rel_hi, rel_lo = _split(rel)
+    parts_hi, parts_lo = _split(parts)
+    err = (
+        (np.multiply.outer(rel_hi, parts_hi) - prod)
+        + np.multiply.outer(rel_hi, parts_lo)
+        + np.multiply.outer(rel_lo, parts_hi)
+    ) + np.multiply.outer(rel_lo, parts_lo)
+    return prod.view(np.complex128), err.view(np.complex128)
+
+
+def modal_path(lams, jumps, weights, mus, log, times: Sequence[float]) -> np.ndarray:
+    """mus + Re(weights @ z(t)) at sorted sample times t >= 0 along a log, one
+    row per sample, z(t) being modal_scan's state after the last event before
+    t decayed to t (0 before the first event), BLOCK_EVENTS samples at a time.
+    Raises ValueError for sample times that are unsorted, negative or not
+    finite, and for a log mark outside 1..len(jumps)."""
+    lams, jumps, weights = (np.asarray(v, dtype=complex) for v in (lams, jumps, weights))
+    samples = np.asarray(times, dtype=float)
+    if not np.isfinite(samples).all():
+        raise ValueError("sample times must be finite")
+    if (np.diff(samples) < 0).any():
+        raise ValueError("sample times must be sorted")
+    if len(samples) and samples[0] < 0:
+        raise ValueError("sample times must be >= 0")
+    ev_times = np.array(log.times, dtype=float)
+    marks = np.array(log.marks, dtype=int)
+    if len(marks) and not 1 <= marks.min() <= marks.max() <= len(jumps):
+        raise ValueError(f"event log holds a mark outside 1..{len(jumps)}")
+    owner = np.searchsorted(ev_times, samples) - 1  # last event strictly before
+    rel = samples - np.concatenate(([0.0], ev_times))[owner + 1]
+    _guard_exponent(float(lams.real.max()), float(rel.max(initial=0.0)))
+    out = np.tile(np.asarray(mus, dtype=float), (len(samples), 1))
+    for start, stop, states in modal_scan(lams, jumps, ev_times, marks):
+        first, last = np.searchsorted(owner, (start, stop))
+        for lo in range(first, last, BLOCK_EVENTS):
+            rows = slice(lo, min(lo + BLOCK_EVENTS, last))
+            decayed = states[owner[rows] - start + 1] * np.exp(np.outer(rel[rows], lams))
+            out[rows] += (decayed @ weights.T).real
+    return out
 
 
 def intensity_path(spec: Spec, log, times: Sequence[float]) -> np.ndarray:
-    """Intensity sampled at the given (sorted) times along an event log.
+    """Intensity sampled at the given (sorted, >= 0) times along an event log.
 
     Uses the left-continuous convention: events strictly before a sample
     time contribute to it.  Returns shape (n,) univariate, (n, 2) bivariate.
     """
-    state = initial_state(spec)
-    n_comp = spec.n_components
-    out = np.empty((len(times), n_comp), dtype=float)
-    idx = 0
-    n_ev = len(log.times)
-    prev = -math.inf
-    for row, t in enumerate(times):
-        if t < prev:
-            raise ValueError("sample times must be sorted")
-        prev = t
-        while idx < n_ev and log.times[idx] < t:
-            state = apply_event(spec, state, log.times[idx], log.marks[idx])
-            idx += 1
-        val = intensity_at(spec, state, t)
-        out[row, :] = val if n_comp > 1 else (val,)
-    return out[:, 0] if n_comp == 1 else out
+    dyn = dynamics(spec)
+    out = modal_path(dyn.lams, dyn.jumps, dyn.weights, dyn.mus, log, times)
+    return out[:, 0] if spec.n_components == 1 else out
 
 
 # ---------------------------------------------------------------------------

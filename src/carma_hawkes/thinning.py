@@ -64,9 +64,8 @@ and so is a mode that every weight row misses.  A float mode whose lam is
 the decay reuses the envelope's exp(decay * dt), the same double.  Every
 other operation is the one the generic loop did, in its order, so seeded
 output is that of the generic loop (kept as the test oracle
-tests/util.thin_reference).  Uniforms come straight from
-random.Random.random when the stream is a UniformStream, redrawing an exact
-0 as UniformStream.draw does; any other stream is called through .draw().
+tests/util.thin_reference).  Uniforms come from a UniformStream's
+random.Random.random or any other stream's .draw(), an exact 0 redrawn.
 """
 
 from __future__ import annotations
@@ -97,6 +96,7 @@ from .model import (
     Spec,
     UnivariateSpec,
     dynamics,
+    modal_path,
     spec_hash,
     validate,
 )
@@ -218,22 +218,11 @@ def bound_after_event(tracker: BoundTracker, event_time: float, mark: int = 1) -
 
 
 def bound_path(spec: Spec, log, times: Sequence[float]) -> np.ndarray:
-    """Envelope sampled at sorted times along an event log (events strictly
-    before a sample time contribute)."""
-    tracker = initial_bound(spec)
-    out = np.empty(len(times), dtype=float)
-    idx = 0
-    n_ev = len(log.times)
-    prev = -math.inf
-    for row, t in enumerate(times):
-        if t < prev:
-            raise ValueError("sample times must be sorted")
-        prev = t
-        while idx < n_ev and log.times[idx] < t:
-            tracker = bound_after_event(tracker, log.times[idx], log.marks[idx])
-            idx += 1
-        out[row] = bound_value(tracker, t)
-    return out
+    """Envelope base + sum_k K_{m_k} exp(decay (t - t_k)) over events t_k < t,
+    at sorted times t >= 0: modal_path on the envelope's one-mode system."""
+    dyn = dynamics(spec)
+    jumps = [(k,) for k in dyn.bound_jumps]
+    return modal_path((dyn.decay,), jumps, ((1.0,),), (dyn.base,), log, times)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +453,9 @@ def _mode_kinds(lams, rows) -> list[str]:
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
-def _kernel(dyn: Dynamics, plain_uniforms: bool):
-    """Compile the thinning loop for dyn as straight-line Python.
-
-    The loop, its exactness and the mode kinds are set out in the module
-    docstring.  plain_uniforms selects draws straight from the Mersenne
-    Twister of a UniformStream over calls to .draw().
-    """
+def _kernel(dyn: Dynamics):
+    """Compile the thinning loop for dyn as straight-line Python; the loop,
+    its exactness and the mode kinds are set out in the module docstring."""
     n_comp = len(dyn.mus)
     w_total = _total_weights(dyn)
     # the squeeze's a_j = max_c |W^(c)_j| over the running-sum rows and its
@@ -534,7 +519,6 @@ def _kernel(dyn: Dynamics, plain_uniforms: bool):
     def block(lines, depth):
         return ["    " * depth + line for line in lines]
 
-    uniform = "rand() or draw()" if plain_uniforms else "draw()"
     body = []
     for m in range(1, n_comp + 1):
         body += [f"{'if' if m == 1 else 'elif'} mark == {m}:", *block(event(m, True), 1)]
@@ -561,11 +545,11 @@ def _kernel(dyn: Dynamics, plain_uniforms: bool):
         "squeezed = 0",
         "while True:",
         "    proposed += 1",
-        f"    t += -mlog({uniform}) / lam_bar",
+        "    t += -mlog(rand() or draw()) / lam_bar",
         "    if t > horizon:",
         "        return proposed, squeezed",
         # D times the rate this candidate was drawn at
-        f"    threshold = ({uniform}) * lam_bar",
+        "    threshold = (rand() or draw()) * lam_bar",
         "    dt = t - t_last",
         "    bexp = mexp(decay * dt)",
         # the envelope here, and the next proposal rate if this candidate
@@ -602,8 +586,7 @@ def _run(dyn: Dynamics, horizon: float, stream) -> tuple[list, list, int, int]:
     The first arrival is drawn here; the compiled kernel does the rest.
     """
     _certify_envelope(_total_weights(dyn), dyn.jumps, dyn.bound_jumps)
-    plain = type(stream) is UniformStream
-    loop = _kernel(dyn, plain)
+    loop = _kernel(dyn)
     draw = stream.draw
     times: list[float] = []
     marks: list[int] = []
@@ -611,7 +594,7 @@ def _run(dyn: Dynamics, horizon: float, stream) -> tuple[list, list, int, int]:
     t = min(firsts)
     if t > horizon:
         return times, marks, len(firsts), 0
-    rand = stream._rng.random if plain else None
+    rand = stream._rng.random if type(stream) is UniformStream else draw
     proposed, squeezed = loop(
         rand, draw, horizon, t, firsts.index(t) + 1, times.append, marks.append
     )

@@ -9,6 +9,7 @@ import pytest
 
 import util
 from carma_hawkes import read_events_csv, save_spec, summarize
+from carma_hawkes import cli
 from carma_hawkes.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -113,26 +114,73 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 4
 
-    def test_trace_grid(self, tmp_path, carma21, capsys):
-        model = write_spec(tmp_path, carma21)
-        out = tmp_path / "runs"
-        code = main(["simulate", "--model", model, "--horizon", "50", "--seed", "8",
-                     "--out", str(out), "--trace-intensity", "0.5"])
-        assert code == 0
-        lines = (out / "trace_0.csv").read_text().strip().splitlines()
-        assert lines[0] == "time,intensity,bound"
-        assert len(lines) == 1 + 101  # grid 0..50 step 0.5
-        for row in lines[1:]:
-            _, lam, bar = row.split(",")
-            assert float(lam) <= float(bar) + 1e-9
+    def test_trace_grid(self, tmp_path, carma21, biv_cross, capsys):
+        # one intensity column per component; their sum stays under the bound
+        for spec, header in ((carma21, "time,intensity,bound"),
+                             (biv_cross, "time,intensity1,intensity2,bound")):
+            model = write_spec(tmp_path, spec)
+            out = tmp_path / header
+            code = main(["simulate", "--model", model, "--horizon", "50", "--seed", "8",
+                         "--out", str(out), "--trace-intensity", "0.5"])
+            assert code == 0
+            lines = (out / "trace_0.csv").read_text().strip().splitlines()
+            assert lines[0] == header
+            assert len(lines) == 1 + 101  # grid 0..50 step 0.5
+            for row in lines[1:]:
+                _, *lams, bar = map(float, row.split(","))
+                assert sum(lams) <= bar + 1e-9
 
     def test_bad_trace_step_exits_2(self, tmp_path, carma21, capsys):
+        # the last two ask for more than TRACE_MAX_ROWS grid rows; none runs
+        # a simulation, so no output directory is made
         model = write_spec(tmp_path, carma21)
-        for step in ("0", "nan", "inf"):
+        over = repr(10.0 / cli.TRACE_MAX_ROWS)  # 10 / step + 1 rows
+        for step in ("0", "nan", "inf", "1e-300", over):
             code = main(["simulate", "--model", model, "--horizon", "10", "--seed", "1",
                          "--out", str(tmp_path / "x"), "--trace-intensity", step])
             assert code == 2
             assert "--trace-intensity" in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
+
+    def test_trace_row_limit_is_inclusive(self, tmp_path, carma21, monkeypatch, capsys):
+        # a 0..50 grid of step 0.5 has 101 rows: allowed at a limit of 101,
+        # refused at 100
+        model = write_spec(tmp_path, carma21)
+        args = ["simulate", "--model", model, "--horizon", "50", "--seed", "1",
+                "--trace-intensity", "0.5", "--out"]
+        monkeypatch.setattr(cli, "TRACE_MAX_ROWS", 101)
+        assert main(args + [str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(cli, "TRACE_MAX_ROWS", 100)
+        assert main(args + [str(tmp_path / "b")]) == 2
+        assert "--trace-intensity" in capsys.readouterr().err
+
+    def test_unusable_paths_exit_2(self, tmp_path, carma21, capsys):
+        # a directory where a file is read, and an existing file where an
+        # output directory is made: an error line and exit 2, no traceback
+        model = write_spec(tmp_path, carma21)
+        out = tmp_path / "runs"
+        assert main(["simulate", "--model", model, "--horizon", "50", "--seed", "1",
+                     "--out", str(out)]) == 0
+        events = str(out / "events_0.csv")
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        (tmp_path / "a_dir").mkdir()
+        sidecar_dir = tmp_path / "sidecar"
+        sidecar_dir.mkdir()
+        (sidecar_dir / "events_0.csv").write_bytes((out / "events_0.csv").read_bytes())
+        (sidecar_dir / "events_0.meta.json").mkdir()
+        capsys.readouterr()
+        for args in (
+            ["diagnose", "--model", model, "--events", str(tmp_path / "a_dir")],
+            ["diagnose", "--model", model, "--events", str(sidecar_dir / "events_0.csv")],
+            ["simulate", "--model", model, "--horizon", "50", "--seed", "1",
+             "--out", str(a_file)],
+            ["diagnose", "--model", model, "--events", events, "--out", str(a_file)],
+        ):
+            assert main(args) == 2, args
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: "), args
+            assert captured.out == ""
 
 
 class TestValidateCommand:

@@ -420,6 +420,76 @@ class TestBivariateDecoupling:
         assert stationary_rates(spec) == pytest.approx(rates, rel=1e-12)
 
 
+class TestSampledPaths:
+    """intensity_path and bound_path read the blocked modal scan; they must
+    equal the per-event folds of the model's and the envelope's recursions."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bivariate=st.booleans(),
+        extra=st.integers(1, 400),
+        dense_scale=st.floats(-3.0, -1.0),
+    )
+    def test_paths_equal_event_folds(self, seed, bivariate, extra, dense_scale):
+        # random specs, admissible or not (forced), on a log whose dense
+        # stretch fills scan blocks by event count and whose sparse stretch
+        # cuts them by span
+        rng = np.random.default_rng(seed)
+        make = util.random_bivariate_spec if bivariate else util.random_univariate_spec
+        spec = make(rng)
+        max_rate = max(abs(lam.real) for lam in model.dynamics(spec).lams)
+        n_dense = model.BLOCK_EVENTS + extra
+        sparse = rng.exponential(3 * model.BLOCK_EXPONENT / max_rate / 100, size=100)
+        times = np.cumsum(np.concatenate([rng.exponential(10.0**dense_scale, size=n_dense), sparse]))
+        assert (times[-1] - times[n_dense]) * max_rate > model.BLOCK_EXPONENT
+        log = util.make_log(times, rng.integers(1, spec.n_components + 1, size=len(times)))
+        samples = np.sort(np.concatenate(
+            [[0.0], times[::7], rng.uniform(0.0, 1.05 * times[-1], size=600)]
+        ))
+        lam_ref, lam_sizes = util.intensity_path_fold(spec, log, samples)
+        bar_ref = util.bound_path_fold(spec, log, samples)
+        # the envelope's terms are all positive, so its size is its value
+        for got, want, size in (
+            (intensity_path(spec, log, samples), lam_ref, lam_sizes),
+            (thinning.bound_path(spec, log, samples), bar_ref, bar_ref),
+        ):
+            assert got.shape == want.shape
+            worst = np.max(np.abs(got - want) / np.maximum(1.0, size))
+            assert worst <= 1e-12, f"relative disagreement {worst:.3g}"
+
+    def test_samples_beyond_one_chunk(self, hawkes):
+        # one event owns more samples than modal_path evaluates at once
+        log = util.make_log([1.0])
+        ts = np.linspace(0.0, 10.0, 3 * model.BLOCK_EVENTS + 5)
+        want = 0.3 + np.where(ts > 1.0, np.exp(-3.0 * (ts - 1.0)), 0.0)
+        assert np.max(np.abs(intensity_path(hawkes, log, ts) - want)) < 1e-15
+        assert np.max(np.abs(thinning.bound_path(hawkes, log, ts) - want)) < 1e-15
+
+    def test_empty_log_and_no_samples(self, carma21, biv_cross):
+        empty = util.make_log([])
+        assert intensity_path(carma21, empty, [0.0, 5.0]).tolist() == [0.3, 0.3]
+        assert thinning.bound_path(biv_cross, empty, [2.0]).tolist() == [0.6]
+        log = util.make_log([1.0, 2.0], [1, 2])
+        assert intensity_path(biv_cross, log, []).shape == (0, 2)
+        assert thinning.bound_path(biv_cross, log, []).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "samples", [[1.0, 0.5], [-1.0, 2.0], [1.0, math.nan], [math.inf], [-math.inf, 1.0]]
+    )
+    def test_bad_sample_times_rejected(self, carma21, samples):
+        log = util.make_log([0.5, 1.5])
+        for path in (intensity_path, thinning.bound_path):
+            with pytest.raises(ValueError, match="sample times"):
+                path(carma21, log, samples)
+
+    def test_mark_outside_spec_rejected(self, carma21):
+        log = util.make_log([0.5, 1.5], [1, 2])  # a bivariate log
+        for path in (intensity_path, thinning.bound_path):
+            with pytest.raises(ValueError, match="mark outside 1..1"):
+                path(carma21, log, [1.0])
+
+
 class TestRatesAndIO:
     def test_stationary_rates(self, hawkes, carma21, carma31, biv_independent):
         assert stationary_rates(hawkes)[0] == pytest.approx(0.45, abs=1e-12)

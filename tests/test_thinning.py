@@ -403,8 +403,8 @@ class TestCompiledKernel:
         assert kinds(dyn) == ["real", "pair", "conj"]
         assert kinds(bent) == ["real", "complex", "complex"]
         # the built loops: mode 2 has a state of its own only when unfolded
-        assert "z2" not in thinning._kernel(dyn, True).__code__.co_varnames
-        assert "z2" in thinning._kernel(bent, True).__code__.co_varnames
+        assert "z2" not in thinning._kernel(dyn).__code__.co_varnames
+        assert "z2" in thinning._kernel(bent).__code__.co_varnames
         monkeypatch.setattr(thinning, "dynamics", lambda spec: bent)
         monkeypatch.setattr(util, "dynamics", lambda spec: bent)
         for seed in range(1, 6):
@@ -456,6 +456,23 @@ class TestCompiledKernel:
         log = simulate(carma31, 300.0, rng=stream)
         ref = simulate(carma31, 300.0, rng=4)
         assert stream._rng.calls > 3
+        assert (log.times, log.marks, log.meta.proposed) == (ref.times, ref.marks, ref.meta.proposed)
+
+        # any other stream is read through .draw(); a 0.0 from it inside the
+        # loop (call 3 is the first candidate's acceptance draw) is redrawn
+        class ZeroThirdDraw:
+            calls = 0
+
+            def __init__(self, seed):
+                self._draw = UniformStream(seed).draw
+
+            def draw(self):
+                self.calls += 1
+                return 0.0 if self.calls == 3 else self._draw()
+
+        user = ZeroThirdDraw(4)
+        log = simulate(carma31, 300.0, rng=user)
+        assert user.calls > 3
         assert (log.times, log.marks, log.meta.proposed) == (ref.times, ref.marks, ref.meta.proposed)
 
     def test_draw_objects_match_plain_streams(self, carma31, biv_cross):

@@ -1,0 +1,29 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps package functions by
+module and attribute name.  A function moved to another module without the
+tracer following it would fail a traced run; this checks every target the
+tracer looks up first, and reads perfbench/ only."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import carma_hawkes
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for name, places, _ in tracer.TARGETS:
+        module_name, attr = places[0]
+        module = (
+            importlib.import_module(f"carma_hawkes.{module_name}")
+            if module_name
+            else carma_hawkes
+        )
+        assert callable(getattr(module, attr, None)), (
+            f"{name}: {module.__name__}.{attr} is not a callable"
+        )

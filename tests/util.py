@@ -15,9 +15,13 @@ from carma_hawkes import (
     UniformStream,
     UnivariateSpec,
     apply_event,
+    bound_after_event,
+    bound_value,
     compensator_increment,
     dynamics,
+    initial_bound,
     initial_state,
+    intensity_at,
     kolmogorov_survival,
     spec_hash,
 )
@@ -216,6 +220,54 @@ def residual_transform_scalar(spec, log, component=1):
             acc = size = 0.0
         t_prev = t
     return tuple(taus), tuple(sizes)
+
+
+# ---------------------------------------------------------------------------
+# sampled-path oracles
+
+
+def intensity_path_fold(spec, log, times):
+    """Per-event reference for intensity_path: folds apply_event over the
+    events strictly before each sorted sample time, then intensity_at.
+
+    Returns (values, sizes), shaped as intensity_path's result.  A size is
+    mu_c + sum_j |w_cj z_j(t)|, the scale that rounding acts on: when the
+    modal terms cancel (an ill-conditioned modal basis) it exceeds the
+    value, and neither evaluation can be trusted beyond it.
+    """
+    dyn = dynamics(spec)
+    state = initial_state(spec)
+    out = []
+    sizes = []
+    idx = 0
+    for t in times:
+        while idx < len(log.times) and log.times[idx] < t:
+            state = apply_event(spec, state, log.times[idx], log.marks[idx])
+            idx += 1
+        val = intensity_at(spec, state, float(t))
+        out.append(val if spec.n_components > 1 else (val,))
+        dt = float(t) - state.last_event_time
+        sizes.append([
+            mu + sum(abs(w * z * cmath.exp(lam * dt)) for w, z, lam in zip(row, state.modes, dyn.lams))
+            for mu, row in zip(dyn.mus, dyn.weights)
+        ])
+    shape = (len(times), spec.n_components)
+    out, sizes = (np.array(v, dtype=float).reshape(shape) for v in (out, sizes))
+    return (out[:, 0], sizes[:, 0]) if spec.n_components == 1 else (out, sizes)
+
+
+def bound_path_fold(spec, log, times):
+    """Per-event reference for bound_path: folds bound_after_event over the
+    events strictly before each sorted sample time, then bound_value."""
+    tracker = initial_bound(spec)
+    out = []
+    idx = 0
+    for t in times:
+        while idx < len(log.times) and log.times[idx] < t:
+            tracker = bound_after_event(tracker, log.times[idx], log.marks[idx])
+            idx += 1
+        out.append(bound_value(tracker, float(t)))
+    return np.array(out, dtype=float)
 
 
 # ---------------------------------------------------------------------------
