@@ -3,15 +3,33 @@
 Exit codes: 0 success, 2 invalid configuration or input (an unusable path
 included), 3 validation failure without --force, 4 runtime envelope
 violation (internal assertion).
+
+`simulate` and `bench` split their replications over
+P = min(reps, usable CPUs) processes, the CPUs being those of the process's
+affinity mask.  The calling process runs the replications k = 0 (mod P);
+P - 1 workers forked from it run k = i (mod P), write their own files and
+send back only each replication's small results, or their first error.
+Replication k is seeded seed + k wherever it runs, so every file is the
+same byte for byte whatever P is.  The error of the lowest failing k gives
+the exit code and the one `error:` line, as a one-process loop would.
+Where the platform has no fork or no affinity mask, P is 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
+import os
+import pickle
+import signal
 import sys
+import threading
 import time
+import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +59,8 @@ EXIT_BOUND_VIOLATION = 4
 # Largest --trace-intensity grid, in rows: horizon / step + 1 beyond it is
 # refused before any simulation runs.
 TRACE_MAX_ROWS = 10**7
+# Trace rows formatted per write, which bounds the string held in memory.
+TRACE_CHUNK_ROWS = 1 << 14
 
 
 def _fail(msg: str, code: int) -> int:
@@ -62,10 +82,13 @@ def _write_trace(spec, log, horizon: float, dt: float, path: Path) -> None:
     n_comp = lam.shape[1]
     names = [f"intensity{c}" for c in range(1, n_comp + 1)] if n_comp > 1 else ["intensity"]
     bar = bound_path(spec, log, grid)
+    row = ",".join(["%.15g"] * (n_comp + 2)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["time", *names, "bound"]) + "\n")
-        for t, row, b in zip(grid, lam, bar):
-            fh.write(",".join(f"{v:.15g}" for v in (t, *row, b)) + "\n")
+        for start in range(0, len(grid), TRACE_CHUNK_ROWS):
+            part = slice(start, start + TRACE_CHUNK_ROWS)
+            chunk = np.column_stack((grid[part], lam[part], bar[part]))
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _checked_run(args):
@@ -89,18 +112,121 @@ def _checked_run(args):
     return spec, None
 
 
-def _replicate(spec, args, each):
-    """Replications k = 0..reps-1 with seed+k: each(k, log)'s results and the exit code."""
-    results = []
-    try:
-        for k in range(args.reps):
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where there is no fork or no affinity
+    mask, and while other Python threads run, which a fork could catch
+    holding a lock."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _processes(reps: int) -> int:
+    return min(reps, _usable_cpus())
+
+
+def _share(spec, args, each, ks):
+    """Replications ks in order: ({k: each(k, log)}, None), or the results
+    before the first error and (k, that error)."""
+    results = {}
+    for k in ks:
+        try:
             log = simulate(spec, args.horizon, rng=args.seed + k, override_validation=True)
-            results.append(each(k, log))
-    except BoundViolation as exc:
-        return results, _fail(f"envelope violation during simulation: {exc}", EXIT_BOUND_VIOLATION)
-    except (NonStationarySpec, HorizonNonPositive) as exc:
-        return results, _fail(str(exc), EXIT_VALIDATION)
-    return results, EXIT_OK
+            results[k] = each(k, log)
+        except Exception as exc:
+            return results, (k, exc)
+    return results, None
+
+
+def _failure(k, exc):
+    """(k, exit code, error line) of a replication's error; the code is None,
+    and the line a traceback, for an error the CLI does not expect."""
+    if isinstance(exc, BoundViolation):
+        return k, EXIT_BOUND_VIOLATION, f"envelope violation during simulation: {exc}"
+    if isinstance(exc, (NonStationarySpec, HorizonNonPositive)):
+        return k, EXIT_VALIDATION, str(exc)
+    if isinstance(exc, (CarmaHawkesError, OSError)):
+        return k, EXIT_BAD_CONFIG, str(exc)
+    return k, None, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+
+
+def _worker(spec, args, each, ks, parent: int, fd: int) -> None:
+    """A forked worker's share: replications ks while `parent` is alive,
+    then (results, failure or None) pickled into the pipe fd."""
+    alive = itertools.takewhile(lambda k: os.getppid() == parent, ks)
+    results, failed = _share(spec, args, each, alive)
+    with os.fdopen(fd, "wb") as pipe:
+        pickle.dump((results, failed and _failure(*failed)), pipe)
+
+
+def _collect(pid: int, fd: int, first: int):
+    """A worker's (results, failure or None), read to the end of its pipe;
+    the worker is reaped before this returns."""
+    with os.fdopen(fd, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        return {}, (first, None, f"the worker exited with status {code} and sent no results")
+
+
+def _replicate(spec, args, each):
+    """Replications k = 0..reps-1 with seed+k over _processes(reps) processes
+    (see the module docstring): each(k, log)'s results in order of k, and
+    the exit code."""
+    procs = _processes(args.reps)
+    parent = os.getpid()
+    workers = {}  # pid -> (read end of its pipe, its first replication)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for i in range(1, procs):
+            r, w = os.pipe()
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns of any thread at a fork; the only ones
+                # left are OpenBLAS's, which it stops across a fork itself
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded")
+                pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    _worker(spec, args, each, range(i, args.reps, procs), parent, w)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            workers[pid] = (r, i)
+        results, failed = _share(spec, args, each, range(0, args.reps, procs))
+        failures = [] if failed is None else [(*_failure(*failed), failed[1])]
+        while workers:
+            pid = next(iter(workers))
+            theirs, failure = _collect(pid, *workers[pid])
+            del workers[pid]
+            results.update(theirs)
+            if failure is not None:
+                failures.append((*failure, None))
+    finally:
+        # workers left by an exception; an interrupted _collect may already
+        # have closed the pipe or reaped the worker
+        for pid, (fd, _) in workers.items():
+            with contextlib.suppress(OSError):
+                os.close(fd)
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if not failures:
+        return [results[k] for k in range(args.reps)], EXIT_OK
+    k, code, message, exc = min(failures, key=lambda f: f[0])
+    if code is not None:
+        return [], _fail(message, code)
+    if exc is not None:
+        raise exc
+    raise RuntimeError(f"replication {k} failed in a worker process:\n{message}")
 
 
 def cmd_simulate(args) -> int:
@@ -183,19 +309,27 @@ def cmd_bench(args) -> int:
         return code
     t0 = time.perf_counter()
     results, code = _replicate(
-        spec, args, lambda k, log: (len(log), log.meta.proposed, log.meta.squeezed)
+        spec,
+        args,
+        lambda k, log: (
+            len(log), log.meta.proposed, log.meta.squeezed, log.meta.wall_time_seconds
+        ),
     )
     wall = time.perf_counter() - t0
     if code != EXIT_OK:
         return code
-    total_events, total_proposed, total_squeezed = (sum(col) for col in zip(*results))
+    total_events, total_proposed, total_squeezed, simulate_seconds = (
+        sum(col) for col in zip(*results)
+    )
     result = {
         "model": args.model,
         "horizon": args.horizon,
         "reps": args.reps,
+        "processes": _processes(args.reps),
         "events": total_events,
         "proposed": total_proposed,
         "wall_seconds": wall,
+        "simulate_seconds": simulate_seconds,
         "events_per_sec": total_events / wall if wall > 0 else math.inf,
         "proposals_per_sec": total_proposed / wall if wall > 0 else math.inf,
         "acceptance_ratio": total_events / total_proposed if total_proposed else 0.0,

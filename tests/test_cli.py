@@ -1,14 +1,29 @@
+import argparse
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import util
-from carma_hawkes import read_events_csv, save_spec, summarize
+from carma_hawkes import (
+    BoundViolation,
+    bound_path,
+    intensity_path,
+    read_events_csv,
+    save_spec,
+    simulate,
+    summarize,
+    write_events_csv,
+    write_meta_json,
+)
 from carma_hawkes import cli
 from carma_hawkes.cli import main
 
@@ -19,6 +34,12 @@ def write_spec(tmp_path, spec, name="model.json"):
     path = tmp_path / name
     save_spec(spec, path)
     return str(path)
+
+
+def assert_no_children():
+    # every forked worker was reaped: this process has no child left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli(args, env_extra=None):
@@ -129,6 +150,23 @@ class TestSimulateCommand:
             for row in lines[1:]:
                 _, *lams, bar = map(float, row.split(","))
                 assert sum(lams) <= bar + 1e-9
+
+    def test_trace_bytes_match_one_format_per_row(self, tmp_path, biv_cross, monkeypatch):
+        # the chunked writer gives the bytes of one f-string per row, across
+        # chunk boundaries and a last chunk that is not full
+        monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", 7)
+        horizon, step = 20.0, 0.3
+        log = simulate(biv_cross, horizon, rng=3)
+        cli._write_trace(biv_cross, log, horizon, step, tmp_path / "trace.csv")
+        grid = np.arange(0.0, horizon + step / 2, step)
+        lam = intensity_path(biv_cross, log, grid).reshape(len(grid), -1)
+        bar = bound_path(biv_cross, log, grid)
+        assert len(grid) % 7 != 0
+        expected = "time,intensity1,intensity2,bound\n" + "".join(
+            ",".join(f"{v:.15g}" for v in (t, *row, b)) + "\n"
+            for t, row, b in zip(grid, lam, bar)
+        )
+        assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
 
     def test_bad_trace_step_exits_2(self, tmp_path, carma21, capsys):
         # the last two ask for more than TRACE_MAX_ROWS grid rows; none runs
@@ -327,6 +365,21 @@ class TestBenchCommand:
         out = json.loads(capsys.readouterr().out)
         assert 0 < out["squeezed_share"] <= 1 - out["acceptance_ratio"]
 
+    def test_reports_processes_and_simulate_seconds(self, tmp_path, carma21, monkeypatch,
+                                                    capsys):
+        # simulate_seconds sums the replications' own times, so it can exceed
+        # the wall time only when they run side by side
+        model = write_spec(tmp_path, carma21)
+        for cpus, processes in ((1, 1), (2, 2), (8, 3)):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            assert main(["bench", "--model", model, "--horizon", "300", "--reps", "3"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["processes"] == processes
+            assert out["simulate_seconds"] > 0
+            if processes == 1:
+                assert out["simulate_seconds"] <= out["wall_seconds"]
+        assert_no_children()
+
     def test_zero_reps_exits_2(self, tmp_path, carma21):
         model = write_spec(tmp_path, carma21)
         assert main(["bench", "--model", model, "--horizon", "10", "--reps", "0"]) == 2
@@ -373,19 +426,178 @@ class TestDeterminism:
             b = (tmp_path / "b" / f"events_{k}.csv").read_bytes()
             assert a == b
 
-    def test_thread_count_does_not_change_output(self, tmp_path, biv_cross):
+    def test_worker_count_does_not_change_output(self, tmp_path, biv_cross, monkeypatch,
+                                                 capfd):
+        # more replications than processes, so the split interleaves; every
+        # file equals an in-process simulate(seed + k), whatever the count
         model = write_spec(tmp_path, biv_cross)
-        args = ["simulate", "--model", model, "--horizon", "300", "--seed", "7",
-                "--reps", "3"]
-        r1 = run_cli(args + ["--out", str(tmp_path / "t1")],
-                     env_extra={"CARMA_HAWKES_THREADS": "1"})
-        rn = run_cli(args + ["--out", str(tmp_path / "tn")],
-                     env_extra={"CARMA_HAWKES_THREADS": "4"})
-        assert r1.returncode == 0 and rn.returncode == 0, r1.stderr + rn.stderr
-        for k in range(3):
-            a = (tmp_path / "t1" / f"events_{k}.csv").read_bytes()
-            b = (tmp_path / "tn" / f"events_{k}.csv").read_bytes()
-            assert a == b
+        horizon, seed, step, reps = 300.0, 7, 0.5, 5
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for k in range(reps):
+            log = simulate(biv_cross, horizon, rng=seed + k, override_validation=True)
+            write_events_csv(log, ref / f"events_{k}.csv")
+            write_meta_json(log, ref / f"events_{k}.meta.json")
+            cli._write_trace(biv_cross, log, horizon, step, ref / f"trace_{k}.csv")
+        summaries = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            code = main(["simulate", "--model", model, "--horizon", repr(horizon),
+                         "--seed", str(seed), "--reps", str(reps), "--out", str(out),
+                         "--trace-intensity", repr(step)])
+            assert code == 0
+            assert_no_children()
+            summary = json.loads(capfd.readouterr().out)
+            summaries.append({**summary, "out": None})
+            for k in range(reps):
+                for name in (f"events_{k}.csv", f"trace_{k}.csv"):
+                    assert (out / name).read_bytes() == (ref / name).read_bytes(), (cpus, name)
+                meta, expected = (
+                    json.loads((d / f"events_{k}.meta.json").read_text()) for d in (out, ref)
+                )
+                del meta["wall_time_seconds"], expected["wall_time_seconds"]
+                assert meta == expected
+        assert summaries[0] == summaries[1]
+
+
+class TestWorkers:
+    """Replications split over forked workers (three CPUs patched in): the
+    errors, exit codes and output of a one-process loop."""
+
+    ARGS = ["simulate", "--horizon", "50", "--seed", "1", "--reps", "3"]
+
+    def run(self, tmp_path, spec, monkeypatch, cpus=3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"runs{cpus}"
+        try:
+            code = main(self.ARGS + ["--model", write_spec(tmp_path, spec), "--out", str(out)])
+        finally:
+            assert_no_children()
+        return code, out
+
+    @staticmethod
+    def failing_simulate(monkeypatch, errors):
+        # errors: seed -> exception; forked workers inherit the patch
+        real = cli.simulate
+
+        def patched(spec, horizon, rng, **kwargs):
+            if rng in errors:
+                raise errors[rng]
+            return real(spec, horizon, rng=rng, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", patched)
+
+    def test_success_prints_one_json_document(self, tmp_path, carma21, monkeypatch, capfd):
+        code, out = self.run(tmp_path, carma21, monkeypatch)
+        assert code == 0
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        summary = json.loads(captured.out)
+        assert summary["events"] == [
+            len(read_events_csv(out / f"events_{k}.csv")) for k in range(3)
+        ]
+
+    def test_bound_violation_in_a_worker_exits_4(self, tmp_path, carma21, monkeypatch, capfd):
+        # replication 1 (seed 2) runs in a worker
+        self.failing_simulate(monkeypatch, {2: BoundViolation("synthetic")})
+        code, out = self.run(tmp_path, carma21, monkeypatch)
+        assert code == 4
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: envelope violation during simulation: synthetic\n"
+        assert (out / "events_0.csv").exists()
+
+    def test_lowest_failing_replication_wins(self, tmp_path, carma21, monkeypatch, capfd):
+        # with two processes the caller runs replications 0 and 2 and a worker
+        # runs 1: the worker's error wins over the caller's later one
+        self.failing_simulate(
+            monkeypatch, {2: BoundViolation("first"), 3: OSError("second")}
+        )
+        code, _ = self.run(tmp_path, carma21, monkeypatch, cpus=2)
+        assert code == 4
+        assert capfd.readouterr().err == "error: envelope violation during simulation: first\n"
+
+    def test_write_error_in_a_worker_exits_2(self, tmp_path, carma21, monkeypatch, capfd):
+        real = cli.write_events_csv
+
+        def full_disk(log, path):
+            if Path(path).name == "events_1.csv":
+                raise OSError(28, "No space left on device", str(path))
+            return real(log, path)
+
+        monkeypatch.setattr(cli, "write_events_csv", full_disk)
+        errors = []
+        for cpus in (1, 3):
+            code, _ = self.run(tmp_path, carma21, monkeypatch, cpus)
+            assert code == 2
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err.replace(f"runs{cpus}", "runs"))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+
+    def test_unexpected_worker_error_raises(self, tmp_path, carma21, monkeypatch, capfd):
+        # an error the CLI does not map to an exit code is not hidden
+        self.failing_simulate(monkeypatch, {3: ZeroDivisionError("boom")})
+        with pytest.raises(RuntimeError, match="(?s)replication 2 .*ZeroDivisionError: boom"):
+            self.run(tmp_path, carma21, monkeypatch)
+
+    def test_worker_that_dies_is_reported(self, tmp_path, carma21, monkeypatch, capfd):
+        test_pid = os.getpid()
+        real = cli.simulate
+
+        def dies(spec, horizon, rng, **kwargs):
+            if rng == 2 and os.getpid() != test_pid:
+                os._exit(9)
+            return real(spec, horizon, rng=rng, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", dies)
+        with pytest.raises(RuntimeError, match="(?s)replication 1 .*status 9"):
+            self.run(tmp_path, carma21, monkeypatch)
+
+    def test_caller_interrupted_kills_its_workers(self, tmp_path, carma21, monkeypatch,
+                                                  capfd):
+        # an exception in the caller (Ctrl-C, say) ends the workers that are
+        # still running and reaps them
+        class Interrupt(BaseException):
+            pass
+
+        test_pid = os.getpid()
+
+        def slow(spec, horizon, rng, **kwargs):
+            if os.getpid() == test_pid:
+                raise Interrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "simulate", slow)
+        started = time.perf_counter()
+        with pytest.raises(Interrupt):
+            self.run(tmp_path, carma21, monkeypatch)
+        assert time.perf_counter() - started < 30
+
+    def test_other_threads_keep_one_process(self):
+        # a fork could catch another Python thread holding a lock
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert cli._usable_cpus() == 1
+        finally:
+            release.set()
+            thread.join()
+        assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_worker_stops_once_its_parent_is_gone(self, carma21):
+        # a worker whose parent pid has changed runs no further replication
+        args = argparse.Namespace(horizon=20.0, seed=1)
+        for parent, ran in ((os.getppid(), [0, 1, 2]), (os.getpid(), [])):
+            r, w = os.pipe()
+            cli._worker(carma21, args, lambda k, log: len(log), range(3), parent, w)
+            with os.fdopen(r, "rb") as pipe:
+                results, failure = pickle.load(pipe)
+            assert sorted(results) == ran
+            assert failure is None
 
 
 class TestBundledModels:

@@ -1,10 +1,15 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package functions by
 module and attribute name.  A function moved to another module without the
 tracer following it would fail a traced run; this checks every target the
-tracer looks up first, and reads perfbench/ only."""
+tracer looks up first, and reads perfbench/ only.  A fresh import of the
+package, which the benchmark's setup_s times, is checked for worker
+machinery."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import carma_hawkes
@@ -27,3 +32,18 @@ def test_tracer_targets_resolve():
         assert callable(getattr(module, attr, None)), (
             f"{name}: {module.__name__}.{attr} is not a callable"
         )
+
+
+def test_import_loads_no_worker_machinery():
+    # the CLI forks its workers with os.fork; a fresh `import carma_hawkes`
+    # (what the benchmark's setup_s times) must not pull in a process pool
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, carma_hawkes; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
