@@ -10,7 +10,11 @@ The increment over the gap before event k is
 mu_c dt + Re sum_j (w_cj / lam_j) z_{k-1,j} expm1(lam_j dt), with the modal
 states z from the blocked scan model.modal_scan, and each residual is the sum
 of its own segment of increments (np.add.reduceat), never a difference of
-one running total.
+one running total.  The sum over modes is taken per mode group
+(model.mode_groups): the exactly real modes in float64, the others in
+complex128 with each exact conjugate pair carried once at twice its weight.
+Each group's scan takes BLOCK_EVENTS events per numpy pass, however many
+anchor segments they span.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .model import (  # the scan's block limits are re-exported
     Spec,
     dynamics,
     modal_scan,
+    mode_groups,
+    mode_sum,
     spec_hash,
     stationary_rates,
 )
@@ -69,9 +75,10 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     The compensator of the chosen component is accumulated in closed form
     across every global event (events of the other components change the
     state and therefore the integrand), by the blocked scan of
-    model.modal_scan.  The trailing censored gap after the last event
-    is discarded.  Raises SpecLogMismatch when the log carries a spec hash
-    that differs from the given spec's, or a mark the spec does not have.
+    model.modal_scan, one scan per mode group, the groups' increments added.
+    The trailing censored gap after the last event is discarded.  Raises
+    SpecLogMismatch when the log carries a spec hash that differs from the
+    given spec's, or a mark the spec does not have.
     """
     n_comp = spec.n_components
     if not 1 <= component <= n_comp:
@@ -87,16 +94,15 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     if marks.max() > n_comp:
         raise SpecLogMismatch(f"event log holds a mark outside 1..{n_comp}")
     dyn = dynamics(spec)
-    lams = np.array(dyn.lams)
-    if not lams.all():
+    if 0 in dyn.lams:
         raise ValueError("zero eigenvalue: compensator closed form undefined")
     gaps = np.diff(times, prepend=0.0)
-    coef = np.array(dyn.weights[component - 1]) / lams
-    mu = dyn.mus[component - 1]
-    incs = np.empty(len(times))
-    for start, stop, states in modal_scan(lams, np.array(dyn.jumps), times, marks):
-        dts = gaps[start:stop]
-        incs[start:stop] = mu * dts + ((states[:-1] * np.expm1(np.outer(dts, lams))) @ coef).real
+    incs = dyn.mus[component - 1] * gaps
+    for group in mode_groups(dyn):
+        coef = group.weights[component - 1] / group.lams
+        for start, stop, states in modal_scan(group.lams, group.jumps, times, marks):
+            grown = np.expm1(np.outer(gaps[start:stop], group.lams))
+            incs[start:stop] += mode_sum(states[:-1] * grown, coef)
 
     own = np.flatnonzero(marks == component)
     if not len(own):

@@ -12,7 +12,9 @@ z_j(t) = exp(lam_j dt) z_j(t0) between events and z_j += 1/a'(lam_j) at an
 event of the block's driving component.  Intensities, kernels and
 compensators are then closed-form sums over modes, with no quadrature and
 no time discretisation anywhere.  Along a recorded log one blocked prefix
-scan (modal_scan) gives the states to the residuals and both sampled paths.
+scan (modal_scan), run once per mode group (mode_groups: the real modes in
+float, the rest in complex with exact conjugate pairs folded), gives the
+states to the residuals and both sampled paths.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -49,8 +51,9 @@ _INTENSITY_SLACK = 1e-9
 # process; a run touches a handful of specs, a sweep many thousands.
 CACHE_MAXSIZE = 512
 
-# modal_scan blocks: at most this many events, and a span short enough that
-# max|Re lam| * span stays below this exponent (exp(600) ~ 4e260).
+# modal_scan: a numpy pass takes this many events, and an anchor segment a
+# span short enough that max|Re lam| * span stays below this exponent
+# (exp(600) ~ 4e260).
 BLOCK_EVENTS = 2048
 BLOCK_EXPONENT = 600.0
 # Veltkamp's splitting constant, 2**27 + 1.
@@ -390,13 +393,12 @@ def _kernel_grid(decay: float) -> np.ndarray:
 
 def _kernel_min_on_grid(dyn: Dynamics, comp: int, mark: int, decay: float) -> float:
     ts = _kernel_grid(decay)
-    coeffs = np.array(
-        [wj * dz for wj, dz in zip(dyn.weights[comp], dyn.jumps[mark])]
-    )
-    lams = np.array(dyn.lams)
     # unstable specs can overflow here; they get flagged NonStationary anyway
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = (np.exp(np.outer(ts, lams)) @ coeffs).real
+        vals = sum(
+            mode_sum(np.exp(np.outer(ts, g.lams)), g.weights[comp] * g.jumps[mark])
+            for g in mode_groups(dyn)
+        )
     return float(np.nanmin(vals)) if np.isnan(vals).any() else float(vals.min())
 
 
@@ -536,36 +538,131 @@ def stationary_rates(spec: Spec) -> tuple[float, ...]:
 # modal states along a recorded log
 
 
-def modal_scan(lams: np.ndarray, jumps: np.ndarray, times: np.ndarray, marks: np.ndarray):
-    """The modal states of a log, block by block: from z = 0 at time 0,
-    z_k = exp(lam (t_k - t_{k-1})) z_{k-1} + J_{m_k} just after event k.
+def mode_kinds(dyn: Dynamics) -> list[str]:
+    """How each mode of dyn is carried, from its root and its weight and jump
+    entries; the thinning kernel and the modal scan both read it.
 
-    Anchored at the first time A of a block, a prefix scan gives
+    "real": lam_j and every weight and jump entry have imaginary part exactly
+    0, so the mode runs in float.  "pair"/"conj": modes j and j + 1 are exact
+    conjugates in lam and in every weight and jump row, so mode j is
+    propagated once and stands for both.  "complex": anything else.
+    """
+    rows = (*dyn.weights, *dyn.jumps)
+    kinds: list[str] = []
+    j = 0
+    while j < len(dyn.lams):
+        lam = dyn.lams[j]
+        if lam.imag == 0 and all(row[j].imag == 0 for row in rows):
+            kinds.append("real")
+        elif (
+            j + 1 < len(dyn.lams)
+            and dyn.lams[j + 1] == lam.conjugate()
+            and all(row[j + 1] == row[j].conjugate() for row in rows)
+        ):
+            kinds += ["pair", "conj"]
+            j += 1
+        else:
+            kinds.append("complex")
+        j += 1
+    return kinds
+
+
+class ModeGroup(NamedTuple):
+    """Modes scanned together: lams (p,), weights (components, p) and jumps
+    (marks, p), read-only; float64 for the real modes, complex128 for the
+    rest, where an exact conjugate pair is one mode with its weights doubled,
+    so a group's contribution to an intensity is the real part of its sum."""
+
+    lams: np.ndarray
+    weights: np.ndarray
+    jumps: np.ndarray
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def mode_groups(dyn: Dynamics) -> tuple[ModeGroup, ...]:
+    """dyn's modes by mode_kinds: the real ones, then the others with each
+    exact pair carried once; a group with no mode is left out."""
+    kinds = mode_kinds(dyn)
+    groups = []
+    for real, scales in (
+        (True, {j: 1.0 for j, kind in enumerate(kinds) if kind == "real"}),
+        (False, {j: 2.0 if kind == "pair" else 1.0
+                 for j, kind in enumerate(kinds) if kind in ("pair", "complex")}),
+    ):
+        if scales:
+            groups.append(ModeGroup(
+                _frozen([dyn.lams[j] for j in scales], real),
+                _frozen([[row[j] * s for j, s in scales.items()] for row in dyn.weights], real),
+                _frozen([[row[j] for j in scales] for row in dyn.jumps], real),
+            ))
+    return tuple(groups)
+
+
+def _frozen(values, real: bool) -> np.ndarray:
+    arr = np.array(values, dtype=complex)
+    if real:
+        arr = np.ascontiguousarray(arr.real)
+    arr.flags.writeable = False
+    return arr
+
+
+def mode_sum(terms: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Re sum_j terms[:, j] coef[j], written out over the few modes: numpy's
+    matrix-vector product hands rows x modes >= ~4096 to a threaded BLAS,
+    which can stall for milliseconds while its threads wake."""
+    total = terms[:, 0] * coef[0]
+    for j in range(1, len(coef)):
+        total += terms[:, j] * coef[j]
+    return total.real
+
+
+def modal_scan(lams: np.ndarray, jumps: np.ndarray, times: np.ndarray, marks: np.ndarray):
+    """The modal states of a log for one mode group (float or complex lams),
+    pass by pass: from z = 0 at time 0, z_k = exp(lam (t_k - t_{k-1})) z_{k-1}
+    + J_{m_k} just after event k.
+
+    Anchored at the first time A of a segment, a prefix scan gives
     z_k = exp(lam (t_k - A)) (z_A + sum_{l<=k} J_{m_l} exp(-lam (t_l - A))),
-    z_A being the carried state decayed to A.  Blocks hold at most
-    BLOCK_EVENTS events and keep max|Re lam| (t - A) below BLOCK_EXPONENT, so
-    no factor overflows or underflows and the working arrays stay a fixed
-    size; the exponents are exact products (_outer_exact), so their size
-    costs no accuracy.  Yields (start, stop, states), states[i] = z_{start+i-1}.
+    z_A being the carried state decayed to A.  A segment keeps
+    max|Re lam| (t - A) below BLOCK_EXPONENT, so no factor overflows or
+    underflows; the exponents are exact products (_outer_exact), so their size
+    costs no accuracy.  A pass takes BLOCK_EVENTS events (fewer at the end),
+    cut into segments: its exponents, factors and states are each one numpy
+    operation over the pass, and only each segment's prefix sum and the
+    state it carries to the next (three length-p operations) are a Python
+    loop.  The working arrays are BLOCK_EVENTS x p at most.  Yields
+    (start, stop, states) per pass, states[i] = z_{start+i-1}.
     """
     gaps = np.diff(times, prepend=0.0)
     _guard_exponent(float(lams.real.max()), float(gaps.max(initial=0.0)))
     max_rate = float(np.abs(lams.real).max())
     span = BLOCK_EXPONENT / max_rate if max_rate > 0 else math.inf
-    z = np.zeros(len(lams), dtype=complex)
-    start = 0
-    while start < len(times):
-        stop = min(
-            start + BLOCK_EVENTS,
-            max(start + 1, int(np.searchsorted(times, times[start] + span))),
-        )
-        hi, lo = _outer_exact(times[start:stop] - times[start], lams)
-        scaled = np.cumsum(jumps[marks[start:stop] - 1] * (np.exp(-hi) * (1.0 - lo)), axis=0)
-        scaled += z * np.exp(lams * gaps[start])
-        states = np.vstack((z, np.exp(hi) * (1.0 + lo) * scaled))
+    z = np.zeros(len(lams), dtype=lams.dtype)
+    for start in range(0, len(times), BLOCK_EVENTS):
+        stop = min(start + BLOCK_EVENTS, len(times))
+        window = times[start:stop]
+        heads = [0]  # each segment's first event, counted from start
+        while True:
+            head = max(heads[-1] + 1, int(window.searchsorted(window[heads[-1]] + span)))
+            if head >= len(window):
+                break
+            heads.append(head)
+        ends = heads[1:] + [len(window)]
+        anchors = np.repeat(window[heads], np.subtract(ends, heads))
+        hi, lo = _outer_exact(window - anchors, lams)
+        terms = jumps[marks[start:stop] - 1] * (np.exp(-hi) * (1.0 - lo))
+        grow = np.exp(hi) * (1.0 + lo)
+        # each segment's carried state decays over the gap before its head
+        fades = np.exp(np.multiply.outer(gaps[start + np.array(heads)], lams))
+        states = np.empty((len(window) + 1, len(lams)), dtype=lams.dtype)
+        states[0] = z
+        for a, b, fade in zip(heads, ends, fades):
+            seg = terms[a:b]
+            seg[0] += z * fade
+            np.add.accumulate(seg, axis=0, out=seg)
+            z = grow[b - 1] * seg[-1]
+        np.multiply(grow, terms, out=states[1:])
         yield start, stop, states
-        z = states[-1]
-        start = stop
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -578,12 +675,13 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _outer_exact(rel: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """outer(rel, lams) as hi + lo, lo holding the rounding error of hi.
 
-    Dekker's exact product, on the real and imaginary parts at once.  The
-    scan's exponents reach BLOCK_EXPONENT in size, where the rounding of a
-    plain product alone would cost ~1e-13 relative in every exp factor;
-    exp(hi) * (1 + lo) keeps them to a few ulp.
+    Dekker's exact product; complex lams are split into their real and
+    imaginary parts, interleaved, and done at once.  The scan's exponents
+    reach BLOCK_EXPONENT in size, where the rounding of a plain product alone
+    would cost ~1e-13 relative in every exp factor; exp(hi) * (1 + lo) keeps
+    them to a few ulp.
     """
-    parts = lams.view(np.float64)  # real and imaginary parts, interleaved
+    parts = lams.view(np.float64)
     prod = np.multiply.outer(rel, parts)
     rel_hi, rel_lo = _split(rel)
     parts_hi, parts_lo = _split(parts)
@@ -592,16 +690,16 @@ def _outer_exact(rel: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndar
         + np.multiply.outer(rel_hi, parts_lo)
         + np.multiply.outer(rel_lo, parts_hi)
     ) + np.multiply.outer(rel_lo, parts_lo)
-    return prod.view(np.complex128), err.view(np.complex128)
+    return prod.view(lams.dtype), err.view(lams.dtype)
 
 
-def modal_path(lams, jumps, weights, mus, log, times: Sequence[float]) -> np.ndarray:
-    """mus + Re(weights @ z(t)) at sorted sample times t >= 0 along a log, one
-    row per sample, z(t) being modal_scan's state after the last event before
-    t decayed to t (0 before the first event), BLOCK_EVENTS samples at a time.
-    Raises ValueError for sample times that are unsorted, negative or not
-    finite, and for a log mark outside 1..len(jumps)."""
-    lams, jumps, weights = (np.asarray(v, dtype=complex) for v in (lams, jumps, weights))
+def modal_path(dyn: Dynamics, log, times: Sequence[float]) -> np.ndarray:
+    """dyn.mus + Re(weights @ z(t)) at sorted sample times t >= 0 along a log,
+    one row per sample, z(t) being modal_scan's state after the last event
+    before t decayed to t (0 before the first event), summed over dyn's mode
+    groups, BLOCK_EVENTS samples at a time.  Raises ValueError for sample
+    times that are unsorted, negative or not finite, and for a log mark
+    outside 1..len(dyn.jumps)."""
     samples = np.asarray(times, dtype=float)
     if not np.isfinite(samples).all():
         raise ValueError("sample times must be finite")
@@ -611,18 +709,20 @@ def modal_path(lams, jumps, weights, mus, log, times: Sequence[float]) -> np.nda
         raise ValueError("sample times must be >= 0")
     ev_times = np.array(log.times, dtype=float)
     marks = np.array(log.marks, dtype=int)
-    if len(marks) and not 1 <= marks.min() <= marks.max() <= len(jumps):
-        raise ValueError(f"event log holds a mark outside 1..{len(jumps)}")
+    if len(marks) and not 1 <= marks.min() <= marks.max() <= len(dyn.jumps):
+        raise ValueError(f"event log holds a mark outside 1..{len(dyn.jumps)}")
     owner = np.searchsorted(ev_times, samples) - 1  # last event strictly before
     rel = samples - np.concatenate(([0.0], ev_times))[owner + 1]
-    _guard_exponent(float(lams.real.max()), float(rel.max(initial=0.0)))
-    out = np.tile(np.asarray(mus, dtype=float), (len(samples), 1))
-    for start, stop, states in modal_scan(lams, jumps, ev_times, marks):
-        first, last = np.searchsorted(owner, (start, stop))
-        for lo in range(first, last, BLOCK_EVENTS):
-            rows = slice(lo, min(lo + BLOCK_EVENTS, last))
-            decayed = states[owner[rows] - start + 1] * np.exp(np.outer(rel[rows], lams))
-            out[rows] += (decayed @ weights.T).real
+    _guard_exponent(dyn.decay, float(rel.max(initial=0.0)))
+    out = np.tile(np.asarray(dyn.mus, dtype=float), (len(samples), 1))
+    for group in mode_groups(dyn):
+        for start, stop, states in modal_scan(group.lams, group.jumps, ev_times, marks):
+            first, last = np.searchsorted(owner, (start, stop))
+            for lo in range(first, last, BLOCK_EVENTS):
+                rows = slice(lo, min(lo + BLOCK_EVENTS, last))
+                decayed = states[owner[rows] - start + 1] * np.exp(np.outer(rel[rows], group.lams))
+                for c, weights in enumerate(group.weights):
+                    out[rows, c] += mode_sum(decayed, weights)
     return out
 
 
@@ -632,8 +732,7 @@ def intensity_path(spec: Spec, log, times: Sequence[float]) -> np.ndarray:
     Uses the left-continuous convention: events strictly before a sample
     time contribute to it.  Returns shape (n,) univariate, (n, 2) bivariate.
     """
-    dyn = dynamics(spec)
-    out = modal_path(dyn.lams, dyn.jumps, dyn.weights, dyn.mus, log, times)
+    out = modal_path(dynamics(spec), log, times)
     return out[:, 0] if spec.n_components == 1 else out
 
 

@@ -50,21 +50,23 @@ The loop is not interpreted over lists of modes.  _kernel writes it out once
 per Dynamics as straight-line Python, compiled with compile/exec (as
 dataclasses builds __init__) and cached: each mode's state is a local
 variable, every constant a local name, and each sum an unrolled expression
-in mode order.  Modes come in three kinds.  A mode whose lam, weights and
-jumps all have imaginary part exactly 0 runs in float with math.exp; the
-complex products it replaces multiply only exact zeros into the imaginary
-parts, so the real parts are the same doubles.  A mode equal to the
-conjugate of the one before it in lam and in every weight and jump row is
-not carried: CPython's complex *, + and cmath.exp are conjugate-symmetric
-bit for bit, so its state stays the exact conjugate of its partner's, and
-the partner's real part is added twice at the two positions.  Any other mode
-stays complex.  Terms whose weight is exactly 0 are left out, as adding a
-zero changes no sum (the sums start at a positive base, so none is -0.0),
-and so is a mode that every weight row misses.  A float mode whose lam is
-the decay reuses the envelope's exp(decay * dt), the same double.  Every
-other operation is the one the generic loop did, in its order, so seeded
-output is that of the generic loop (kept as the test oracle
-tests/util.thin_reference).  Uniforms come from a UniformStream's
+in mode order.  Modes come in the three kinds of model.mode_kinds, which the
+modal scan of recorded logs reads too.  A real mode (lam, weights and jumps
+all with imaginary part exactly 0) runs in float with math.exp; the complex
+products it replaces multiply only exact zeros into the imaginary parts, so
+the real parts are the same doubles.  The second mode of an exact conjugate
+pair is not carried: CPython's complex *, + and cmath.exp are
+conjugate-symmetric bit for bit, so its state stays the exact conjugate of
+its partner's, and the partner's real part is added twice at the two
+positions.  Any other mode stays complex.  The kernel's own derived rows
+(the total and the squeeze weights) are sums and moduli of the weight rows,
+so they are real, or exact conjugates, wherever the weight rows are.  Terms
+whose weight is exactly 0 are left out, as adding a zero changes no sum (the
+sums start at a positive base, so none is -0.0), and so is a mode that every
+weight row misses.  A float mode whose lam is the decay reuses the
+envelope's exp(decay * dt), the same double.  Every other operation is the
+one the generic loop did, in its order, so seeded output is that of the
+generic loop (kept as the test oracle tests/util.thin_reference).  Uniforms come from a UniformStream's
 random.Random.random or any other stream's .draw(), an exact 0 redrawn.
 """
 
@@ -97,6 +99,7 @@ from .model import (
     UnivariateSpec,
     dynamics,
     modal_path,
+    mode_kinds,
     spec_hash,
     validate,
 )
@@ -221,8 +224,15 @@ def bound_path(spec: Spec, log, times: Sequence[float]) -> np.ndarray:
     """Envelope base + sum_k K_{m_k} exp(decay (t - t_k)) over events t_k < t,
     at sorted times t >= 0: modal_path on the envelope's one-mode system."""
     dyn = dynamics(spec)
-    jumps = [(k,) for k in dyn.bound_jumps]
-    return modal_path((dyn.decay,), jumps, ((1.0,),), (dyn.base,), log, times)[:, 0]
+    envelope = replace(
+        dyn,
+        lams=(dyn.decay,),
+        weights=((1.0,),),
+        jumps=tuple((k,) for k in dyn.bound_jumps),
+        mus=(dyn.base,),
+        block_sizes=(1,),
+    )
+    return modal_path(envelope, log, times)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,33 +435,6 @@ def _total_weights(dyn: Dynamics) -> list:
     return [sum(col) for col in zip(*dyn.weights)]
 
 
-def _mode_kinds(lams, rows) -> list[str]:
-    """How the kernel carries each mode, given every constant row over modes.
-
-    "real": lam_j and every row's entry have imaginary part exactly 0, so
-    the mode runs in float.  "pair"/"conj": modes j and j + 1 are exact
-    conjugates in lam and in every row, so mode j is propagated once and
-    stands for both.  "complex": anything else.
-    """
-    kinds: list[str] = []
-    j = 0
-    while j < len(lams):
-        lam = lams[j]
-        if lam.imag == 0 and all(row[j].imag == 0 for row in rows):
-            kinds.append("real")
-        elif (
-            j + 1 < len(lams)
-            and lams[j + 1] == lam.conjugate()
-            and all(row[j + 1] == row[j].conjugate() for row in rows)
-        ):
-            kinds += ["pair", "conj"]
-            j += 1
-        else:
-            kinds.append("complex")
-        j += 1
-    return kinds
-
-
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def _kernel(dyn: Dynamics):
     """Compile the thinning loop for dyn as straight-line Python; the loop,
@@ -462,7 +445,7 @@ def _kernel(dyn: Dynamics):
     # constant (module docstring), each with its rounding margin
     sums = itertools.accumulate(dyn.weights, lambda acc, w: list(map(add, acc, w)))
     squeeze_w = [max(map(abs, col)) * _SQUEEZE_MARGIN for col in zip(*sums)]
-    kinds = _mode_kinds(dyn.lams, (*dyn.weights, *dyn.jumps, w_total, squeeze_w))
+    kinds = mode_kinds(dyn)
     # a mode with every running-sum weight 0 reaches no sum: it is dropped
     modes = [j for j, kind in enumerate(kinds) if kind != "conj" and squeeze_w[j] != 0]
     consts = {

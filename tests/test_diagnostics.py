@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
+from carma_hawkes import diagnostics, model
 from carma_hawkes import (
+    BivariateSpec,
     DiagnosticsReport,
     EmptySample,
     NumericalOverflow,
@@ -147,6 +149,56 @@ class TestResidualScanParity:
     def test_single_long_gap(self, carma31):
         times = [0.5, 1.0, 1.7, 1.7 + 1e4, 1e4 + 2.0, 1e4 + 2.4]
         _assert_matches_oracle(carma31, util.make_log(times))
+
+    def test_real_modes_and_an_exact_pair(self):
+        # block 1 holds a real root and an exact conjugate pair, block 2 two
+        # real roots: one float group of three modes, and one complex group
+        # that carries the pair once at twice its weights
+        spec = BivariateSpec(
+            mu=(0.3, 0.4), a1=util.A31, a2=(3.0, 2.0),
+            b11=(0.2, 0.3), b12=(0.5, 0.2), b21=(0.3,), b22=(1.0, 0.3),
+        )
+        dyn = dynamics(spec)
+        assert model.mode_kinds(dyn) == ["real", "pair", "conj", "real", "real"]
+        real, pair = model.mode_groups(dyn)
+        assert real.lams.dtype == np.float64 and real.lams.shape == (3,)
+        assert pair.lams.tolist() == [dyn.lams[1]]
+        assert pair.weights.tolist() == [[2 * w[1]] for w in dyn.weights]
+        rng = np.random.default_rng(17)
+        _assert_matches_oracle(spec, _random_log(rng, 2, 400, 1.0))
+
+    def test_inexact_conjugates_stay_complex(self, carma31, monkeypatch):
+        # the pair's second weight one ulp off: both modes are scanned as
+        # complex, each at its own weight
+        bent = util.bent_pair(dynamics(carma31))
+        assert model.mode_kinds(bent) == ["real", "complex", "complex"]
+        _, other = model.mode_groups(bent)
+        assert other.lams.tolist() == list(bent.lams[1:])
+        assert other.weights.tolist() == [list(bent.weights[0][1:])]
+        for module in (model, diagnostics, util):
+            monkeypatch.setattr(module, "dynamics", lambda spec: bent)
+        rng = np.random.default_rng(11)
+        _assert_matches_oracle(carma31, _random_log(rng, 1, 300, 1.0))
+
+    def test_segments_share_a_pass(self):
+        # a fast real mode beside a slow exact pair: an anchor segment spans
+        # 2 time units, so at unit gaps a pass of BLOCK_EVENTS events holds
+        # hundreds of segments.  Long gaps around the first pass boundary make
+        # its last event and the next pass's first one-event segments.
+        roots = [-300.0, complex(-1.0, 2.0), complex(-1.0, -2.0)]
+        spec = UnivariateSpec(mu=0.5, a=util.poly_from_roots(roots), b=(50.0, 30.0))
+        span = BLOCK_EXPONENT / 300.0
+        rng = np.random.default_rng(29)
+        gaps = rng.exponential(1.0, size=2 * BLOCK_EVENTS + 100)
+        gaps[[BLOCK_EVENTS - 1, BLOCK_EVENTS + 1]] = 3 * span
+        times = np.cumsum(gaps)
+        assert times[BLOCK_EVENTS - 1] > 100 * span
+        marks = np.ones(len(times), dtype=int)
+        for group in model.mode_groups(dynamics(spec)):
+            passes = [(a, b) for a, b, _ in model.modal_scan(group.lams, group.jumps, times, marks)]
+            ends = [BLOCK_EVENTS, 2 * BLOCK_EVENTS, len(times)]
+            assert passes == list(zip([0] + ends, ends))
+        _assert_matches_oracle(spec, util.make_log(times))
 
     def test_forced_nonstationary_overflow(self):
         spec = UnivariateSpec(mu=0.3, a=(-0.5,), b=(1.0,))  # root at +0.5

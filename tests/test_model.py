@@ -181,7 +181,7 @@ class TestValidate:
         # grow them past their bound
         for i in range(model.CACHE_MAXSIZE + 20):
             simulate(UnivariateSpec(mu=0.3, a=(3.0 + 1e-3 * i, 2.0), b=(1.0,)), 1.0, rng=i)
-        for cached in (model.dynamics, model.validate, thinning._kernel):
+        for cached in (model.dynamics, model.validate, model.mode_groups, thinning._kernel):
             info = cached.cache_info()
             assert info.maxsize == model.CACHE_MAXSIZE
             assert info.currsize <= model.CACHE_MAXSIZE
@@ -457,6 +457,38 @@ class TestSampledPaths:
             assert got.shape == want.shape
             worst = np.max(np.abs(got - want) / np.maximum(1.0, size))
             assert worst <= 1e-12, f"relative disagreement {worst:.3g}"
+
+    def test_inexact_pair_paths_equal_event_folds(self, carma31, monkeypatch):
+        # the pair's second weight one ulp off, so the intensity's scan
+        # carries both modes as complex; the random specs only draw exact pairs
+        bent = util.bent_pair(model.dynamics(carma31))
+        for module in (model, util):
+            monkeypatch.setattr(module, "dynamics", lambda spec: bent)
+        rng = np.random.default_rng(13)
+        times = np.cumsum(rng.exponential(0.5, size=300))
+        log = util.make_log(times)
+        samples = np.sort(rng.uniform(0.0, times[-1] + 1.0, size=500))
+        want, sizes = util.intensity_path_fold(carma31, log, samples)
+        worst = np.max(np.abs(intensity_path(carma31, log, samples) - want) / np.maximum(1.0, sizes))
+        assert worst <= 1e-12, f"relative disagreement {worst:.3g}"
+        bar = thinning.bound_path(carma31, log, samples)
+        assert np.max(np.abs(bar - util.bound_path_fold(carma31, log, samples)) / bar) <= 1e-12
+
+    def test_scan_passes_hold_at_most_block_events(self, biv_cross):
+        # the bound on the scan's working arrays, which keeps memory flat: a
+        # dense stretch and a sparse one, whose segments are cut by span
+        rng = np.random.default_rng(3)
+        n = 3 * model.BLOCK_EVENTS + 5
+        gaps = np.concatenate([rng.exponential(0.01, n // 2), rng.exponential(50.0, n - n // 2)])
+        times = np.cumsum(gaps)
+        marks = rng.integers(1, 3, size=n)
+        for group in model.mode_groups(model.dynamics(biv_cross)):
+            covered = 0
+            for start, stop, states in model.modal_scan(group.lams, group.jumps, times, marks):
+                assert start == covered and 0 < stop - start <= model.BLOCK_EVENTS
+                assert states.shape == (stop - start + 1, len(group.lams))
+                covered = stop
+            assert covered == n
 
     def test_samples_beyond_one_chunk(self, hawkes):
         # one event owns more samples than modal_path evaluates at once

@@ -36,6 +36,7 @@ from carma_hawkes import (
     write_events_csv,
     write_meta_json,
 )
+from carma_hawkes.model import mode_kinds
 
 
 class TestStreams:
@@ -397,11 +398,8 @@ class TestCompiledKernel:
         nudged = complex(math.nextafter(j2.real, math.inf), j2.imag)
         assert nudged != j1.conjugate()
         bent = dataclasses.replace(dyn, jumps=((dyn.jumps[0][0], j1, nudged),))
-        def kinds(d):
-            return thinning._mode_kinds(d.lams, (*d.weights, *d.jumps))
-
-        assert kinds(dyn) == ["real", "pair", "conj"]
-        assert kinds(bent) == ["real", "complex", "complex"]
+        assert mode_kinds(dyn) == ["real", "pair", "conj"]
+        assert mode_kinds(bent) == ["real", "complex", "complex"]
         # the built loops: mode 2 has a state of its own only when unfolded
         assert "z2" not in thinning._kernel(dyn).__code__.co_varnames
         assert "z2" in thinning._kernel(bent).__code__.co_varnames
@@ -430,8 +428,7 @@ class TestCompiledKernel:
             )
 
         dyn = model.dynamics.__wrapped__(Cyclic())
-        rows = (*dyn.weights, *dyn.jumps)
-        assert thinning._mode_kinds(dyn.lams, rows) == ["real", "pair", "conj", "real"]
+        assert mode_kinds(dyn) == ["real", "pair", "conj", "real"]
         monkeypatch.setattr(util, "dynamics", lambda spec: dyn)
         for seed in range(1, 6):
             times, marks, proposed, squeezed = thinning._run(dyn, 200.0, UniformStream(seed))

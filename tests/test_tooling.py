@@ -3,7 +3,7 @@ module and attribute name.  A function moved to another module without the
 tracer following it would fail a traced run; this checks every target the
 tracer looks up first, and reads perfbench/ only.  A fresh import of the
 package, which the benchmark's setup_s times, is checked for worker
-machinery."""
+machinery, and summarize for the per-component calls the tracer times."""
 
 import importlib
 import importlib.util
@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 import carma_hawkes
+import util
+from carma_hawkes import diagnostics, simulate
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,3 +49,19 @@ def test_import_loads_no_worker_machinery():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_summarize_calls_residual_transform_per_component(monkeypatch):
+    # the tracer's diagnostics.residual_us_per_event times summarize's calls
+    # to residual_transform, which it replaces as a module global
+    calls = []
+    scan = diagnostics.residual_transform
+
+    def counting(spec, log, component=1):
+        calls.append(component)
+        return scan(spec, log, component=component)
+
+    monkeypatch.setattr(diagnostics, "residual_transform", counting)
+    spec = util.biv_cross()
+    diagnostics.summarize(spec, simulate(spec, 50.0, rng=1))
+    assert calls == [1, 2]

@@ -2,6 +2,7 @@
 and small helpers used across the test modules."""
 
 import cmath
+import dataclasses
 import math
 from operator import add, mul
 
@@ -160,6 +161,17 @@ def random_bivariate_spec(rng: np.random.Generator, p_max: int = 3) -> Bivariate
         a1=a1, a2=a2,
         b11=tuple(b11), b12=tuple(b12), b21=tuple(b21), b22=tuple(b22),
     )
+
+
+def bent_pair(dyn):
+    """dyn with the weight of its first conjugate pair's second mode moved up
+    by one ulp in its real part, so the pair is no longer exact."""
+    j = next(j for j, lam in enumerate(dyn.lams) if lam.imag != 0)
+    w = dyn.weights[0]
+    bent = complex(math.nextafter(w[j + 1].real, math.inf), w[j + 1].imag)
+    assert bent != w[j].conjugate()
+    weights = (w[: j + 1] + (bent,) + w[j + 2:],) + dyn.weights[1:]
+    return dataclasses.replace(dyn, weights=weights)
 
 
 # ---------------------------------------------------------------------------
