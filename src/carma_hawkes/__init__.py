@@ -1,6 +1,6 @@
 """Simulation and diagnostics for self-exciting point processes whose
 excitation kernel is the impulse response of a continuous-time state-space
-(CARMA) system, in univariate and bivariate form.
+(CARMA) system, with any number of components.
 
 Core pieces:
 
@@ -41,6 +41,7 @@ from .model import (
     BivariateSpec,
     Dynamics,
     ProcessState,
+    Spec,
     UnivariateSpec,
     ValidationReport,
     apply_event,
@@ -50,7 +51,6 @@ from .model import (
     initial_state,
     intensity_at,
     intensity_path,
-    kernel_value,
     load_spec,
     save_spec,
     spec_from_dict,
@@ -79,8 +79,6 @@ from .thinning import (
     initial_bound,
     read_events_csv,
     simulate,
-    simulate_bivariate,
-    simulate_univariate,
     write_events_csv,
     write_meta_json,
 )
@@ -108,6 +106,7 @@ __all__ = [
     "RootFindingFailure",
     "ScriptedUniforms",
     "SimulationMeta",
+    "Spec",
     "SpecLogMismatch",
     "SpectralData",
     "UniformStream",
@@ -127,7 +126,6 @@ __all__ = [
     "initial_state",
     "intensity_at",
     "intensity_path",
-    "kernel_value",
     "kolmogorov_survival",
     "ks_exp1",
     "load_spec",
@@ -135,8 +133,6 @@ __all__ = [
     "residual_transform",
     "save_spec",
     "simulate",
-    "simulate_bivariate",
-    "simulate_univariate",
     "spec_from_dict",
     "spec_hash",
     "spec_to_dict",

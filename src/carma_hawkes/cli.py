@@ -71,7 +71,7 @@ def _fail(msg: str, code: int) -> int:
 def _load_spec_or_none(path: str):
     try:
         return load_spec(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot load model spec from {path}: {exc}", file=sys.stderr)
         return None
 

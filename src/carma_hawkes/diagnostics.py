@@ -89,8 +89,8 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
         )
     if not log.times:
         return ResidualSeries(taus=(), component=component)
-    times = np.array(log.times)
-    marks = np.array(log.marks)
+    times = np.fromiter(log.times, dtype=float, count=len(log.times))
+    marks = np.fromiter(log.marks, dtype=int, count=len(log.marks))
     if marks.max() > n_comp:
         raise SpecLogMismatch(f"event log holds a mark outside 1..{n_comp}")
     dyn = dynamics(spec)

@@ -1,10 +1,11 @@
 """Model specifications, admissibility checks, and exact state evolution.
 
-A univariate model has intensity lam_t = mu + b^T X_t where X solves
+A one-component model has intensity lam_t = mu + b^T X_t where X solves
 dX = A X dt + e dN with X_0 = 0; its excitation kernel is
-h(t) = b^T exp(A t) e.  The bivariate model stacks two such state blocks,
-driven separately by the two counting components, with a 2 x (p1+p2)
-coefficient matrix mapping the joint state to the two intensities.
+h(t) = b^T exp(A t) e.  A d-component model (one Spec class for every d)
+stacks d such state blocks, block m driven by component m's events, with a
+d x (p1 + ... + pd) coefficient matrix mapping the joint state to the d
+intensities.
 
 All evolution here happens in the eigenbasis of the (block) companion
 matrix: the state is carried as complex modal coordinates z with
@@ -26,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +62,10 @@ _SPLITTER = 134217729.0
 
 
 def _finite_tuple(vals, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in vals)
+    try:
+        out = tuple(float(v) for v in vals)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of numbers") from None
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{name} must contain only finite values")
     return out
@@ -81,102 +85,62 @@ def _checked_ma(b, p: int, name: str, positive_lead: bool) -> tuple[tuple[float,
 
 
 @dataclass(frozen=True)
-class UnivariateSpec:
-    """Self-exciting model of order (p, q): baseline mu, AR coefficients
-    a = (a1, ..., ap), MA coefficients supplied as (b0, ..., bq) and
-    zero-padded to length p.  Requires mu > 0, q < p, and b0 > 0 (an
-    all-zero b is allowed as the degenerate Poisson case)."""
+class Spec:
+    """Self-exciting model of d = len(mu) mutually exciting components,
+    1 <= d <= 9 (the report's kernel names h{c}{m} give each index one digit).
 
-    mu: float
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    q: int = field(init=False)
-
-    def __post_init__(self):
-        mu = float(self.mu)
-        if not (math.isfinite(mu) and mu > 0):
-            raise ValueError("baseline mu must be finite and > 0")
-        a = _finite_tuple(self.a, "a")
-        if len(a) < 1:
-            raise ValueError("need at least one AR coefficient")
-        b, q = _checked_ma(self.b, len(a), "b", positive_lead=True)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def p(self) -> int:
-        return len(self.a)
-
-    @property
-    def n_components(self) -> int:
-        return 1
-
-    @property
-    def block_form(self):
-        """The one-block case of BivariateSpec.block_form: ((a,), ((b,),), (mu,))."""
-        return (self.a,), ((self.b,),), (self.mu,)
-
-
-@dataclass(frozen=True)
-class BivariateSpec:
-    """Two mutually exciting components with per-block orders p = (p1, p2).
-
-    b11/b21 act on the first state block (length p1, driven by component 1),
-    b12/b22 on the second (length p2, driven by component 2); each is
-    supplied as its leading coefficients and zero-padded.  The derived q
-    records the supplied MA orders as (q1, q12, q21, q2).
+    mu[c] is component c's baseline; ar[m] holds the AR coefficients
+    (a1, ..., ap) of state block m, which component m's events drive;
+    ma[c][m] is the MA vector of block m on component c, supplied as its
+    leading coefficients (b0, ..., bq) and zero-padded to the block's order,
+    so ma[c][m] gives the kernel h_{c,m} of a component-m event on component
+    c.  The derived q[c][m] records the supplied MA orders.  Requires every
+    mu > 0 and q < p; a one-component spec also needs b0 > 0 (an all-zero b
+    is allowed as the degenerate Poisson case).
     """
 
-    mu: tuple[float, float]
-    a1: tuple[float, ...]
-    a2: tuple[float, ...]
-    b11: tuple[float, ...]
-    b12: tuple[float, ...]
-    b21: tuple[float, ...]
-    b22: tuple[float, ...]
-    q: tuple[int, int, int, int] = field(init=False)
+    mu: tuple[float, ...]
+    ar: tuple[tuple[float, ...], ...]
+    ma: tuple[tuple[tuple[float, ...], ...], ...]
+    q: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
         mu = _finite_tuple(self.mu, "mu")
-        if len(mu) != 2 or any(v <= 0 for v in mu):
-            raise ValueError("mu must be two finite positive baselines")
-        a1 = _finite_tuple(self.a1, "a1")
-        a2 = _finite_tuple(self.a2, "a2")
-        if len(a1) < 1 or len(a2) < 1:
-            raise ValueError("each block needs at least one AR coefficient")
-        p1, p2 = len(a1), len(a2)
-        b11, q1 = _checked_ma(self.b11, p1, "b11", positive_lead=False)
-        b12, q12 = _checked_ma(self.b12, p2, "b12", positive_lead=False)
-        b21, q21 = _checked_ma(self.b21, p1, "b21", positive_lead=False)
-        b22, q2 = _checked_ma(self.b22, p2, "b22", positive_lead=False)
+        d = len(mu)
+        if not 1 <= d <= 9:
+            raise ValueError(f"a spec has 1 to 9 components, got {d}")
+        if any(v <= 0 for v in mu):
+            raise ValueError("each baseline mu must be finite and > 0")
+        ar = tuple(_finite_tuple(a, f"ar[{m}]") for m, a in enumerate(self.ar))
+        if len(ar) != d or not all(ar):
+            raise ValueError(f"need {d} AR blocks of at least one coefficient each")
+        rows = tuple(map(tuple, self.ma))
+        if len(rows) != d or any(len(row) != d for row in rows):
+            raise ValueError(f"ma must hold {d} rows of {d} MA vectors")
+        checked = [
+            [_checked_ma(b, len(a), f"ma[{c}][{m}]", d == 1) for m, (b, a) in enumerate(zip(row, ar))]
+            for c, row in enumerate(rows)
+        ]
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "b11", b11)
-        object.__setattr__(self, "b12", b12)
-        object.__setattr__(self, "b21", b21)
-        object.__setattr__(self, "b22", b22)
-        object.__setattr__(self, "q", (q1, q12, q21, q2))
-
-    @property
-    def p(self) -> tuple[int, int]:
-        return (len(self.a1), len(self.a2))
+        object.__setattr__(self, "ar", ar)
+        object.__setattr__(self, "ma", tuple(tuple(b for b, _ in row) for row in checked))
+        object.__setattr__(self, "q", tuple(tuple(q for _, q in row) for row in checked))
 
     @property
     def n_components(self) -> int:
-        return 2
-
-    @property
-    def block_form(self):
-        """(AR blocks, MA rows, baselines).  Block m is driven by component m;
-        row c holds component c's MA vector on each block, so row c, block m
-        is the kernel h_{c,m} of a component-m event on component c."""
-        return (self.a1, self.a2), ((self.b11, self.b12), (self.b21, self.b22)), self.mu
+        return len(self.mu)
 
 
-Spec = Union[UnivariateSpec, BivariateSpec]
+def UnivariateSpec(mu: float, a: Sequence[float], b: Sequence[float]) -> Spec:
+    """The one-component Spec of order (p, q): baseline mu, AR coefficients
+    a = (a1, ..., ap), MA coefficients b = (b0, ..., bq)."""
+    return Spec(mu=(mu,), ar=(a,), ma=((b,),))
+
+
+def BivariateSpec(mu, a1, a2, b11, b12, b21, b22) -> Spec:
+    """The two-component Spec: b11/b21 act on the first state block (a1,
+    driven by component 1), b12/b22 on the second (a2)."""
+    return Spec(mu=mu, ar=(a1, a2), ma=((b11, b12), (b21, b22)))
 
 
 @dataclass(frozen=True)
@@ -213,11 +177,10 @@ class Dynamics:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def dynamics(spec: Spec) -> Dynamics:
-    ars, mas, mus = spec.block_form
-    sds = tuple(spectral.spectral_decompose(a) for a in ars)
+    sds = tuple(spectral.spectral_decompose(a) for a in spec.ar)
     weights = tuple(
         tuple(spectral.ma_value(b, lam) for b, sd in zip(row, sds) for lam in sd.eigenvalues)
-        for row in mas
+        for row in spec.ma
     )
     jumps = tuple(
         sum((sd.sinv_e if k == m else (0j,) * sd.p for k, sd in enumerate(sds)), ())
@@ -229,15 +192,15 @@ def dynamics(spec: Spec) -> Dynamics:
     # cross-checks each block's share of that product, ||W_m|| * ||S_m^{-1} e||,
     # against its dense Vandermonde form; with one block it is K itself.
     for m, sd in enumerate(sds):
-        column_ma = tuple(map(sum, zip(*(row[m] for row in mas))))
+        column_ma = tuple(map(sum, zip(*(row[m] for row in spec.ma))))
         spectral.bound_constant(sd, column_ma)
     wsum_norm = spectral._l2(sum(col) for col in zip(*weights))
     return Dynamics(
         lams=sum((sd.eigenvalues for sd in sds), ()),
         weights=weights,
         jumps=jumps,
-        mus=mus,
-        base=sum(mus),
+        mus=spec.mu,
+        base=sum(spec.mu),
         decay=max(sd.decay for sd in sds),
         bound_jumps=tuple(wsum_norm * spectral._l2(sd.sinv_e) for sd in sds),
         block_sizes=tuple(sd.p for sd in sds),
@@ -254,7 +217,7 @@ def initial_state(spec: Spec) -> ProcessState:
 
 
 def state_vector(spec: Spec, state: ProcessState) -> np.ndarray:
-    """Physical state vector x (length p, or p1+p2) from modal coordinates."""
+    """Physical state vector x (length p1 + ... + pd) from modal coordinates."""
     dyn = dynamics(spec)
     out = []
     for lams, z in zip(_by_block(dyn, dyn.lams), _by_block(dyn, state.modes)):
@@ -289,9 +252,10 @@ def apply_event(spec: Spec, state: ProcessState, t: float, mark: int = 1) -> Pro
 def intensity_at(spec: Spec, state: ProcessState, t: float):
     """Conditional intensity at time t >= the state's last event time.
 
-    Returns a float for univariate specs, a (lam1, lam2) pair for bivariate
-    ones.  For specs whose kernels validated as non-negative, a result below
-    baseline - 1e-9 raises NegativeIntensity (internal consistency check).
+    Returns a float for a one-component spec, a tuple (lam1, ..., lamd) for
+    a d-component one.  For specs whose kernels validated as non-negative, a
+    result below baseline - 1e-9 raises NegativeIntensity (internal
+    consistency check).
     """
     dyn = dynamics(spec)
     dt = t - state.last_event_time
@@ -313,7 +277,7 @@ def intensity_at(spec: Spec, state: ProcessState, t: float):
 def compensator_increment(spec: Spec, state: ProcessState, t0: float, t1: float):
     """Integral of the intensity over (t0, t1), closed form, no events inside.
 
-    Returns a float (univariate) or a pair (bivariate).
+    Returns a float for a one-component spec, a d-tuple for a d-component one.
     """
     dyn = dynamics(spec)
     te = state.last_event_time
@@ -357,21 +321,17 @@ def _guard_exponent(decay: float, dt: float) -> None:
 # kernels
 
 
-def kernel_value(spec: UnivariateSpec, t: float) -> float:
-    """Excitation kernel h(t) = sum_j (b(lam_j)/a'(lam_j)) exp(lam_j t)."""
-    if t < 0:
-        raise ValueError("kernel defined for t >= 0")
-    dyn = dynamics(spec)
-    return _mode_kernel(dyn, 0, 0, t)
-
-
-def channel_kernel(spec: BivariateSpec, target: int, source: int, t: float) -> float:
+def channel_kernel(spec: Spec, target: int, source: int, t: float) -> float:
     """Kernel h_{target,source}(t): effect on the target component's
-    intensity of a source-component event t time units ago."""
+    intensity of a source-component event t time units ago, the sum over
+    the source block's modes of (b(lam_j)/a'(lam_j)) exp(lam_j t).  A
+    one-component spec's kernel h is channel_kernel(spec, 1, 1, t)."""
     if t < 0:
         raise ValueError("kernel defined for t >= 0")
-    dyn = dynamics(spec)
-    return _mode_kernel(dyn, target - 1, source - 1, t)
+    n = spec.n_components
+    if not (1 <= target <= n and 1 <= source <= n):
+        raise ValueError(f"target and source must be in 1..{n}")
+    return _mode_kernel(dynamics(spec), target - 1, source - 1, t)
 
 
 def _mode_kernel(dyn: Dynamics, comp: int, mark: int, t: float) -> float:
@@ -417,7 +377,7 @@ class ValidationReport:
     process_type: str
     flags: tuple[str, ...]
     branching: float | None = None
-    branching_matrix: tuple[tuple[float, float], ...] | None = None
+    branching_matrix: tuple[tuple[float, ...], ...] | None = None
     spectral_radius: float | None = None
     decay: float | None = None
     kernel_min: float | None = None
@@ -465,8 +425,7 @@ def _branching_entry(b: Sequence[float], a: Sequence[float]) -> float:
 
 def _branching_matrix(spec: Spec) -> tuple[tuple[float, ...], ...]:
     """Entry (c, m): integral of the kernel of a component-m event on component c."""
-    ars, mas, _ = spec.block_form
-    return tuple(tuple(_branching_entry(b, a) for b, a in zip(row, ars)) for row in mas)
+    return tuple(tuple(_branching_entry(b, a) for b, a in zip(row, spec.ar)) for row in spec.ma)
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -474,12 +433,14 @@ def validate(spec: Spec) -> ValidationReport:
     """Stationarity, decay, and kernel non-negativity checks.
 
     Failures come back as report flags, not exceptions; simulation entry
-    points refuse flagged specs unless explicitly overridden.  A one-block
-    (univariate) spec reports its scalar `branching`; a multi-block spec
-    reports `branching_matrix` and the per-kernel minima `kernel_mins`.
+    points refuse flagged specs unless explicitly overridden.  A
+    one-component spec reports its scalar `branching`; a multi-component
+    spec reports `branching_matrix` and the per-kernel minima `kernel_mins`.
+    process_type is "univariate", "bivariate" or, from three components on,
+    "multivariate".
     """
-    one_block = len(spec.block_form[0]) == 1
-    kind = "univariate" if one_block else "bivariate"
+    one_block = spec.n_components == 1
+    kind = {1: "univariate", 2: "bivariate"}.get(spec.n_components, "multivariate")
     try:
         dyn = dynamics(spec)
     except DegenerateEigenvalues as exc:
@@ -530,7 +491,7 @@ def stationary_rates(spec: Spec) -> tuple[float, ...]:
     if report.spectral_radius is None or report.spectral_radius >= 1:
         return (math.inf,) * spec.n_components
     k = np.array(_branching_matrix(spec))
-    rates = np.linalg.solve(np.eye(len(k)) - k, np.array(spec.block_form[2]))
+    rates = np.linalg.solve(np.eye(len(k)) - k, np.array(spec.mu))
     return tuple(float(r) for r in rates)
 
 
@@ -707,8 +668,8 @@ def modal_path(dyn: Dynamics, log, times: Sequence[float]) -> np.ndarray:
         raise ValueError("sample times must be sorted")
     if len(samples) and samples[0] < 0:
         raise ValueError("sample times must be >= 0")
-    ev_times = np.array(log.times, dtype=float)
-    marks = np.array(log.marks, dtype=int)
+    ev_times = np.fromiter(log.times, dtype=float, count=len(log.times))
+    marks = np.fromiter(log.marks, dtype=int, count=len(log.marks))
     if len(marks) and not 1 <= marks.min() <= marks.max() <= len(dyn.jumps):
         raise ValueError(f"event log holds a mark outside 1..{len(dyn.jumps)}")
     owner = np.searchsorted(ev_times, samples) - 1  # last event strictly before
@@ -730,7 +691,8 @@ def intensity_path(spec: Spec, log, times: Sequence[float]) -> np.ndarray:
     """Intensity sampled at the given (sorted, >= 0) times along an event log.
 
     Uses the left-continuous convention: events strictly before a sample
-    time contribute to it.  Returns shape (n,) univariate, (n, 2) bivariate.
+    time contribute to it.  Returns shape (n,) for one component, (n, d) for
+    d components.
     """
     out = modal_path(dynamics(spec), log, times)
     return out[:, 0] if spec.n_components == 1 else out
@@ -741,41 +703,28 @@ def intensity_path(spec: Spec, log, times: Sequence[float]) -> np.ndarray:
 
 
 def spec_to_dict(spec: Spec) -> dict:
-    """JSON-ready form; MA vectors are trimmed back to their supplied length."""
-    if isinstance(spec, UnivariateSpec):
-        return {
-            "type": "univariate",
-            "mu": spec.mu,
-            "a": list(spec.a),
-            "b": list(spec.b[: spec.q + 1]),
-        }
-    q1, q12, q21, q2 = spec.q
-    return {
-        "type": "bivariate",
-        "mu": list(spec.mu),
-        "a1": list(spec.a1),
-        "a2": list(spec.a2),
-        "b11": list(spec.b11[: q1 + 1]),
-        "b12": list(spec.b12[: q12 + 1]),
-        "b21": list(spec.b21[: q21 + 1]),
-        "b22": list(spec.b22[: q2 + 1]),
-    }
+    """JSON-ready form; MA vectors are trimmed back to their supplied length.
+    One and two components keep their univariate and bivariate forms (and so
+    their spec_hash); three or more take the multivariate form."""
+    ma = [[list(b[: q + 1]) for b, q in zip(row, qs)] for row, qs in zip(spec.ma, spec.q)]
+    if spec.n_components == 1:
+        return {"type": "univariate", "mu": spec.mu[0], "a": list(spec.ar[0]), "b": ma[0][0]}
+    if spec.n_components == 2:
+        (b11, b12), (b21, b22) = ma
+        a1, a2 = map(list, spec.ar)
+        return {"type": "bivariate", "mu": list(spec.mu), "a1": a1, "a2": a2,
+                "b11": b11, "b12": b12, "b21": b21, "b22": b22}
+    return {"type": "multivariate", "mu": list(spec.mu), "a": list(map(list, spec.ar)), "b": ma}
 
 
 def spec_from_dict(data: dict) -> Spec:
     kind = data.get("type")
     if kind == "univariate":
-        return UnivariateSpec(mu=data["mu"], a=tuple(data["a"]), b=tuple(data["b"]))
+        return UnivariateSpec(data["mu"], data["a"], data["b"])
     if kind == "bivariate":
-        return BivariateSpec(
-            mu=tuple(data["mu"]),
-            a1=tuple(data["a1"]),
-            a2=tuple(data["a2"]),
-            b11=tuple(data["b11"]),
-            b12=tuple(data["b12"]),
-            b21=tuple(data["b21"]),
-            b22=tuple(data["b22"]),
-        )
+        return BivariateSpec(*(data[k] for k in ("mu", "a1", "a2", "b11", "b12", "b21", "b22")))
+    if kind == "multivariate":
+        return Spec(mu=data["mu"], ar=data["a"], ma=data["b"])
     raise ValueError(f"unknown spec type: {kind!r}")
 
 

@@ -80,6 +80,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 from operator import add, lt
 from typing import Sequence
 
@@ -93,10 +94,8 @@ from .errors import (
 )
 from .model import (
     CACHE_MAXSIZE,
-    BivariateSpec,
     Dynamics,
     Spec,
-    UnivariateSpec,
     dynamics,
     modal_path,
     mode_kinds,
@@ -170,8 +169,8 @@ def as_uniform_stream(rng) -> UniformStream | ScriptedUniforms:
 class BoundTracker:
     """State of the dominating envelope at its most recent anchor.
 
-    jump_size_for_mark holds one K per event mark (a single entry for the
-    univariate model).  lambda_bar is the envelope value at anchor_time,
+    jump_size_for_mark holds one K per event mark (a single entry for a
+    one-component model).  lambda_bar is the envelope value at anchor_time,
     inclusive of the anchor event's jump.
     """
 
@@ -266,7 +265,9 @@ class SimulationMeta:
 
 @dataclass(frozen=True)
 class EventLog:
-    """Strictly increasing event times with per-event component marks."""
+    """Strictly increasing event times with per-event component marks, each
+    an integer >= 1; whether a mark is one of a spec's components is checked
+    where the spec is known (residual_transform, modal_path)."""
 
     times: tuple[float, ...]
     marks: tuple[int, ...]
@@ -279,8 +280,8 @@ class EventLog:
         later = itertools.islice(times, 1, None)
         if times and not (times[0] > 0 and all(map(lt, times, later))):
             raise ValueError("event times must be strictly increasing and > 0")
-        if not set(self.marks) <= {1, 2}:
-            raise ValueError("marks must be 1 or 2")
+        if not all(isinstance(m, Integral) and m >= 1 for m in set(self.marks)):
+            raise ValueError("marks must be integers >= 1")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -584,9 +585,12 @@ def _run(dyn: Dynamics, horizon: float, stream) -> tuple[list, list, int, int]:
     return times, marks, proposed, squeezed
 
 
-def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
-    """Check the inputs, run the thinning kernel for the spec's Dynamics and
-    wrap the result in an EventLog."""
+def simulate(spec: Spec, horizon: float, rng=None, override_validation: bool = False) -> EventLog:
+    """Simulate the model on [0, horizon] by thinning, as the module
+    docstring sets out, for any number of components.  The first arrival is
+    accepted outright (the envelope and the intensity coincide before any
+    event); every later candidate that the squeeze does not reject is
+    checked against the envelope, and a breach raises BoundViolation."""
     horizon = _check_horizon(horizon)
     _require_admissible(spec, override_validation)
     stream = as_uniform_stream(rng)
@@ -594,49 +598,3 @@ def _thin(spec: Spec, horizon, rng, override_validation: bool) -> EventLog:
     t_start = time.perf_counter()
     times, marks, proposed, squeezed = _run(dyn, horizon, stream)
     return _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start)
-
-
-def simulate_univariate(
-    spec: UnivariateSpec,
-    horizon: float,
-    rng=None,
-    override_validation: bool = False,
-) -> EventLog:
-    """Simulate the univariate model on [0, horizon] by thinning.
-
-    The first arrival is exponential at the baseline rate (the envelope and
-    the intensity coincide before any event, so it is accepted outright).
-    Each later candidate advances time by an exponential waiting time at the
-    current envelope value and is accepted iff D * lam_bar <= lam(t).  The
-    envelope is checked against the intensity at every candidate; a breach
-    raises BoundViolation.
-    """
-    if not isinstance(spec, UnivariateSpec):
-        raise TypeError("simulate_univariate needs a UnivariateSpec")
-    return _thin(spec, horizon, rng, override_validation)
-
-
-def simulate_bivariate(
-    spec: BivariateSpec,
-    horizon: float,
-    rng=None,
-    override_validation: bool = False,
-) -> EventLog:
-    """Simulate the bivariate model on [0, horizon] by thinning.
-
-    The first arrival is the minimum of two exponential candidates at the
-    two baselines (component 1 wins a tie).  Afterwards a single candidate
-    stream at the summed-intensity envelope is routed: accept as component 1
-    if D * lam_bar <= lam1, as component 2 if lam1 < D * lam_bar <= lam1 +
-    lam2, otherwise reject.
-    """
-    if not isinstance(spec, BivariateSpec):
-        raise TypeError("simulate_bivariate needs a BivariateSpec")
-    return _thin(spec, horizon, rng, override_validation)
-
-
-def simulate(spec: Spec, horizon: float, rng=None, override_validation: bool = False) -> EventLog:
-    """Simulate a univariate or bivariate model on [0, horizon] by thinning."""
-    if not isinstance(spec, (UnivariateSpec, BivariateSpec)):
-        raise TypeError("simulate needs a UnivariateSpec or a BivariateSpec")
-    return _thin(spec, horizon, rng, override_validation)

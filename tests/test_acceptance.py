@@ -33,7 +33,6 @@ from carma_hawkes import (
     kolmogorov_survival,
     ks_exp1,
     simulate,
-    simulate_univariate,
     spectral_decompose,
     state_vector,
     summarize,
@@ -129,7 +128,7 @@ def test_criterion_3_order_one_envelope_tightness():
     rng = np.random.default_rng(303)
     for mu, a1, b0 in ((0.3, 3.0, 1.0), (0.4, 2.5, 0.55)):
         spec = UnivariateSpec(mu=mu, a=(a1,), b=(b0,))
-        log = simulate_univariate(spec, 500.0, rng=SEED_BASE)
+        log = simulate(spec, 500.0, rng=SEED_BASE)
         ts = np.sort(rng.uniform(0.0, 500.0, size=1000))
         gap = bound_path(spec, log, ts) - intensity_path(spec, log, ts)
         worst = float(np.max(np.abs(gap)))
@@ -141,21 +140,21 @@ def test_criterion_4_envelope_constant_forms_agree():
     """Spectral-sum and materialised-norm-product envelope constants agree."""
 
     def univariate_pair(spec):
-        sd = spectral_decompose(spec.a)
-        k_spec = _l2(ma_value(spec.b, lam) for lam in sd.eigenvalues) * _l2(sd.sinv_e)
-        return k_spec, _bound_constant_dense(sd, spec.b)
+        sd = spectral_decompose(spec.ar[0])
+        k_spec = _l2(ma_value(spec.ma[0][0], lam) for lam in sd.eigenvalues) * _l2(sd.sinv_e)
+        return k_spec, _bound_constant_dense(sd, spec.ma[0][0])
 
     def bivariate_pairs(spec):
-        sd1 = spectral_decompose(spec.a1)
-        sd2 = spectral_decompose(spec.a2)
-        p1, p2 = spec.p
+        sd1 = spectral_decompose(spec.ar[0])
+        sd2 = spectral_decompose(spec.ar[1])
+        p1, p2 = map(len, spec.ar)
         m = p1 + p2
         s_mat = np.zeros((m, m), dtype=complex)
         s_mat[:p1, :p1] = np.vander(np.array(sd1.eigenvalues), increasing=True).T
         s_mat[p1:, p1:] = np.vander(np.array(sd2.eigenvalues), increasing=True).T
         b_mat = np.zeros((2, m))
-        b_mat[0, :p1], b_mat[0, p1:] = spec.b11, spec.b12
-        b_mat[1, :p1], b_mat[1, p1:] = spec.b21, spec.b22
+        b_mat[0, :p1], b_mat[0, p1:] = spec.ma[0][0], spec.ma[0][1]
+        b_mat[1, :p1], b_mat[1, p1:] = spec.ma[1][0], spec.ma[1][1]
         row = np.ones(2) @ b_mat @ s_mat
         e_bar = np.zeros((m, 2), dtype=complex)
         e_bar[p1 - 1, 0] = 1.0
@@ -169,7 +168,7 @@ def test_criterion_4_envelope_constant_forms_agree():
 
     pairs = []
     for spec in MODELS.values():
-        if isinstance(spec, UnivariateSpec):
+        if spec.n_components == 1:
             pairs.append(univariate_pair(spec))
         else:
             pairs.extend(bivariate_pairs(spec))
@@ -239,9 +238,9 @@ def test_criterion_7_state_and_compensator_oracles():
         # state-propagation oracle via independent matrix-exponential action
         t_end = float(times[-1])
         if bivariate:
-            sd1 = spectral_decompose(spec.a1)
-            sd2 = spectral_decompose(spec.a2)
-            p1, p2 = spec.p
+            sd1 = spectral_decompose(spec.ar[0])
+            sd2 = spectral_decompose(spec.ar[1])
+            p1, p2 = map(len, spec.ar)
             direct = np.zeros(p1 + p2)
             for t, m in zip(times, marks):
                 dt = t_end - float(t)
@@ -254,10 +253,10 @@ def test_criterion_7_state_and_compensator_oracles():
                     e2[-1] = 1.0
                     direct[p1:] += exp_action(sd2, e2, dt)
         else:
-            sd = spectral_decompose(spec.a)
-            e_vec = np.zeros(spec.p)
+            sd = spectral_decompose(spec.ar[0])
+            e_vec = np.zeros(len(spec.ar[0]))
             e_vec[-1] = 1.0
-            direct = np.zeros(spec.p)
+            direct = np.zeros(len(spec.ar[0]))
             for t in times:
                 direct += exp_action(sd, e_vec, t_end - float(t))
         got = state_vector(spec, state)

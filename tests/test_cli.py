@@ -246,6 +246,15 @@ class TestValidateCommand:
         assert main(["validate", "--model", str(path)]) == 2
 
 
+    def test_malformed_multivariate_spec_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        for b in ([1.0, 2.0], [[1.0, 2.0]], [[[1.0], [0.0]], [[0.0], [-1.0, 0.5]]]):
+            spec = {"type": "multivariate", "mu": [0.3, 0.3], "a": [[2.0], [2.0]], "b": b}
+            path.write_text(json.dumps(spec))
+            assert main(["validate", "--model", str(path)]) == 2
+            assert "cannot load model spec" in capsys.readouterr().err
+
+
 class TestDiagnoseCommand:
     def test_roundtrip_matches_in_process_report(self, tmp_path, carma21, capsys):
         model = write_spec(tmp_path, carma21)
@@ -304,6 +313,16 @@ class TestDiagnoseCommand:
         events.write_text("time,mark\n1.0,1\n2.0,2\n")
         assert main(["diagnose", "--model", model, "--events", str(events)]) == 2
         assert "mark" in capsys.readouterr().err
+
+    def test_mark_outside_bivariate_model_exits_2(self, tmp_path, biv_cross, capsys):
+        # a log may hold any integer mark >= 1; one the model lacks is refused
+        # against the model, and a mark below 1 when the file is read
+        model = write_spec(tmp_path, biv_cross)
+        events = tmp_path / "events.csv"
+        for bad, message in (("3", "mark outside 1..2"), ("0", "marks must be integers >= 1")):
+            events.write_text(f"time,mark\n1.0,1\n2.0,{bad}\n")
+            assert main(["diagnose", "--model", model, "--events", str(events)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_nonfinite_time_exits_2(self, tmp_path, hawkes, capsys):
         model = write_spec(tmp_path, hawkes)
@@ -598,6 +617,47 @@ class TestWorkers:
                 results, failure = pickle.load(pipe)
             assert sorted(results) == ran
             assert failure is None
+
+
+class TestThreeComponents:
+    """The bundled three-component model, end to end through the CLI."""
+
+    MODEL = str(REPO_ROOT / "models" / "trivariate_cyclic.json")
+
+    def test_simulate_traces_three_intensities(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code = main(["simulate", "--model", self.MODEL, "--horizon", "50", "--seed", "8",
+                     "--out", str(out), "--trace-intensity", "0.5"])
+        assert code == 0
+        lines = (out / "trace_0.csv").read_text().strip().splitlines()
+        assert lines[0] == "time,intensity1,intensity2,intensity3,bound"
+        assert len(lines) == 1 + 101
+        for row in lines[1:]:
+            _, *lams, bar = map(float, row.split(","))
+            assert len(lams) == 3
+            assert sum(lams) <= bar + 1e-9
+        assert set(read_events_csv(out / "events_0.csv").marks) == {1, 2, 3}
+
+    def test_diagnose_reports_three_components(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["simulate", "--model", self.MODEL, "--horizon", "5000", "--seed", "3",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["diagnose", "--model", self.MODEL, "--events", str(out / "events_0.csv")])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [c["component"] for c in report["components"]] == [1, 2, 3]
+        for comp in report["components"]:
+            assert comp["n_events"] > 1000
+            assert comp["ks_p_value"] >= 0.01
+            assert (out / f"events_0.residuals_{comp['component']}.csv").exists()
+
+    def test_validate_reports_multivariate(self, capsys):
+        assert main(["validate", "--model", self.MODEL]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["process_type"] == "multivariate"
+        assert len(report["branching_matrix"]) == 3
+        assert len(report["kernel_mins"]) == 9
 
 
 class TestBundledModels:

@@ -18,8 +18,7 @@ from carma_hawkes import (
     kolmogorov_survival,
     ks_exp1,
     residual_transform,
-    simulate_bivariate,
-    simulate_univariate,
+    simulate,
     summarize,
     write_report_json,
 )
@@ -86,10 +85,35 @@ class TestResidualTransform:
         log = util.make_log([1.0, 2.0])  # no spec hash in metadata
         assert len(residual_transform(hawkes, log)) == 2
 
-    def test_mark_outside_spec(self, hawkes):
+    def test_mark_outside_spec(self, hawkes, biv_cross):
         log = util.make_log([1.0, 2.0], [1, 2])
         with pytest.raises(SpecLogMismatch):
             residual_transform(hawkes, log)
+        log = util.make_log([1.0, 2.0, 3.0], [1, 2, 3])
+        with pytest.raises(SpecLogMismatch, match="mark outside 1..2"):
+            residual_transform(biv_cross, log, component=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4))
+    def test_diagonal_spec_residuals_are_univariate(self, seed, d):
+        # with every cross-excitation MA vector zero, component c's intensity
+        # reads only block c: its residuals along any log are those of the
+        # univariate part c along the log's mark-c events
+        rng = np.random.default_rng(seed)
+        parts = [util.random_univariate_spec(rng) for _ in range(d)]
+        spec = util.diagonal_spec(parts)
+        n = int(rng.integers(1, 300))
+        times = np.cumsum(rng.exponential(0.4, size=n))
+        marks = rng.integers(1, d + 1, size=n)
+        log = util.make_log(times, marks.tolist())
+        for c, part in enumerate(parts, start=1):
+            own = util.make_log(times[marks == c])
+            got = residual_transform(spec, log, component=c).taus
+            want = residual_transform(part, own).taus
+            _, sizes = util.residual_transform_scalar(spec, log, component=c)
+            assert len(got) == len(want) == len(sizes)
+            for g, w, size in zip(got, want, sizes):
+                assert abs(g - w) <= 1e-12 * size
 
 
 def _assert_matches_oracle(spec, log):
@@ -330,7 +354,7 @@ class TestSummarize:
         assert report31.components[0].theoretical_rate == pytest.approx(1.1364, abs=5e-4)
 
     def test_report_fields(self, carma21):
-        log = simulate_univariate(carma21, 800.0, rng=99)
+        log = simulate(carma21, 800.0, rng=99)
         report = summarize(carma21, log)
         d = report.to_dict()
         row = d["components"][0]
@@ -348,13 +372,13 @@ class TestSummarize:
         assert row["n_events"] == len(log)
 
     def test_bivariate_reports_both_marginals(self, biv_independent):
-        log = simulate_bivariate(biv_independent, 800.0, rng=17)
+        log = simulate(biv_independent, 800.0, rng=17)
         report = summarize(biv_independent, log)
         assert [c.component for c in report.components] == [1, 2]
         assert sum(c.n_events for c in report.components) == len(log)
 
     def test_residual_mean_near_one(self, carma21):
-        log = simulate_univariate(carma21, 6000.0, rng=321)
+        log = simulate(carma21, 6000.0, rng=321)
         report = summarize(carma21, log)
         comp = report.components[0]
         assert comp.n_events > 3000

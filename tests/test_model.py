@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -14,6 +15,7 @@ from carma_hawkes import (
     NegativeIntensity,
     ProcessState,
     RootFindingFailure,
+    Spec,
     UnivariateSpec,
     apply_event,
     channel_kernel,
@@ -21,7 +23,6 @@ from carma_hawkes import (
     initial_state,
     intensity_at,
     intensity_path,
-    kernel_value,
     load_spec,
     save_spec,
     simulate,
@@ -36,13 +37,13 @@ from carma_hawkes import (
 
 class TestSpecConstruction:
     def test_ma_padding_and_q(self, carma31):
-        assert carma31.p == 3
-        assert carma31.q == 1
-        assert carma31.b == (0.2, 0.3, 0.0)
+        assert len(carma31.ar[0]) == 3
+        assert carma31.q == ((1,),)
+        assert carma31.ma == (((0.2, 0.3, 0.0),),)
 
     def test_full_length_ma_allowed(self):
         spec = UnivariateSpec(mu=0.5, a=(3.0, 2.0), b=(1.0, 0.4))
-        assert spec.q == 1
+        assert spec.q == ((1,),)
 
     def test_rejects_negative_leading_ma(self):
         with pytest.raises(ValueError):
@@ -50,7 +51,7 @@ class TestSpecConstruction:
 
     def test_all_zero_ma_is_poisson(self):
         spec = UnivariateSpec(mu=0.3, a=(1.0,), b=(0.0,))
-        assert kernel_value(spec, 1.3) == 0.0
+        assert channel_kernel(spec, 1, 1, 1.3) == 0.0
 
     def test_rejects_bad_baseline_and_shapes(self):
         with pytest.raises(ValueError):
@@ -65,13 +66,52 @@ class TestSpecConstruction:
             UnivariateSpec(mu=0.3, a=(2.0, math.inf), b=(1.0,))
 
     def test_bivariate_padding_and_q(self, biv_cross):
-        assert biv_cross.p == (2, 1)
-        assert biv_cross.q == (1, 0, 0, 0)
-        assert biv_cross.b21 == (1.0, 0.0)
+        assert tuple(map(len, biv_cross.ar)) == (2, 1)
+        assert biv_cross.q == ((1, 0), (0, 0))
+        assert biv_cross.ma[1][0] == (1.0, 0.0)
 
     def test_bivariate_allows_zero_lead(self, biv_lagged):
-        assert biv_lagged.b22 == (0.0, 1.0)
-        assert biv_lagged.q == (0, 1, 0, 1)
+        assert biv_lagged.ma[1][1] == (0.0, 1.0)
+        assert biv_lagged.q == ((0, 1), (0, 1))
+
+    def test_constructors_give_one_spec_class(self, hawkes, biv_cross):
+        assert hawkes == Spec(mu=(0.3,), ar=((3.0,),), ma=(((1.0,),),))
+        assert biv_cross == Spec(
+            mu=(0.3, 0.3), ar=((3.0, 2.0), (4.0,)),
+            ma=(((1.0, 0.7), (1.0,)), ((1.0,), (0.3,))),
+        )
+        assert (hawkes.n_components, biv_cross.n_components) == (1, 2)
+
+    def test_at_most_nine_components(self):
+        def spec(d):
+            return Spec(mu=(0.3,) * d, ar=((2.0,),) * d, ma=(((0.1,),) * d,) * d)
+
+        assert spec(9).n_components == 9
+        for d in (0, 10):
+            with pytest.raises(ValueError, match="1 to 9 components"):
+                spec(d)
+
+    def test_rejects_mismatched_shapes(self):
+        ar = ((2.0,), (3.0, 1.0))
+        ma = (((0.5,), (0.1,)), ((0.1,), (0.5,)))
+        Spec(mu=(0.3, 0.3), ar=ar, ma=ma)
+        for bad in (
+            dict(mu=0.3, ar=ar, ma=ma),  # a scalar baseline
+            dict(mu=(0.3, 0.3), ar=ar[:1], ma=ma),  # one AR block short
+            dict(mu=(0.3, 0.3), ar=(ar[0], ()), ma=ma),  # an empty block
+            dict(mu=(0.3, 0.3), ar=ar, ma=ma[:1]),  # one MA row short
+            dict(mu=(0.3, 0.3), ar=ar, ma=(ma[0], ma[1][:1])),  # a row too short
+            dict(mu=(0.3, 0.3), ar=ar, ma=(((0.5, 0.1), (0.1,)), ma[1])),  # q >= p
+            dict(mu=(0.3, 0.3), ar=ar, ma=((0.5, 0.1), ma[1])),  # numbers for vectors
+        ):
+            with pytest.raises(ValueError):
+                Spec(**bad)
+
+    def test_positive_lead_only_for_one_component(self):
+        with pytest.raises(ValueError, match="must be > 0"):
+            Spec(mu=(0.3,), ar=((2.0,),), ma=(((-1.0,),),))
+        spec = Spec(mu=(0.3, 0.3), ar=((2.0,), (2.0,)), ma=(((-0.1,), (0.0,)), ((0.0,), (0.5,))))
+        assert spec.ma[0][0] == (-0.1,)
 
     def test_bivariate_rejects_bad_mu(self):
         with pytest.raises(ValueError):
@@ -120,7 +160,7 @@ class TestValidate:
         for spec in util.univariate_sets():
             rep = validate(spec)
             span = 50.0 / abs(rep.decay)
-            integral, _ = quad(lambda t: kernel_value(spec, t), 0, span, limit=200)
+            integral, _ = quad(lambda t: channel_kernel(spec, 1, 1, t), 0, span, limit=200)
             assert rep.branching == pytest.approx(integral, abs=1e-6)
 
     def test_bivariate_branching_matrix_and_radius(self, biv_cross):
@@ -142,6 +182,24 @@ class TestValidate:
         assert mins["h22"] < -0.01
         assert mins["h11"] >= -1e-12
         assert rep.spectral_radius == pytest.approx(0.5)
+
+    def test_three_components_report_as_multivariate(self, hawkes, biv_cross):
+        spec = load_spec(util.MODELS / "trivariate_cyclic.json")
+        rep = validate(spec)
+        assert rep.admissible
+        assert [validate(s).process_type for s in (hawkes, biv_cross, spec)] == [
+            "univariate", "bivariate", "multivariate"
+        ]
+        # the cycle 1 -> 2 -> 3 -> 1 on top of self-excitation: b0 / a_p per entry
+        np.testing.assert_allclose(
+            rep.branching_matrix, ((0.5, 0.0, 0.3), (0.3, 0.3, 0.0), (0.0, 0.4, 0.2)), atol=1e-15
+        )
+        assert rep.branching is None
+        assert sorted(dict(rep.kernel_mins)) == [f"h{c}{m}" for c in "123" for m in "123"]
+        assert rep.spectral_radius == pytest.approx(
+            max(abs(np.linalg.eigvals(np.array(rep.branching_matrix)))), rel=1e-12
+        )
+        assert rep.spectral_radius < 1
 
     def test_bivariate_branching_matrix_matches_quadrature(self, biv_lagged):
         rep = validate(biv_lagged)
@@ -190,12 +248,12 @@ class TestValidate:
 class TestKernel:
     def test_carma21_values(self, carma21):
         # oracle: h(t) = 0.7 e^-t - 0.4 e^-2t (partial fractions by hand)
-        assert kernel_value(carma21, 0.0) == pytest.approx(0.3, abs=1e-12)
+        assert channel_kernel(carma21, 1, 1, 0.0) == pytest.approx(0.3, abs=1e-12)
         expected = 0.7 * math.exp(-1.0) - 0.4 * math.exp(-2.0)
-        assert kernel_value(carma21, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert channel_kernel(carma21, 1, 1, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_hawkes_value(self, hawkes):
-        assert kernel_value(hawkes, 1.0) == pytest.approx(math.exp(-3.0), rel=1e-12)
+        assert channel_kernel(hawkes, 1, 1, 1.0) == pytest.approx(math.exp(-3.0), rel=1e-12)
 
     def test_kernel_at_zero_equals_last_ma_entry(self):
         from carma_hawkes import dynamics
@@ -209,13 +267,13 @@ class TestKernel:
             # the spectral sum telescopes to b[p-1]; allow rounding at the
             # scale of the cancelled terms
             scale = max(1.0, sum(abs(w * dz) for w, dz in zip(dyn.weights[0], dyn.jumps[0])))
-            assert kernel_value(spec, 0.0) == pytest.approx(
-                spec.b[-1], abs=1e-12 * scale
+            assert channel_kernel(spec, 1, 1, 0.0) == pytest.approx(
+                spec.ma[0][0][-1], abs=1e-12 * scale
             )
 
     def test_negative_time_rejected(self, hawkes):
         with pytest.raises(ValueError):
-            kernel_value(hawkes, -0.1)
+            channel_kernel(hawkes, 1, 1, -0.1)
 
     def test_channel_kernels_at_zero(self, biv_cross):
         # h_{i,j}(0) = last padded entry of b_{i,j}
@@ -223,6 +281,9 @@ class TestKernel:
         assert channel_kernel(biv_cross, 2, 1, 0.0) == pytest.approx(0.0, abs=1e-12)
         assert channel_kernel(biv_cross, 1, 2, 0.0) == pytest.approx(1.0, abs=1e-12)
         assert channel_kernel(biv_cross, 2, 2, 0.0) == pytest.approx(0.3, abs=1e-12)
+        for target, source in ((0, 1), (1, 3), (3, 2)):
+            with pytest.raises(ValueError, match="must be in 1..2"):
+                channel_kernel(biv_cross, target, source, 0.0)
 
 
 class TestStateEvolution:
@@ -282,16 +343,16 @@ class TestStateEvolution:
         rng = np.random.default_rng(31)
         for _ in range(20):
             spec = util.random_univariate_spec(rng, p_max=4)
-            sd = spectral_decompose(spec.a)
+            sd = spectral_decompose(spec.ar[0])
             n_ev = int(rng.integers(1, 21))
             times = np.sort(rng.uniform(0.0, 10.0, size=n_ev))
             state = initial_state(spec)
             for t in times:
                 state = apply_event(spec, state, float(t))
             t_end = float(times[-1])
-            e_vec = np.zeros(spec.p)
+            e_vec = np.zeros(len(spec.ar[0]))
             e_vec[-1] = 1.0
-            direct = np.zeros(spec.p)
+            direct = np.zeros(len(spec.ar[0]))
             for t in times:
                 direct += exp_action(sd, e_vec, t_end - float(t))
             got = state_vector(spec, state)
@@ -396,28 +457,35 @@ class TestBivariateDecoupling:
         np.testing.assert_allclose(lam_full[:, 1], lam_2[:, 1], rtol=1e-12, atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_diagonal_blocks_validate_as_univariate(self, seed):
-        # with b12 = b21 = 0 a bivariate spec is two univariate models side by
-        # side, so the two forms of validate and stationary_rates must agree
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4))
+    def test_diagonal_blocks_validate_as_univariate(self, seed, d):
+        # with every cross-excitation MA vector zero a d-component spec is d
+        # univariate models side by side, so validate and stationary_rates
+        # must agree with those of the parts
         rng = np.random.default_rng(seed)
-        u1, u2 = util.random_univariate_spec(rng), util.random_univariate_spec(rng)
-        spec = BivariateSpec(
-            mu=(u1.mu, u2.mu), a1=u1.a, a2=u2.a, b11=u1.b, b12=(0.0,), b21=(0.0,), b22=u2.b
+        parts = [util.random_univariate_spec(rng) for _ in range(d)]
+        spec = util.diagonal_spec(parts)
+        rep, reps = validate(spec), [validate(u) for u in parts]
+        assert rep.flags == tuple(
+            f for f in ("NonStationary", "KernelNegative") if any(f in r.flags for r in reps)
         )
-        rep, rep1, rep2 = validate(spec), validate(u1), validate(u2)
-        assert rep.branching_matrix[0][0] == rep1.branching
-        assert rep.branching_matrix[1][1] == rep2.branching
-        assert rep.branching_matrix[0][1] == rep.branching_matrix[1][0] == 0.0
-        mins = dict(rep.kernel_mins)
-        for name, uni, uni_rep in (("h11", u1, rep1), ("h22", u2, rep2)):
-            # the grid sums cancel; allow rounding at the scale of their terms
-            dyn = model.dynamics(uni)
-            scale = sum(abs(w * dz) for w, dz in zip(dyn.weights[0], dyn.jumps[0]))
-            assert mins[name] == pytest.approx(uni_rep.kernel_min, rel=1e-12, abs=1e-14 * scale)
-        assert mins["h12"] == mins["h21"] == 0.0
-        rates = stationary_rates(u1) + stationary_rates(u2)
+        rates = sum((stationary_rates(u) for u in parts), ())
         assert stationary_rates(spec) == pytest.approx(rates, rel=1e-12)
+        if d == 1:
+            assert rep == reps[0]
+            return
+        mins = dict(rep.kernel_mins)
+        for c, m in itertools.product(range(d), repeat=2):
+            if c != m:
+                assert rep.branching_matrix[c][m] == mins[f"h{c + 1}{m + 1}"] == 0.0
+                continue
+            assert rep.branching_matrix[c][c] == reps[c].branching
+            # the grid sums cancel; allow rounding at the scale of their terms
+            dyn = model.dynamics(parts[c])
+            scale = sum(abs(w * dz) for w, dz in zip(dyn.weights[0], dyn.jumps[0]))
+            assert mins[f"h{c + 1}{c + 1}"] == pytest.approx(
+                reps[c].kernel_min, rel=1e-12, abs=1e-14 * scale
+            )
 
 
 class TestSampledPaths:
@@ -553,8 +621,27 @@ class TestRatesAndIO:
         spec = spec_from_dict(
             {"type": "univariate", "mu": 0.3, "a": [3.0, 2.0], "b": [1.0]}
         )
-        assert spec.p == 2
-        assert spec.q == 0
+        assert len(spec.ar[0]) == 2
+        assert spec.q == ((0,),)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4))
+    def test_dict_roundtrip_any_component_count(self, seed, d):
+        spec = util.random_spec(np.random.default_rng(seed), d)
+        data = json.loads(json.dumps(spec_to_dict(spec)))
+        assert data["type"] == ("univariate", "bivariate", "multivariate", "multivariate")[d - 1]
+        again = spec_from_dict(data)
+        assert again == spec
+        assert spec_hash(again) == spec_hash(spec)
+
+    def test_multivariate_form_of_any_size(self, hawkes, biv_cross):
+        assert spec_from_dict({"type": "multivariate", "mu": [0.3], "a": [[3.0]], "b": [[[1.0]]]}) == hawkes
+        data = {
+            "type": "multivariate", "mu": [0.3, 0.3], "a": [[3.0, 2.0], [4.0]],
+            "b": [[[1.0, 0.7], [1.0]], [[1.0], [0.3]]],
+        }
+        assert spec_from_dict(data) == biv_cross
+        assert spec_to_dict(biv_cross)["type"] == "bivariate"
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
@@ -574,6 +661,7 @@ class TestRatesAndIO:
             "bivariate_independent.json": True,
             "bivariate_cross.json": True,
             "bivariate_lagged.json": False,
+            "trivariate_cyclic.json": True,
         }
         for name, ok in admissible.items():
             spec = load_spec(models / name)

@@ -79,8 +79,8 @@ class TestDecompose:
 
     def test_root_residuals(self):
         rng = np.random.default_rng(7)
-        polys = [s.a for s in util.univariate_sets()]
-        polys += [util.random_univariate_spec(rng).a for _ in range(30)]
+        polys = [s.ar[0] for s in util.univariate_sets()]
+        polys += [util.random_univariate_spec(rng).ar[0] for _ in range(30)]
         for a in polys:
             sd = spectral_decompose(a)
             tol = 1e-9 * max(1.0, max(abs(c) for c in a))
@@ -93,7 +93,7 @@ class TestDecompose:
 
     def test_sinv_e_times_aprime_is_one(self):
         for spec in util.univariate_sets():
-            sd = spectral_decompose(spec.a)
+            sd = spectral_decompose(spec.ar[0])
             for se, ap in zip(sd.sinv_e, sd.aprime):
                 assert se * ap == pytest.approx(1.0 + 0j, abs=1e-12)
 
@@ -102,8 +102,7 @@ class TestNormInequality:
     def test_mode_factors_bounded_by_decay_envelope(self):
         # each |exp(lam_j t)| <= exp(decay t), attained at the max-real root
         for spec in util.univariate_sets() + [util.biv_lagged()]:
-            polys = [spec.a] if hasattr(spec, "a") else [spec.a1, spec.a2]
-            for a in polys:
+            for a in spec.ar:
                 sd = spectral_decompose(a)
                 for t in np.linspace(0.0, 5.0, 23):
                     env = math.exp(sd.decay * t)
@@ -140,7 +139,7 @@ class TestExpAction:
         rng = np.random.default_rng(11)
         for _ in range(25):
             spec = util.random_univariate_spec(rng, p_max=4)
-            sd = spectral_decompose(spec.a)
+            sd = spectral_decompose(spec.ar[0])
             v = rng.standard_normal(sd.p)
             t1, t2 = rng.uniform(0.05, 2.0, size=2)
             once = exp_action(sd, v, t1 + t2)
@@ -153,7 +152,7 @@ class TestExpAction:
         rng = np.random.default_rng(13)
         for _ in range(20):
             spec = util.random_univariate_spec(rng, p_max=4)
-            sd = spectral_decompose(spec.a)
+            sd = spectral_decompose(spec.ar[0])
             v = rng.standard_normal(sd.p).astype(complex)
             out = exp_action(sd, v, float(rng.uniform(0.0, 3.0)))
             assert float(np.max(np.abs(out.imag))) < 1e-10
@@ -197,9 +196,9 @@ class TestBoundConstant:
         specs = util.univariate_sets()
         specs += [util.random_univariate_spec(rng) for _ in range(40)]
         for spec in specs:
-            sd = spectral_decompose(spec.a)
-            k_spec = _l2(ma_value(spec.b, lam) for lam in sd.eigenvalues) * _l2(
+            sd = spectral_decompose(spec.ar[0])
+            k_spec = _l2(ma_value(spec.ma[0][0], lam) for lam in sd.eigenvalues) * _l2(
                 sd.sinv_e
             )
-            k_dense = _bound_constant_dense(sd, spec.b)
+            k_dense = _bound_constant_dense(sd, spec.ma[0][0])
             assert abs(k_spec - k_dense) <= 1e-12 * max(k_spec, k_dense, 1e-300)

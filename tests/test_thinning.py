@@ -18,6 +18,7 @@ from carma_hawkes import (
     HorizonNonPositive,
     NonStationarySpec,
     ScriptedUniforms,
+    Spec,
     UniformStream,
     UnivariateSpec,
     bound_after_event,
@@ -28,8 +29,6 @@ from carma_hawkes import (
     intensity_path,
     read_events_csv,
     simulate,
-    simulate_bivariate,
-    simulate_univariate,
     spec_hash,
     stationary_rates,
     validate,
@@ -133,7 +132,7 @@ class TestHandTraces:
     def test_first_arrival_from_scripted_uniform(self, hawkes):
         # u1 = e^{-0.3} makes the first arrival land at t = 1
         u_stop = 1e-300  # forces the next candidate far past the horizon
-        log = simulate_univariate(
+        log = simulate(
             hawkes, 5.0, rng=ScriptedUniforms([math.exp(-0.3), u_stop])
         )
         assert len(log) == 1
@@ -142,7 +141,7 @@ class TestHandTraces:
 
     def test_first_arrival_past_horizon_gives_empty_log(self, hawkes):
         # small u1 -> large first arrival
-        log = simulate_univariate(hawkes, 0.5, rng=ScriptedUniforms([math.exp(-0.3)]))
+        log = simulate(hawkes, 0.5, rng=ScriptedUniforms([math.exp(-0.3)]))
         assert len(log) == 0
         assert log.meta.proposed == 1
         assert log.meta.accepted == 0
@@ -150,25 +149,25 @@ class TestHandTraces:
     def test_rejection_then_termination(self, carma21):
         # candidate at ~1, rejected with D close to 1, then stop
         stream = ScriptedUniforms([math.exp(-0.3), 0.9, 0.999999, 1e-300])
-        log = simulate_univariate(carma21, 30.0, rng=stream)
+        log = simulate(carma21, 30.0, rng=stream)
         assert len(log) == 1  # only the first arrival survives
 
     def test_bivariate_first_arrival_routing(self, biv_independent):
         # u1 = e^{-0.6}, u2 = e^{-0.3}: candidates at 2 and 1, component 2 first
         stream = ScriptedUniforms([math.exp(-0.6), math.exp(-0.3), 1e-300])
-        log = simulate_bivariate(biv_independent, 5.0, rng=stream)
+        log = simulate(biv_independent, 5.0, rng=stream)
         assert len(log) == 1
         assert log.times[0] == pytest.approx(1.0, abs=1e-12)
         assert log.marks == (2,)
 
     def test_bivariate_tie_goes_to_component_one(self, biv_independent):
         stream = ScriptedUniforms([0.5, 0.5, 1e-300])
-        log = simulate_bivariate(biv_independent, 10.0, rng=stream)
+        log = simulate(biv_independent, 10.0, rng=stream)
         assert log.marks == (1,)
 
     def test_bivariate_empty_when_both_candidates_late(self, biv_independent):
         stream = ScriptedUniforms([math.exp(-0.6), math.exp(-0.6)])
-        log = simulate_bivariate(biv_independent, 1.0, rng=stream)
+        log = simulate(biv_independent, 1.0, rng=stream)
         assert len(log) == 0
 
 
@@ -176,13 +175,13 @@ class TestSimulationGuards:
     def test_horizon_validation(self, hawkes):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(HorizonNonPositive):
-                simulate_univariate(hawkes, bad, rng=1)
+                simulate(hawkes, bad, rng=1)
 
     def test_nonstationary_refused_without_override(self):
         spec = UnivariateSpec(mu=0.3, a=(2.0,), b=(3.0,))
         with pytest.raises(NonStationarySpec):
-            simulate_univariate(spec, 10.0, rng=1)
-        log = simulate_univariate(spec, 20.0, rng=1, override_validation=True)
+            simulate(spec, 10.0, rng=1)
+        log = simulate(spec, 20.0, rng=1, override_validation=True)
         assert len(log) > 0
 
     def test_positive_decay_never_simulable(self):
@@ -190,23 +189,15 @@ class TestSimulationGuards:
         # events; the proposal construction breaks, so no override applies
         spec = UnivariateSpec(mu=0.3, a=(-0.5,), b=(0.1,))
         with pytest.raises(NonStationarySpec):
-            simulate_univariate(spec, 10.0, rng=1)
+            simulate(spec, 10.0, rng=1)
         with pytest.raises(NonStationarySpec):
-            simulate_univariate(spec, 10.0, rng=1, override_validation=True)
+            simulate(spec, 10.0, rng=1, override_validation=True)
 
     def test_kernel_negative_refused_without_override(self, biv_lagged):
         with pytest.raises(NonStationarySpec):
-            simulate_bivariate(biv_lagged, 10.0, rng=1)
-        log = simulate_bivariate(biv_lagged, 50.0, rng=1, override_validation=True)
+            simulate(biv_lagged, 10.0, rng=1)
+        log = simulate(biv_lagged, 50.0, rng=1, override_validation=True)
         assert len(log) > 0
-
-    def test_wrong_spec_type_rejected(self, hawkes, biv_independent):
-        with pytest.raises(TypeError):
-            simulate_univariate(biv_independent, 10.0, rng=1)
-        with pytest.raises(TypeError):
-            simulate_bivariate(hawkes, 10.0, rng=1)
-        with pytest.raises(TypeError):
-            simulate(object(), 10.0, rng=1)
 
     def test_dispatch(self, hawkes, biv_independent):
         assert simulate(hawkes, 20.0, rng=3).marks.count(2) == 0
@@ -215,13 +206,13 @@ class TestSimulationGuards:
 
 class TestDeterminismAndMeta:
     def test_same_seed_same_log(self, carma21, biv_cross):
-        a = simulate_univariate(carma21, 300.0, rng=1234)
-        b = simulate_univariate(carma21, 300.0, rng=1234)
+        a = simulate(carma21, 300.0, rng=1234)
+        b = simulate(carma21, 300.0, rng=1234)
         assert a.times == b.times and a.marks == b.marks
-        c = simulate_bivariate(biv_cross, 300.0, rng=1234)
-        d = simulate_bivariate(biv_cross, 300.0, rng=1234)
+        c = simulate(biv_cross, 300.0, rng=1234)
+        d = simulate(biv_cross, 300.0, rng=1234)
         assert c.times == d.times and c.marks == d.marks
-        assert a.times != simulate_univariate(carma21, 300.0, rng=1235).times
+        assert a.times != simulate(carma21, 300.0, rng=1235).times
 
     def test_negative_intensity_routing_pinned(self, biv_lagged):
         # biv_lagged's intensities dip below zero, so a candidate above the
@@ -231,7 +222,7 @@ class TestDeterminismAndMeta:
         assert (len(log), log.meta.proposed, log.marks.count(1)) == (1990, 20030, 1379)
 
     def test_meta_counters(self, carma21):
-        log = simulate_univariate(carma21, 500.0, rng=7)
+        log = simulate(carma21, 500.0, rng=7)
         m = log.meta
         assert m.accepted == len(log)
         assert m.proposed >= m.accepted
@@ -275,7 +266,7 @@ class TestDomination:
         assert again.meta.proposed == log.meta.proposed
 
     def test_exponential_case_envelope_is_tight(self, hawkes):
-        log = simulate_univariate(hawkes, 300.0, rng=19)
+        log = simulate(hawkes, 300.0, rng=19)
         ts = np.sort(np.random.default_rng(67).uniform(0.0, 300.0, size=500))
         gap = bound_path(hawkes, log, ts) - intensity_path(hawkes, log, ts)
         assert np.max(np.abs(gap)) < 1e-12
@@ -410,33 +401,26 @@ class TestCompiledKernel:
             ref = util.thin_reference(carma31, 300.0, seed)
             assert (log.times, log.marks, log.meta.proposed) == ref
 
-    def test_three_components(self, monkeypatch):
-        # a hand-built cyclic 1 -> 2 -> 3 -> 1 Dynamics (EventLog takes only
-        # marks 1 and 2, so the kernel is driven directly): blocks of orders
-        # 1, 2 (a conjugate pair) and 1, one per component
-        from carma_hawkes import model, thinning
-
-        class Cyclic:
-            block_form = (
-                ((1.0,), (1.0, 2.0), (2.0,)),
-                (
-                    ((0.2,), (0.0, 0.0), (0.5,)),
-                    ((0.5,), (0.3, 0.2), (0.0,)),
-                    ((0.0,), (0.6, 0.4), (0.3,)),
-                ),
-                (0.2, 0.3, 0.25),
-            )
-
-        dyn = model.dynamics.__wrapped__(Cyclic())
-        assert mode_kinds(dyn) == ["real", "pair", "conj", "real"]
-        monkeypatch.setattr(util, "dynamics", lambda spec: dyn)
+    def test_three_components(self):
+        # a cyclic 1 -> 2 -> 3 -> 1 spec with blocks of orders 1, 2 (a
+        # conjugate pair) and 1, one per component
+        spec = Spec(
+            mu=(0.2, 0.3, 0.25),
+            ar=((1.0,), (1.0, 2.0), (2.0,)),
+            ma=(
+                ((0.2,), (0.0, 0.0), (0.5,)),
+                ((0.5,), (0.3, 0.2), (0.0,)),
+                ((0.0,), (0.6, 0.4), (0.3,)),
+            ),
+        )
+        assert mode_kinds(dynamics(spec)) == ["real", "pair", "conj", "real"]
         for seed in range(1, 6):
-            times, marks, proposed, squeezed = thinning._run(dyn, 200.0, UniformStream(seed))
-            assert set(marks) == {1, 2, 3}
-            assert (tuple(times), tuple(marks), proposed) == util.thin_reference(
-                Cyclic(), 200.0, seed
+            log = simulate(spec, 200.0, rng=seed, override_validation=True)
+            assert set(log.marks) == {1, 2, 3}
+            assert (log.times, log.marks, log.meta.proposed) == util.thin_reference(
+                spec, 200.0, seed
             )
-            assert 0 < squeezed <= proposed - len(times)
+            assert 0 < log.meta.squeezed <= log.meta.proposed - len(log)
 
     def test_exact_zero_uniform_is_redrawn(self, carma31):
         # the kernel reads a UniformStream's generator directly; a 0.0 from
@@ -489,12 +473,12 @@ class TestCompiledKernel:
 
 class TestLongRunRates:
     def test_univariate_rate_near_theory(self, carma21):
-        log = simulate_univariate(carma21, 5000.0, rng=2024)
+        log = simulate(carma21, 5000.0, rng=2024)
         rate = len(log) / 5000.0
         assert rate == pytest.approx(stationary_rates(carma21)[0], rel=0.05)
 
     def test_bivariate_rates_near_theory(self, biv_cross):
-        log = simulate_bivariate(biv_cross, 5000.0, rng=2024)
+        log = simulate(biv_cross, 5000.0, rng=2024)
         r1, r2 = stationary_rates(biv_cross)
         assert len(log.times_of(1)) / 5000.0 == pytest.approx(r1, rel=0.07)
         assert len(log.times_of(2)) / 5000.0 == pytest.approx(r2, rel=0.07)
@@ -510,13 +494,17 @@ class TestEventLogContainer:
             util.make_log([0.0, 1.0])
 
     def test_rejects_bad_marks(self):
-        with pytest.raises(ValueError):
-            util.make_log([1.0], [3])
+        for bad in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="marks must be integers >= 1"):
+                util.make_log([1.0, 2.0], [1, bad])
+        # any integer mark >= 1 is a log's own business; whether the spec
+        # has that component is checked where the spec is known
+        assert util.make_log([1.0, 2.0], [3, 12]).marks == (3, 12)
         with pytest.raises(ValueError):
             EventLog(times=(1.0, 2.0), marks=(1,), meta=util.make_log([1.0]).meta)
 
     def test_csv_roundtrip(self, tmp_path, biv_cross):
-        log = simulate_bivariate(biv_cross, 200.0, rng=5)
+        log = simulate(biv_cross, 200.0, rng=5)
         csv_path = tmp_path / "events.csv"
         meta_path = tmp_path / "events.meta.json"
         write_events_csv(log, csv_path)
@@ -528,7 +516,7 @@ class TestEventLogContainer:
         assert again.meta.spec_hash == log.meta.spec_hash
 
     def test_sidecar_carries_squeezed(self, tmp_path, carma31):
-        log = simulate_univariate(carma31, 200.0, rng=5)
+        log = simulate(carma31, 200.0, rng=5)
         csv_path = tmp_path / "events.csv"
         meta_path = tmp_path / "events.meta.json"
         write_events_csv(log, csv_path)
@@ -539,7 +527,7 @@ class TestEventLogContainer:
         assert read_events_csv(csv_path, meta_path).meta.squeezed == 0
 
     def test_csv_without_meta(self, tmp_path, carma21):
-        log = simulate_univariate(carma21, 50.0, rng=5)
+        log = simulate(carma21, 50.0, rng=5)
         path = tmp_path / "events.csv"
         write_events_csv(log, path)
         again = read_events_csv(path)

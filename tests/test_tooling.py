@@ -65,3 +65,10 @@ def test_summarize_calls_residual_transform_per_component(monkeypatch):
     spec = util.biv_cross()
     diagnostics.summarize(spec, simulate(spec, 50.0, rng=1))
     assert calls == [1, 2]
+
+
+def test_exports_resolve_and_are_sorted():
+    # a name removed from the package must leave __all__ with it
+    names = carma_hawkes.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(carma_hawkes, name)] == []

@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import math
 from operator import add, mul
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from carma_hawkes import (
     BoundViolation,
     EventLog,
     SimulationMeta,
+    Spec,
     UniformStream,
     UnivariateSpec,
     apply_event,
@@ -27,23 +29,26 @@ from carma_hawkes import (
     spec_hash,
 )
 
+# The bundled model files.
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
 # The three univariate demo parameter sets (orders 1, 2, 3).
 A31 = (1.3, 0.34 + math.pi**2 / 4, 0.025 + 0.025 * math.pi**2)
 
 
-def hawkes_spec() -> UnivariateSpec:
+def hawkes_spec() -> Spec:
     return UnivariateSpec(mu=0.3, a=(3.0,), b=(1.0,))
 
 
-def carma21_spec() -> UnivariateSpec:
+def carma21_spec() -> Spec:
     return UnivariateSpec(mu=0.3, a=(3.0, 2.0), b=(1.0, 0.3))
 
 
-def carma31_spec() -> UnivariateSpec:
+def carma31_spec() -> Spec:
     return UnivariateSpec(mu=0.3, a=A31, b=(0.2, 0.3))
 
 
-def biv_independent() -> BivariateSpec:
+def biv_independent() -> Spec:
     # two exponential components, no cross-excitation
     return BivariateSpec(
         mu=(0.3, 0.3), a1=(3.0,), a2=(2.0,),
@@ -51,7 +56,7 @@ def biv_independent() -> BivariateSpec:
     )
 
 
-def biv_cross() -> BivariateSpec:
+def biv_cross() -> Spec:
     # order (2,1) with both cross-excitation channels active
     return BivariateSpec(
         mu=(0.3, 0.3), a1=(3.0, 2.0), a2=(4.0,),
@@ -59,7 +64,7 @@ def biv_cross() -> BivariateSpec:
     )
 
 
-def biv_lagged() -> BivariateSpec:
+def biv_lagged() -> Spec:
     # order (1,2); the lagged channels (leading MA coefficient zero) dip
     # negative, so this one only simulates with the validation override
     return BivariateSpec(
@@ -121,7 +126,7 @@ def poly_from_roots(roots) -> tuple[float, ...]:
     return tuple(float(c) for c in coeffs.real[1:])
 
 
-def random_univariate_spec(rng: np.random.Generator, p_max: int = 5) -> UnivariateSpec:
+def random_univariate_spec(rng: np.random.Generator, p_max: int = 5) -> Spec:
     p = int(rng.integers(1, p_max + 1))
     a = poly_from_roots(random_stable_roots(rng, p))
     q = int(rng.integers(0, p))
@@ -132,7 +137,7 @@ def random_univariate_spec(rng: np.random.Generator, p_max: int = 5) -> Univaria
     return UnivariateSpec(mu=float(rng.uniform(0.1, 1.0)), a=a, b=tuple(b))
 
 
-def random_bivariate_spec(rng: np.random.Generator, p_max: int = 3) -> BivariateSpec:
+def random_bivariate_spec(rng: np.random.Generator, p_max: int = 3) -> Spec:
     p1 = int(rng.integers(1, p_max + 1))
     p2 = int(rng.integers(1, p_max + 1))
     a1 = poly_from_roots(random_stable_roots(rng, p1))
@@ -160,6 +165,38 @@ def random_bivariate_spec(rng: np.random.Generator, p_max: int = 3) -> Bivariate
         mu=(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0))),
         a1=a1, a2=a2,
         b11=tuple(b11), b12=tuple(b12), b21=tuple(b21), b22=tuple(b22),
+    )
+
+
+def random_spec(rng: np.random.Generator, d: int, p_max: int = 3) -> Spec:
+    """A d-component spec of stable AR blocks and MA vectors of random
+    supplied lengths, the diagonal ones with a positive lead; not
+    necessarily admissible."""
+    ar = [poly_from_roots(random_stable_roots(rng, int(rng.integers(1, p_max + 1)))) for _ in range(d)]
+
+    def ma(c, m):
+        v = rng.uniform(-0.5, 0.5, size=int(rng.integers(1, len(ar[m]) + 1)))
+        if c == m:
+            v[0] = rng.uniform(0.1, 1.0)
+        return tuple(v)
+
+    return Spec(
+        mu=tuple(rng.uniform(0.1, 1.0, size=d)),
+        ar=tuple(ar),
+        ma=tuple(tuple(ma(c, m) for m in range(d)) for c in range(d)),
+    )
+
+
+def diagonal_spec(parts) -> Spec:
+    """One-component specs side by side as one spec: part c's AR block and MA
+    vector on the diagonal, every cross-excitation MA vector zero."""
+    return Spec(
+        mu=tuple(u.mu[0] for u in parts),
+        ar=tuple(u.ar[0] for u in parts),
+        ma=tuple(
+            tuple(u.ma[0][0] if m == c else (0.0,) for m in range(len(parts)))
+            for c, u in enumerate(parts)
+        ),
     )
 
 
