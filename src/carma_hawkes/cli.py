@@ -47,6 +47,7 @@ from .thinning import (
     bound_path,
     read_events_csv,
     simulate,
+    write_csv_rows,
     write_events_csv,
     write_meta_json,
 )
@@ -59,8 +60,6 @@ EXIT_BOUND_VIOLATION = 4
 # Largest --trace-intensity grid, in rows: horizon / step + 1 beyond it is
 # refused before any simulation runs.
 TRACE_MAX_ROWS = 10**7
-# Trace rows formatted per write, which bounds the string held in memory.
-TRACE_CHUNK_ROWS = 1 << 14
 
 
 def _fail(msg: str, code: int) -> int:
@@ -85,10 +84,7 @@ def _write_trace(spec, log, horizon: float, dt: float, path: Path) -> None:
     row = ",".join(["%.15g"] * (n_comp + 2)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["time", *names, "bound"]) + "\n")
-        for start in range(0, len(grid), TRACE_CHUNK_ROWS):
-            part = slice(start, start + TRACE_CHUNK_ROWS)
-            chunk = np.column_stack((grid[part], lam[part], bar[part]))
-            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+        write_csv_rows(fh, row, (grid, *lam.T, bar))
 
 
 def _checked_run(args):
@@ -104,7 +100,7 @@ def _checked_run(args):
         return None, _fail("seed must be a non-negative integer", EXIT_BAD_CONFIG)
     report = validate(spec)
     if not report.admissible and not args.force:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
         return None, _fail(
             f"spec failed validation ({', '.join(report.flags)}); use --force to simulate anyway",
             EXIT_VALIDATION,
@@ -272,7 +268,7 @@ def cmd_validate(args) -> int:
     if spec is None:
         return EXIT_BAD_CONFIG
     report = validate(spec)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
     return EXIT_OK if report.admissible else EXIT_VALIDATION
 
 
@@ -330,12 +326,13 @@ def cmd_bench(args) -> int:
         "proposed": total_proposed,
         "wall_seconds": wall,
         "simulate_seconds": simulate_seconds,
-        "events_per_sec": total_events / wall if wall > 0 else math.inf,
-        "proposals_per_sec": total_proposed / wall if wall > 0 else math.inf,
+        # a rate over no measurable time is null, as JSON has no infinity
+        "events_per_sec": total_events / wall if wall > 0 else None,
+        "proposals_per_sec": total_proposed / wall if wall > 0 else None,
         "acceptance_ratio": total_events / total_proposed if total_proposed else 0.0,
         "squeezed_share": total_squeezed / total_proposed if total_proposed else 0.0,
     }
-    print(json.dumps(result, indent=2))
+    print(json.dumps(result, indent=2, allow_nan=False))
     return EXIT_OK
 
 

@@ -37,7 +37,7 @@ from .model import (  # the scan's block limits are re-exported
     spec_hash,
     stationary_rates,
 )
-from .thinning import EventLog
+from .thinning import EventLog, write_csv_rows
 
 # Terms of the asymptotic p-value series are dropped below this size, so the
 # alternating-series truncation error stays under 1e-10.
@@ -239,5 +239,4 @@ def write_report_json(report: DiagnosticsReport, path) -> None:
 def write_residuals_csv(series: ResidualSeries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tau\n")
-        for tau in series.taus:
-            fh.write(f"{tau:.15g}\n")
+        write_csv_rows(fh, "%.15g\n", (series.taus,))

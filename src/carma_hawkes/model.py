@@ -351,15 +351,25 @@ def _kernel_grid(decay: float) -> np.ndarray:
     )
 
 
-def _kernel_min_on_grid(dyn: Dynamics, comp: int, mark: int, decay: float) -> float:
+def _kernel_mins_on_grid(dyn: Dynamics, mark: int, decay: float) -> list[float]:
+    """Grid minimum of h_{c,mark} for every target component c.  The kernels
+    of one source have terms on its block's modes only, the modes a mark
+    event jumps, and share their exponentials on the grid."""
     ts = _kernel_grid(decay)
     # unstable specs can overflow here; they get flagged NonStationary anyway
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = sum(
-            mode_sum(np.exp(np.outer(ts, g.lams)), g.weights[comp] * g.jumps[mark])
-            for g in mode_groups(dyn)
-        )
-    return float(np.nanmin(vals)) if np.isnan(vals).any() else float(vals.min())
+        grown = []
+        for g in mode_groups(dyn):
+            own = g.jumps[mark] != 0
+            if own.any():
+                grown.append((g, own, np.exp(np.outer(ts, g.lams[own]))))
+        mins = []
+        for comp in range(len(dyn.weights)):
+            vals = 0
+            for g, own, terms in grown:
+                vals = vals + mode_sum(terms, (g.weights[comp] * g.jumps[mark])[own])
+            mins.append(float(np.nanmin(vals)) if np.isnan(vals).any() else float(vals.min()))
+    return mins
 
 
 # ---------------------------------------------------------------------------
@@ -391,24 +401,30 @@ class ValidationReport:
         return not self.flags
 
     def to_dict(self) -> dict:
+        """The report as strict JSON values: a non-finite number is None."""
+
+        def num(v):
+            return v if v is None or math.isfinite(v) else None
+
+        def nums(vs):
+            return None if vs is None else [num(v) for v in vs]
+
         d = {
             "process_type": self.process_type,
             "admissible": self.admissible,
             "flags": list(self.flags),
-            "branching": self.branching,
-            "branching_matrix": [list(r) for r in self.branching_matrix]
-            if self.branching_matrix is not None
-            else None,
-            "spectral_radius": self.spectral_radius,
-            "decay": self.decay,
-            "kernel_min": self.kernel_min,
-            "kernel_mins": dict(self.kernel_mins) if self.kernel_mins else None,
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues]
-            if self.eigenvalues is not None
-            else None,
-            "bound_constants": list(self.bound_constants)
-            if self.bound_constants is not None
-            else None,
+            "branching": num(self.branching),
+            "branching_matrix": None
+            if self.branching_matrix is None
+            else [nums(r) for r in self.branching_matrix],
+            "spectral_radius": num(self.spectral_radius),
+            "decay": num(self.decay),
+            "kernel_min": num(self.kernel_min),
+            "kernel_mins": {k: num(v) for k, v in self.kernel_mins} if self.kernel_mins else None,
+            "eigenvalues": None
+            if self.eigenvalues is None
+            else [nums((z.real, z.imag)) for z in self.eigenvalues],
+            "bound_constants": nums(self.bound_constants),
         }
         if self.detail:
             d["detail"] = self.detail
@@ -455,9 +471,9 @@ def validate(spec: Spec) -> ValidationReport:
         radius = math.inf
     # kernel h_{c,m} decays at the rate of block m, the source's block
     mins = tuple(
-        (f"h{c + 1}{m + 1}", _kernel_min_on_grid(dyn, c, m, max(lam.real for lam in lams)))
+        (f"h{c + 1}{m + 1}", kmin)
         for m, lams in enumerate(_by_block(dyn, dyn.lams))
-        for c in range(len(dyn.weights))
+        for c, kmin in enumerate(_kernel_mins_on_grid(dyn, m, max(lam.real for lam in lams)))
     )
     kmin = min(v for _, v in mins)
 

@@ -73,10 +73,12 @@ random.Random.random or any other stream's .draw(), an exact 0 redrawn.
 from __future__ import annotations
 
 import cmath
+import io
 import itertools
 import json
 import math
 import random
+import re
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -109,6 +111,13 @@ _BOUND_RTOL = 1e-10
 # ulps by which a computed running sum can exceed its exact value, so rounding
 # never squeezes a candidate that routing would accept
 _SQUEEZE_MARGIN = 1.0 + 1e-12
+# Rows formatted per % operation by write_csv_rows, which bounds the string
+# held in memory.
+CSV_CHUNK_ROWS = 1 << 14
+# One events-file row, and a line of whitespace alone, which the events
+# reader skips as it does an empty line.
+_ROW_DTYPE = np.dtype([("time", np.float64), ("mark", np.int64)])
+_BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +299,26 @@ class EventLog:
         return tuple(t for t, m in zip(self.times, self.marks) if m == mark)
 
 
+def write_csv_rows(fh, row: str, columns: Sequence) -> None:
+    """Write `row % values` for each row of the equal-length columns, one
+    % operation per CSV_CHUNK_ROWS rows: the bytes of one format per row,
+    with the string held in memory bounded.  A numpy column is taken a
+    chunk at a time as Python numbers."""
+    width = len(columns)
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        parts = [col[start : start + CSV_CHUNK_ROWS] for col in columns]
+        values = [None] * (width * len(parts[0]))
+        for i, part in enumerate(parts):
+            values[i::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        fh.write(row * len(parts[0]) % tuple(values))
+
+
 def write_events_csv(log: EventLog, path) -> None:
     """Write time,mark rows; 17 significant digits read back as the same
     doubles."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,mark\n")
-        for t, m in zip(log.times, log.marks):
-            fh.write(f"{t:.17g},{m}\n")
+        write_csv_rows(fh, "%.17g,%d\n", (log.times, log.marks))
 
 
 def write_meta_json(log: EventLog, path) -> None:
@@ -305,23 +327,39 @@ def write_meta_json(log: EventLog, path) -> None:
         fh.write("\n")
 
 
+def _parse_rows(body: str) -> np.ndarray:
+    return np.loadtxt(
+        io.StringIO(body), dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1
+    )
+
+
 def read_events_csv(path, meta_path=None) -> EventLog:
-    times = []
-    marks = []
+    """The log of an events file: the header time,mark, then one row per
+    event, a finite time and an integer mark, parsed by numpy's C reader.
+    Blank and whitespace-only lines are skipped; any other malformed row
+    raises ValueError.  With meta_path, the sidecar's fields are read too."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "time,mark":
             raise ValueError(f"unexpected events header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            t_str, m_str = line.split(",")
-            t = float(t_str)
-            if not math.isfinite(t):
-                raise ValueError(f"event time must be finite, got {t_str!r}")
-            times.append(t)
-            marks.append(int(m_str))
+        body = fh.read()
+    if not body or body.isspace():
+        rows = np.empty(0, dtype=_ROW_DTYPE)
+    else:
+        try:
+            rows = _parse_rows(body)
+        except ValueError:
+            # a whitespace-only line is one field to loadtxt: drop those
+            # lines and parse again, so the common file is scanned once
+            if not _BLANK_LINE.search(body):
+                raise
+            rows = _parse_rows(_BLANK_LINE.sub("", body))
+    finite = np.isfinite(rows["time"])
+    if not finite.all():
+        bad = rows["time"][np.argmin(finite)]
+        raise ValueError(f"event time must be finite, got {float(bad)!r}")
+    times = rows["time"].tolist()
+    marks = rows["mark"].tolist()
     meta = SimulationMeta(
         seed=None,
         horizon=times[-1] if times else 0.0,

@@ -24,10 +24,21 @@ from carma_hawkes import (
     write_events_csv,
     write_meta_json,
 )
-from carma_hawkes import cli
+from carma_hawkes import cli, thinning
 from carma_hawkes.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# a zero AR root: the branching ratio and the spectral radius are infinite
+ZERO_ROOT_SPEC = {"type": "univariate", "mu": 0.5, "a": [1.0, 0.0], "b": [0.3]}
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN."""
+
+    def refuse(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def write_spec(tmp_path, spec, name="model.json"):
@@ -154,7 +165,7 @@ class TestSimulateCommand:
     def test_trace_bytes_match_one_format_per_row(self, tmp_path, biv_cross, monkeypatch):
         # the chunked writer gives the bytes of one f-string per row, across
         # chunk boundaries and a last chunk that is not full
-        monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", 7)
+        monkeypatch.setattr(thinning, "CSV_CHUNK_ROWS", 7)
         horizon, step = 20.0, 0.3
         log = simulate(biv_cross, horizon, rng=3)
         cli._write_trace(biv_cross, log, horizon, step, tmp_path / "trace.csv")
@@ -244,6 +255,27 @@ class TestValidateCommand:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["validate", "--model", str(path)]) == 2
+
+    def test_non_finite_values_print_null(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(ZERO_ROOT_SPEC))
+        assert main(["validate", "--model", str(path)]) == 3
+        report = strict_json(capsys.readouterr().out)
+        assert report["flags"] == ["NonStationary"]
+        assert report["branching"] is None
+        assert report["spectral_radius"] is None
+        assert report["decay"] == 0.0
+        assert report["eigenvalues"] == [[0.0, 0.0], [-1.0, 0.0]]
+
+    def test_refusal_report_is_strict(self, tmp_path, capsys):
+        # simulate and bench print the same report when they refuse a spec
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(ZERO_ROOT_SPEC))
+        for argv in (["simulate", "--out", str(tmp_path / "runs"), "--seed", "1"], ["bench"]):
+            assert main([*argv, "--model", str(path), "--horizon", "10"]) == 3
+            captured = capsys.readouterr()
+            assert strict_json(captured.out)["spectral_radius"] is None
+            assert "use --force" in captured.err
 
 
     def test_malformed_multivariate_spec_exits_2(self, tmp_path, capsys):
@@ -376,6 +408,17 @@ class TestBenchCommand:
         assert out["proposed"] >= out["events"]
         assert 0 < out["acceptance_ratio"] <= 1
         assert out["events_per_sec"] > 0
+
+    def test_rates_over_no_wall_time_are_null(self, tmp_path, carma21, monkeypatch, capsys):
+        # a clock that does not move: the rates are null, not Infinity
+        model = write_spec(tmp_path, carma21)
+        monkeypatch.setattr(cli, "time", argparse.Namespace(perf_counter=lambda: 1.0))
+        assert main(["bench", "--model", model, "--horizon", "100", "--seed", "0"]) == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["wall_seconds"] == 0.0
+        assert out["events"] > 0
+        assert out["events_per_sec"] is None
+        assert out["proposals_per_sec"] is None
 
     def test_reports_squeezed_share(self, tmp_path, carma31, capsys):
         # carma31's envelope is loose, so the squeeze decides most rejections

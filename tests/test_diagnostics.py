@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from carma_hawkes import diagnostics, model
+from carma_hawkes import diagnostics, model, thinning
 from carma_hawkes import (
     BivariateSpec,
     DiagnosticsReport,
@@ -21,8 +21,9 @@ from carma_hawkes import (
     simulate,
     summarize,
     write_report_json,
+    write_residuals_csv,
 )
-from carma_hawkes.diagnostics import BLOCK_EVENTS, BLOCK_EXPONENT
+from carma_hawkes.diagnostics import BLOCK_EVENTS, BLOCK_EXPONENT, ResidualSeries
 
 PARITY_RTOL = 1e-10
 
@@ -334,6 +335,19 @@ class TestSummarize:
         )
         with pytest.raises(ValueError):
             write_report_json(bad, tmp_path / "report.json")
+
+    def test_residual_bytes_match_one_format_per_row(self, biv_cross, tmp_path, monkeypatch):
+        # the chunked writer gives the bytes of one f-string per row, across
+        # chunk boundaries and a last chunk that is not full
+        monkeypatch.setattr(thinning, "CSV_CHUNK_ROWS", 7)
+        series = residual_transform(biv_cross, simulate(biv_cross, 40.0, rng=1), component=1)
+        taus = series.taus + (1e-300, 123456.789012345678, math.pi)
+        assert len(taus) > 14 and len(taus) % 7 != 0
+        path = tmp_path / "residuals.csv"
+        write_residuals_csv(ResidualSeries(taus=taus, component=1), path)
+        assert path.read_bytes() == ("tau\n" + "".join(f"{t:.15g}\n" for t in taus)).encode()
+        write_residuals_csv(ResidualSeries(taus=(), component=2), path)
+        assert path.read_bytes() == b"tau\n"
 
     def test_empty_log(self, hawkes):
         log = util.make_log([], horizon=100.0, spec=hawkes)

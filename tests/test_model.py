@@ -234,6 +234,30 @@ class TestValidate:
                                      b11=(0.4,), b12=(0.1,), b21=(0.2,), b22=(0.5,)))
         assert rep.flags == ("RootFindingFailure",)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_kernel_minima_equal_an_all_mode_evaluation(self, d):
+        # each kernel is evaluated on its source block's modes only; the
+        # other modes' terms are exact zeros, so every minimum is the one
+        # of a sum over all modes on the same grid, to the bit
+        rng = np.random.default_rng(40 + d)
+        for _ in range(12):
+            spec = util.random_spec(rng, d, p_max=3)
+            rep = validate(spec)
+            dyn = model.dynamics(spec)
+            groups = model.mode_groups(dyn)
+            decays = [max(lam.real for lam in lams) for lams in model._by_block(dyn, dyn.lams)]
+            want = {}
+            for c, m in itertools.product(range(d), repeat=2):
+                ts = model._kernel_grid(decays[m])
+                vals = sum(
+                    model.mode_sum(np.exp(np.outer(ts, g.lams)), g.weights[c] * g.jumps[m])
+                    for g in groups
+                )
+                want[f"h{c + 1}{m + 1}"] = float(vals.min())
+            got = {"h11": rep.kernel_min} if d == 1 else dict(rep.kernel_mins)
+            assert got == want
+            assert rep.kernel_min == min(want.values())
+
     def test_spec_caches_are_bounded(self):
         # a sweep over more distinct specs than the caches hold must not
         # grow them past their bound

@@ -35,6 +35,7 @@ from carma_hawkes import (
     write_events_csv,
     write_meta_json,
 )
+from carma_hawkes import thinning
 from carma_hawkes.model import mode_kinds
 
 
@@ -561,4 +562,83 @@ class TestEventLogContainer:
         path = tmp_path / "junk.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
+            read_events_csv(path)
+
+    def test_csv_bytes_match_one_format_per_row(self, tmp_path, biv_cross, monkeypatch):
+        # the chunked writer gives the bytes of one f-string per row, across
+        # chunk boundaries and a last chunk that is not full
+        monkeypatch.setattr(thinning, "CSV_CHUNK_ROWS", 7)
+        log = simulate(biv_cross, 40.0, rng=1)
+        assert len(log) > 14 and len(log) % 7 != 0
+        path = tmp_path / "events.csv"
+        write_events_csv(log, path)
+        expected = "time,mark\n" + "".join(f"{t:.17g},{m}\n" for t, m in zip(log.times, log.marks))
+        assert path.read_bytes() == expected.encode()
+        write_events_csv(util.make_log([]), path)
+        assert path.read_bytes() == b"time,mark\n"
+
+
+H = "time,mark\n"
+# The events-file grammar: (file text, the rows it reads as, or the ValueError
+# it raises, with a message pattern where the message is the package's own).
+# Python's float()/int() would take the last four rows; numpy's parser has no
+# underscores, no digits beyond ASCII and no integers beyond int64.
+EVENTS_GRAMMAR = {
+    "plain": (H + "1.0,1\n2.5,2\n", [(1.0, 1), (2.5, 2)]),
+    "blank_lines": (H + "1.0,1\n\n\n2.0,2\n\n", [(1.0, 1), (2.0, 2)]),
+    "whitespace_only_lines": (H + "1.0,1\n   \n\t\n2.0,1\n \t ", [(1.0, 1), (2.0, 1)]),
+    "crlf": ("time,mark\r\n1.0,1\r\n2.0,2\r\n", [(1.0, 1), (2.0, 2)]),
+    "no_final_newline": (H + "1.0,1\n2.0,1", [(1.0, 1), (2.0, 1)]),
+    "spaces_around_fields": (H + " 1.0 , 1 \n\t2.0\t,\t2\t\n", [(1.0, 1), (2.0, 2)]),
+    "plus_signs": (H + "+1,+1\n", [(1.0, 1)]),
+    "exponents": (H + "1e5,1\n1.5E6,2\n", [(1e5, 1), (1.5e6, 2)]),
+    "bare_dots_and_leading_zeros": (H + ".5,1\n01.5,01\n2.,1\n", [(0.5, 1), (1.5, 1), (2.0, 1)]),
+    "seventeen_digits": (H + "0.10000000000000001,1\n1.7976931348623157e+308,2\n",
+                         [(0.1, 1), (1.7976931348623157e308, 2)]),
+    "mark_int64_max": (H + "1.0,9223372036854775807\n", [(1.0, 2**63 - 1)]),
+    "header_only": (H, []),
+    "header_without_newline": ("time,mark", []),
+    "header_and_blank_lines": (H + "  \n\n", []),
+    "one_field": (H + "1.0\n", ValueError),
+    "three_fields": (H + "1.0,1,2\n", ValueError),
+    "trailing_comma": (H + "1.0,1,\n", ValueError),
+    "word": (H + "abc,1\n", ValueError),
+    "empty_time": (H + ",1\n", ValueError),
+    "empty_mark": (H + "1.0,\n", ValueError),
+    "comment_line": (H + "# note\n1.0,1\n", ValueError),
+    "comment_after_row": (H + "1.0,1 # note\n", ValueError),
+    "mark_1.5": (H + "1.0,1.5\n", ValueError),
+    "mark_1.0": (H + "1.0,1.0\n", ValueError),
+    "mark_1e0": (H + "1.0,1e0\n", ValueError),
+    "hex_float": (H + "0x1p3,1\n", ValueError),
+    "semicolon_separator": (H + "1.0;1\n", ValueError),
+    "tab_separator": (H + "1.0\t1\n", ValueError),
+    "quoted_field": (H + '"1.0",1\n', ValueError),
+    "whitespace_line_then_bad_row": (H + "1.0,1\n  \nabc,1\n", ValueError),
+    "inf": (H + "1.0,1\ninf,1\n", (ValueError, "must be finite")),
+    "nan": (H + "1.0,1\nnan,1\n", (ValueError, "must be finite")),
+    "overflowing_time": (H + "1e400,1\n", (ValueError, "must be finite")),
+    "mark_zero": (H + "1.0,0\n", (ValueError, "marks must be integers >= 1")),
+    "not_increasing": (H + "2.0,1\n1.0,1\n", (ValueError, "strictly increasing")),
+    "time_zero": (H + "1e-400,1\n", (ValueError, "strictly increasing and > 0")),
+    "bad_header": ("t,m\n1.0,1\n", (ValueError, "unexpected events header")),
+    "underscore_in_time": (H + "1_0.0,1\n", ValueError),
+    "underscore_in_mark": (H + "1.0,1_0\n", ValueError),
+    "mark_beyond_int64": (H + "1.0,99999999999999999999\n", ValueError),
+    "non_ascii_digits": (H + "\uff11.0,\u0661\n", ValueError),
+}
+
+
+@pytest.mark.parametrize("text, expected", EVENTS_GRAMMAR.values(), ids=EVENTS_GRAMMAR.keys())
+def test_events_grammar(tmp_path, text, expected):
+    path = tmp_path / "events.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, list):
+        log = read_events_csv(path)
+        assert [t.hex() for t in log.times] == [float(t).hex() for t, _ in expected]
+        assert log.marks == tuple(m for _, m in expected)
+        assert all(type(m) is int for m in log.marks)
+    else:
+        error, pattern = expected if isinstance(expected, tuple) else (expected, None)
+        with pytest.raises(error, match=pattern):
             read_events_csv(path)
