@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, SpecLogMismatch
+from .errors import EmptySample, NanSample, SpecLogMismatch
 from .model import (  # the scan's block limits are re-exported
     BLOCK_EVENTS,
     BLOCK_EXPONENT,
@@ -45,6 +45,11 @@ _SERIES_TOL = 1e-12
 # Below this argument the survival function is 1 within 1e-12; short-circuit
 # to keep the series loop bounded.
 _KAPPA_FLOOR = 0.18
+# ks_exp1's refinement window, relative to max(1, max|F|): np.expm1 is within
+# an ulp (about 2.2e-16) of math.expm1, and a tier-1 test guards that it stays
+# within _KS_WINDOW / 1000, so every point's error, with the rounding of its
+# gap, stays far inside the window.
+_KS_WINDOW = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,7 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
         )
     if not log.times:
         return ResidualSeries(taus=(), component=component)
-    times = np.fromiter(log.times, dtype=float, count=len(log.times))
-    marks = np.fromiter(log.marks, dtype=int, count=len(log.marks))
+    times, marks = log.arrays
     if marks.max() > n_comp:
         raise SpecLogMismatch(f"event log holds a mark outside 1..{n_comp}")
     dyn = dynamics(spec)
@@ -136,20 +140,37 @@ def kolmogorov_survival(kappa: float) -> float:
 def ks_exp1(residuals) -> KsResult:
     """One-sample Kolmogorov-Smirnov test of the residuals against Exp(1).
 
-    D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) with F(x) = 1 - e^-x;
+    D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) with F(x) = -expm1(-x);
     the p-value uses the asymptotic survival series at sqrt(n) * D (treat it
     as approximate below n of a few dozen).
+
+    D is exactly the value of the per-point loop with math.expm1.  A first
+    pass takes F from np.expm1 on every sorted point; numpy's expm1 can
+    differ from math's in the last bit, so each point's gap is then off by
+    at most a window w = _KS_WINDOW * max(1, max|F|), relative because a
+    negative residual makes |F| = e^-x - 1 large.  The point of the exact
+    maximum gap is within 2w of the first pass's maximum, so F is taken
+    again with math.expm1 at those points only, and D is their largest gap.
+    An infinite F (a residual of -inf, or one below about -709.78, where
+    math.expm1 overflows) makes the window infinite, so every point is
+    refined.  A NaN residual raises NanSample, naming how many there are.
     """
     taus = residuals.taus if isinstance(residuals, ResidualSeries) else tuple(residuals)
     n = len(taus)
     if n == 0:
         raise EmptySample("cannot run a KS test on an empty sample")
     xs = np.sort(np.array(taus, dtype=float))
-    # F through math.expm1: numpy's expm1 can differ from it in the last bit,
-    # and the statistic is kept bit-identical to the per-point loop
-    f = -np.fromiter(map(math.expm1, (-xs).tolist()), dtype=float, count=n)
+    nans = int(np.count_nonzero(np.isnan(xs)))
+    if nans:
+        raise NanSample(f"cannot run a KS test on a sample with {nans} NaN value(s)")
     steps = np.arange(n + 1, dtype=float) / n  # i / n for i = 0..n
-    d = max(0.0, float((steps[1:] - f).max()), float((f - steps[:-1]).max()))
+    with np.errstate(over="ignore"):
+        f = -np.expm1(-xs)
+    gaps = np.maximum(steps[1:] - f, f - steps[:-1])
+    cut = float(gaps.max()) - 2.0 * _KS_WINDOW * max(1.0, float(np.abs(f).max()))
+    near = np.flatnonzero(gaps >= cut) if math.isfinite(cut) else np.arange(n)
+    f = -np.fromiter(map(math.expm1, (-xs[near]).tolist()), dtype=float, count=len(near))
+    d = max(0.0, float((steps[near + 1] - f).max()), float((f - steps[near]).max()))
     p = kolmogorov_survival(math.sqrt(n) * d)
     return KsResult(statistic=d, p_value=p, n=n)
 

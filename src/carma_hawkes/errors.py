@@ -39,5 +39,9 @@ class EmptySample(CarmaHawkesError, ValueError):
     """A statistic was requested on an empty sample."""
 
 
+class NanSample(CarmaHawkesError, ValueError):
+    """A statistic was requested on a sample that holds NaN values."""
+
+
 class SpecLogMismatch(CarmaHawkesError):
     """Event-log metadata does not match the model spec it was paired with."""

@@ -684,8 +684,7 @@ def modal_path(dyn: Dynamics, log, times: Sequence[float]) -> np.ndarray:
         raise ValueError("sample times must be sorted")
     if len(samples) and samples[0] < 0:
         raise ValueError("sample times must be >= 0")
-    ev_times = np.fromiter(log.times, dtype=float, count=len(log.times))
-    marks = np.fromiter(log.marks, dtype=int, count=len(log.marks))
+    ev_times, marks = log.arrays
     if len(marks) and not 1 <= marks.min() <= marks.max() <= len(dyn.jumps):
         raise ValueError(f"event log holds a mark outside 1..{len(dyn.jumps)}")
     owner = np.searchsorted(ev_times, samples) - 1  # last event strictly before

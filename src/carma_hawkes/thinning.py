@@ -68,6 +68,14 @@ envelope's exp(decay * dt), the same double.  Every other operation is the
 one the generic loop did, in its order, so seeded output is that of the
 generic loop (kept as the test oracle tests/util.thin_reference).  Uniforms come from a UniformStream's
 random.Random.random or any other stream's .draw(), an exact 0 redrawn.
+
+The loop's counters stay off the squeeze path, which most candidates take.
+proposed is the index of an itertools.count that starts after the first
+arrivals' n draws, so the last candidate, the one past the horizon, is
+counted too; only the candidates that pass the squeeze bump a counter,
+evaluated, and the squeezed count is derived on return as
+proposed - (n + 1) - evaluated.  The time step is written t -= log(u) /
+lam_bar, the same double as t += -log(u) / lam_bar in IEEE arithmetic.
 """
 
 from __future__ import annotations
@@ -81,7 +89,7 @@ import random
 import re
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral
 from operator import add, lt
 from typing import Sequence
@@ -295,6 +303,17 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.times)
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times, marks) as read-only float64 and int arrays, built on first
+        use and kept with the log, so the residuals of every component and
+        the paths along the log share one copy.  The cache lives in the
+        instance dict, outside the fields: equality and hashing ignore it."""
+        times = np.fromiter(self.times, dtype=float, count=len(self.times))
+        marks = np.fromiter(self.marks, dtype=int, count=len(self.marks))
+        times.flags.writeable = marks.flags.writeable = False
+        return times, marks
+
     def times_of(self, mark: int) -> tuple[float, ...]:
         return tuple(t for t, m in zip(self.times, self.marks) if m == mark)
 
@@ -333,11 +352,50 @@ def _parse_rows(body: str) -> np.ndarray:
     )
 
 
+def _row_lines(body: str):
+    """(line number, line) of each row of an events file's body, the lines
+    that are neither empty nor whitespace alone; the header is line 1."""
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if line and not line.isspace():
+            yield lineno, line
+
+
+def _row_problem(line: str) -> str | None:
+    """Why numpy's reader refuses one row of an events file, or None if it
+    reads it."""
+    fields = line.split(",")
+    if len(fields) != 2:
+        return f"expected 2 comma-separated fields (time,mark), found {len(fields)}"
+    for field, dtype, what in zip(fields, (np.float64, np.int64), ("a time", "an integer mark")):
+        try:
+            # the reader refuses an empty field, which alone would read as
+            # an empty file
+            if not field.strip():
+                raise ValueError
+            np.loadtxt([field], dtype=dtype, delimiter=",", comments=None)
+        except ValueError:
+            return f"cannot read {field.strip()!r} as {what}"
+    return None
+
+
+def _parse_error(body: str, exc: ValueError) -> ValueError:
+    """The reader's error named by the file line of the first row that does
+    not parse alone; exc itself if every row does."""
+    for lineno, line in _row_lines(body):
+        problem = _row_problem(line)
+        if problem:
+            return ValueError(f"line {lineno}: {problem}")
+    return exc
+
+
 def read_events_csv(path, meta_path=None) -> EventLog:
     """The log of an events file: the header time,mark, then one row per
     event, a finite time and an integer mark, parsed by numpy's C reader.
-    Blank and whitespace-only lines are skipped; any other malformed row
-    raises ValueError.  With meta_path, the sidecar's fields are read too."""
+    Blank and whitespace-only lines are skipped; any other malformed row, or
+    a non-finite time, raises ValueError naming the file line of the first
+    bad row (the header is line 1).  With meta_path, the sidecar's fields are
+    read too, and its accepted count must equal the rows read, so a file cut
+    short beside its sidecar is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "time,mark":
@@ -350,14 +408,18 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             rows = _parse_rows(body)
         except ValueError:
             # a whitespace-only line is one field to loadtxt: drop those
-            # lines and parse again, so the common file is scanned once
-            if not _BLANK_LINE.search(body):
-                raise
-            rows = _parse_rows(_BLANK_LINE.sub("", body))
+            # lines and parse again, so the common file is scanned once; a
+            # row that still fails is named by its line
+            try:
+                rows = _parse_rows(_BLANK_LINE.sub("", body))
+            except ValueError as exc:
+                raise _parse_error(body, exc) from None
     finite = np.isfinite(rows["time"])
     if not finite.all():
-        bad = rows["time"][np.argmin(finite)]
-        raise ValueError(f"event time must be finite, got {float(bad)!r}")
+        row = int(np.argmin(finite))
+        lineno, _ = next(itertools.islice(_row_lines(body), row, None))
+        bad = float(rows["time"][row])
+        raise ValueError(f"line {lineno}: event time must be finite, got {bad!r}")
     times = rows["time"].tolist()
     marks = rows["mark"].tolist()
     meta = SimulationMeta(
@@ -396,6 +458,10 @@ def read_events_csv(path, meta_path=None) -> EventLog:
         if times and meta.horizon < times[-1]:
             raise ValueError(
                 f"metadata horizon {meta.horizon!r} precedes the last event time {times[-1]!r}"
+            )
+        if meta.accepted != len(times):
+            raise ValueError(
+                f"metadata accepted {meta.accepted} events, the file holds {len(times)}"
             )
     return EventLog(times=tuple(times), marks=tuple(marks), meta=meta)
 
@@ -563,13 +629,11 @@ def _kernel(dyn: Dynamics):
     last = ["if threshold > lam:", "    continue", *event(n_comp, False)]
     route += ["else:", *block(last, 1)] if n_comp > 1 else last
     body += [
-        f"proposed = {n_comp}",
-        "squeezed = 0",
-        "while True:",
-        "    proposed += 1",
-        "    t += -mlog(rand() or draw()) / lam_bar",
+        "evaluated = 0",
+        f"for proposed in count({n_comp + 1}):",
+        "    t -= mlog(rand() or draw()) / lam_bar",
         "    if t > horizon:",
-        "        return proposed, squeezed",
+        f"        return proposed, proposed - {n_comp + 1} - evaluated",
         # D times the rate this candidate was drawn at
         "    threshold = (rand() or draw()) * lam_bar",
         "    dt = t - t_last",
@@ -578,8 +642,8 @@ def _kernel(dyn: Dynamics):
         # is rejected
         "    lam_bar = base + excess * bexp",
         "    if threshold > squeeze_base + s * bexp:",
-        "        squeezed += 1",
         "        continue",
+        "    evaluated += 1",
         *block(propagate, 1),
         f"    lam = {total('base', w_total, 'w', real_part)}",
         # absolute slack plus a small relative term: overridden (explosive)
@@ -589,7 +653,7 @@ def _kernel(dyn: Dynamics):
         '        raise BoundViolation(f"intensity {lam} exceeded envelope {lam_bar} at t={t}")',
         *block(route, 1),
     ]
-    consts.update(mexp=math.exp, cexp=cmath.exp, mlog=math.log)
+    consts.update(mexp=math.exp, cexp=cmath.exp, mlog=math.log, count=itertools.count)
     src = "\n".join(
         [
             "def loop(rand, draw, horizon, t, mark, append_time, append_mark):",

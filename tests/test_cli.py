@@ -24,7 +24,7 @@ from carma_hawkes import (
     write_events_csv,
     write_meta_json,
 )
-from carma_hawkes import cli, thinning
+from carma_hawkes import cli, diagnostics, thinning
 from carma_hawkes.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -381,7 +381,8 @@ class TestDiagnoseCommand:
             for bad in ({"horizon": 100.0}, {"horizon": math.inf},
                         {"acceptance_ratio": math.nan}, {"horizon": None},
                         {"proposed": math.inf}, {"squeezed": math.inf},
-                        {"squeezed": 2.5}, {"squeezed": None})
+                        {"squeezed": 2.5}, {"squeezed": None},
+                        {"accepted": good["accepted"] - 1})
         ] + [[1, 2]]
         for sidecar in bad_sidecars:
             meta_path.write_text(json.dumps(sidecar))
@@ -390,6 +391,42 @@ class TestDiagnoseCommand:
             captured = capsys.readouterr()
             assert "metadata" in captured.err
             assert captured.out == ""
+
+    def test_truncated_events_file_exits_2(self, tmp_path, carma21, capsys):
+        # the file loses its last rows, the sidecar stays intact
+        model = write_spec(tmp_path, carma21)
+        out = tmp_path / "runs"
+        main(["simulate", "--model", model, "--horizon", "200", "--seed", "5",
+              "--out", str(out)])
+        capsys.readouterr()
+        events = out / "events_0.csv"
+        lines = events.read_text().splitlines(keepends=True)
+        events.write_text("".join(lines[:-3]))
+        assert main(["diagnose", "--model", model, "--events", str(events)]) == 2
+        captured = capsys.readouterr()
+        assert f"metadata accepted {len(lines) - 1} events, the file holds {len(lines) - 4}" in captured.err
+        assert captured.out == ""
+
+    def test_bad_row_names_its_line(self, tmp_path, hawkes, capsys):
+        model = write_spec(tmp_path, hawkes)
+        events = tmp_path / "events.csv"
+        for text, message in (("time,mark\n1.0,1\nabc,1\n", "line 3: cannot read 'abc' as a time"),
+                              ("time,mark\n1.0\n", "line 2: expected 2 comma-separated fields")):
+            events.write_text(text)
+            assert main(["diagnose", "--model", model, "--events", str(events)]) == 2
+            assert f"error: cannot parse events file: {message}" in capsys.readouterr().err
+
+    def test_nan_residual_exits_2(self, tmp_path, hawkes, capsys, monkeypatch):
+        # a NaN residual is refused by the KS test, not read as a fit
+        model = write_spec(tmp_path, hawkes)
+        events = tmp_path / "events.csv"
+        events.write_text("time,mark\n1.0,1\n2.0,1\n")
+        nan_series = diagnostics.ResidualSeries(taus=(math.nan, 1.0), component=1)
+        monkeypatch.setattr(diagnostics, "residual_transform", lambda *args, **kw: nan_series)
+        assert main(["diagnose", "--model", model, "--events", str(events)]) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot run a KS test on a sample with 1 NaN value(s)" in captured.err
+        assert captured.out == ""
 
     def test_missing_events_exits_2(self, tmp_path, carma21):
         model = write_spec(tmp_path, carma21)

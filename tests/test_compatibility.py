@@ -2,7 +2,9 @@
 sha256 of one seeded run per model (its times and marks as JSON), forced
 where the model fails validation.  Saved sidecars carry the hash and a seed
 must always give the same events, so a change to the spec layer or to the
-thinning loop must move neither."""
+thinning loop must move neither.  The same runs' loop counters, proposed and
+squeezed, are pinned too: a change to the loop's bookkeeping must not move
+them."""
 
 import hashlib
 import json
@@ -47,9 +49,20 @@ PINS = {
     ),
 }
 
+# model: (meta.proposed, meta.squeezed) of the same seeded run
+COUNTERS = {
+    "hawkes": (1553, 634),
+    "carma21": (2855, 916),
+    "carma31": (8253, 5550),
+    "bivariate_independent": (3590, 1528),
+    "bivariate_cross": (11928, 5940),
+    "bivariate_lagged": (19042, 15375),
+    "trivariate_cyclic": (21034, 12029),
+}
+
 
 def test_every_bundled_model_is_pinned():
-    assert {path.stem for path in MODELS.glob("*.json")} == set(PINS)
+    assert {path.stem for path in MODELS.glob("*.json")} == set(PINS) == set(COUNTERS)
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
@@ -61,3 +74,11 @@ def test_bundled_model_hash_and_seeded_run(name):
     log = simulate(spec, HORIZON, rng=SEED, override_validation=forced)
     payload = json.dumps([log.times, log.marks]).encode()
     assert hashlib.sha256(payload).hexdigest() == want_run
+
+
+@pytest.mark.parametrize("name", sorted(COUNTERS))
+def test_bundled_model_seeded_counters(name):
+    spec = load_spec(MODELS / f"{name}.json")
+    forced = not validate(spec).admissible
+    meta = simulate(spec, HORIZON, rng=SEED, override_validation=forced).meta
+    assert (meta.proposed, meta.squeezed) == COUNTERS[name]

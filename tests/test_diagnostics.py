@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import util
 from carma_hawkes import diagnostics, model, thinning
 from carma_hawkes import (
     BivariateSpec,
+    CarmaHawkesError,
     DiagnosticsReport,
     EmptySample,
+    NanSample,
     NumericalOverflow,
     SpecLogMismatch,
     UnivariateSpec,
@@ -26,6 +28,20 @@ from carma_hawkes import (
 from carma_hawkes.diagnostics import BLOCK_EVENTS, BLOCK_EXPONENT, ResidualSeries
 
 PARITY_RTOL = 1e-10
+
+
+def _on_gap(n, k, step):
+    """A point whose F is k/n, moved by step ulps (-1, 0 or 1)."""
+    x = -math.log1p(-k / n)
+    return x if step == 0 else math.nextafter(x, step * math.inf)
+
+
+@st.composite
+def ks_tie_samples(draw):
+    n = draw(st.integers(1, 12))
+    on_gap = st.builds(_on_gap, st.just(n), st.integers(0, n - 1), st.sampled_from((-1, 0, 1)))
+    other = st.floats(-700.0, 50.0) | st.sampled_from([math.inf, -math.inf, -700.0])
+    return draw(st.lists(st.one_of(on_gap, on_gap, on_gap, other), min_size=n, max_size=n))
 
 
 class TestResidualTransform:
@@ -298,6 +314,47 @@ class TestKsTest:
         for taus in samples:
             res = ks_exp1(taus)
             assert (res.statistic, res.p_value) == util.ks_exp1_scalar(taus)
+
+    @settings(max_examples=300, deadline=None)
+    @given(taus=ks_tie_samples())
+    @example(taus=[math.inf, 1.0])
+    @example(taus=[-math.inf, 1.0, 2.0])
+    @example(taus=[math.inf, -math.inf])
+    def test_refinement_matches_scalar_loop(self, taus):
+        # several points on the maximum gap, where a one-ulp error in
+        # numpy's F can move the argmax, beside residuals down to -700 and
+        # +-inf, where the window is relative to a large |F| or infinite
+        res = ks_exp1(taus)
+        assert (res.statistic, res.p_value) == util.ks_exp1_scalar(taus)
+
+    def test_refinement_on_seeded_ties(self):
+        # 3,000 samples of points on the gaps k/n nudged by an ulp: numpy's F
+        # picks the wrong point of a tie on about 3% of them, so a window
+        # too narrow to hold the exact argmax shows here
+        rng = np.random.default_rng(3)
+        for _ in range(3000):
+            n = int(rng.integers(1, 12))
+            ks = np.sort(rng.integers(0, n, size=n)).tolist()
+            taus = [_on_gap(n, k, int(step)) for k, step in zip(ks, rng.integers(-1, 2, size=n))]
+            res = ks_exp1(taus)
+            assert (res.statistic, res.p_value) == util.ks_exp1_scalar(taus)
+
+    def test_numpy_expm1_within_refinement_window(self):
+        # the refinement's premise: np.expm1 stays within a thousandth of
+        # the window of math.expm1, relative to max(1, |F|), over the range
+        # of -x that ks_exp1 can meet before math.expm1 overflows
+        rng = np.random.default_rng(12)
+        ys = np.concatenate((rng.uniform(-745.0, 700.0, 1_000_000), rng.uniform(-1.0, 1.0, 200_000)))
+        exact = np.fromiter(map(math.expm1, ys.tolist()), dtype=float, count=len(ys))
+        err = np.abs(np.expm1(ys) - exact) / np.maximum(1.0, np.abs(exact))
+        assert err.max() <= diagnostics._KS_WINDOW / 1000
+
+    def test_nan_residual_is_refused(self):
+        for taus, count in (([math.nan, 1.0, 2.0], 1), ([1.0, math.nan, math.nan], 2)):
+            with pytest.raises(NanSample, match=f"{count} NaN") as info:
+                ks_exp1(taus)
+            assert isinstance(info.value, ValueError)
+            assert isinstance(info.value, CarmaHawkesError)
 
     def test_statistic_matches_brute_force_grid(self):
         # oracle: max |F_emp - F| over a dense grid augmented with both

@@ -31,6 +31,7 @@ from carma_hawkes import (
     simulate,
     spec_hash,
     stationary_rates,
+    summarize,
     validate,
     write_events_csv,
     write_meta_json,
@@ -504,6 +505,36 @@ class TestEventLogContainer:
         with pytest.raises(ValueError):
             EventLog(times=(1.0, 2.0), marks=(1,), meta=util.make_log([1.0]).meta)
 
+    def test_arrays_built_once_and_read_only(self, biv_cross):
+        log = simulate(biv_cross, 50.0, rng=3)
+        times, marks = log.arrays
+        assert log.arrays[0] is times and log.arrays[1] is marks
+        assert times.dtype == np.float64 and marks.dtype.kind == "i"
+        assert times.tolist() == list(log.times) and marks.tolist() == list(log.marks)
+        for array in (times, marks):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_arrays_leave_fields_equality_and_hash(self, biv_cross):
+        log = simulate(biv_cross, 50.0, rng=3)
+        fresh = dataclasses.replace(log)
+        log.arrays
+        assert [f.name for f in dataclasses.fields(EventLog)] == ["times", "marks", "meta"]
+        assert "arrays" not in fresh.__dict__
+        assert log == fresh and hash(log) == hash(fresh)
+
+    def test_residuals_and_paths_share_one_copy(self, biv_cross, monkeypatch):
+        # summarize runs one residual transform per component, and the
+        # paths scan the log again: the log's tuples are converted once
+        log = simulate(biv_cross, 50.0, rng=3)
+        seen = []
+        fromiter = np.fromiter
+        monkeypatch.setattr(np, "fromiter", lambda it, *a, **k: seen.append(it) or fromiter(it, *a, **k))
+        summarize(biv_cross, log)
+        intensity_path(biv_cross, log, [1.0, 2.0])
+        bound_path(biv_cross, log, [1.0, 2.0])
+        assert [it for it in seen if it is log.times or it is log.marks] == [log.times, log.marks]
+
     def test_csv_roundtrip(self, tmp_path, biv_cross):
         log = simulate(biv_cross, 200.0, rng=5)
         csv_path = tmp_path / "events.csv"
@@ -526,6 +557,37 @@ class TestEventLogContainer:
         # sidecars written before the field existed read as 0
         meta_path.write_text('{"horizon": 200.0}')
         assert read_events_csv(csv_path, meta_path).meta.squeezed == 0
+
+    def test_sidecar_count_must_match_rows(self, tmp_path, carma21):
+        # a file cut short beside its intact sidecar is refused
+        log = simulate(carma21, 50.0, rng=5)
+        csv_path = tmp_path / "events.csv"
+        meta_path = tmp_path / "events.meta.json"
+        write_events_csv(log, csv_path)
+        write_meta_json(log, meta_path)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match=f"metadata accepted {len(log)} events, the file holds {len(log) - 1}"):
+            read_events_csv(csv_path, meta_path)
+        assert len(read_events_csv(csv_path)) == len(log) - 1
+
+    def test_parse_errors_name_the_file_line(self, tmp_path):
+        # the header is line 1; blank and whitespace-only lines count as
+        # lines but not as rows
+        path = tmp_path / "events.csv"
+        cases = [
+            ("time,mark\n1.0,1\nabc,1\n", "line 3: cannot read 'abc' as a time"),
+            ("time,mark\n1.0\n", "line 2: expected 2 comma-separated fields"),
+            ("time,mark\n1.0,1\n  \n\n2.0,x\n", "line 5: cannot read 'x' as an integer mark"),
+            ("time,mark\n1.0,1\n\n2.0,1\ninf,1\n", "line 5: event time must be finite"),
+            ("time,mark\r\n1.0,1\r\n2.0,\r\n", "line 3: cannot read '' as an integer mark"),
+        ]
+        for text, message in cases:
+            path.write_bytes(text.encode())
+            with pytest.raises(ValueError) as info:
+                read_events_csv(path)
+            assert str(info.value).startswith(message)
+            assert "usecols" not in str(info.value) and "row 1" not in str(info.value)
 
     def test_csv_without_meta(self, tmp_path, carma21):
         log = simulate(carma21, 50.0, rng=5)
