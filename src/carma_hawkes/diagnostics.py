@@ -14,7 +14,9 @@ one running total.  The sum over modes is taken per mode group
 (model.mode_groups): the exactly real modes in float64, the others in
 complex128 with each exact conjugate pair carried once at twice its weight.
 Each group's scan takes BLOCK_EVENTS events per numpy pass, however many
-anchor segments they span.
+anchor segments they span.  One scan per group serves every component: the
+first residual_transform of a log computes every component's residuals and
+keeps them with the log, and the calls for the other components read them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .errors import EmptySample, NanSample, SpecLogMismatch
 from .model import (  # the scan's block limits are re-exported
     BLOCK_EVENTS,
     BLOCK_EXPONENT,
+    Dynamics,
     Spec,
     dynamics,
     modal_scan,
@@ -50,6 +54,9 @@ _KAPPA_FLOOR = 0.18
 # within _KS_WINDOW / 1000, so every point's error, with the rounding of its
 # gap, stays far inside the window.
 _KS_WINDOW = 1e-12
+# Where residual_transform keeps a log's residuals, in the log's instance
+# dict: (the Dynamics they were computed for, one array per component).
+_RESIDUALS_KEY = "_residuals"
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,16 @@ class ResidualSeries:
     @property
     def mean(self) -> float:
         return sum(self.taus) / len(self.taus) if self.taus else math.nan
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """taus as a read-only float64 array.  residual_transform fills it
+        with the array the taus were read from; a series built by hand
+        converts its taus on first use.  The cache lives in the instance
+        dict, outside the fields: equality and hashing ignore it."""
+        arr = np.array(self.taus, dtype=float)
+        arr.flags.writeable = False
+        return arr
 
 
 @dataclass(frozen=True)
@@ -83,7 +100,14 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     model.modal_scan, one scan per mode group, the groups' increments added.
     The trailing censored gap after the last event is discarded.  Raises
     SpecLogMismatch when the log carries a spec hash that differs from the
-    given spec's, or a mark the spec does not have.
+    given spec's, or a mark the spec does not have; every call checks.
+
+    The scans give every component's increments at once, so the first call
+    for a log computes the residuals of all its components (_all_taus) and
+    keeps them in the log's instance dict, one read-only array per component
+    (n values in all), with the Dynamics they belong to; a call for the same
+    dynamics reads them, and one for other dynamics replaces them.  The
+    series' array is the kept array.
     """
     n_comp = spec.n_components
     if not 1 <= component <= n_comp:
@@ -100,20 +124,39 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     dyn = dynamics(spec)
     if 0 in dyn.lams:
         raise ValueError("zero eigenvalue: compensator closed form undefined")
-    gaps = np.diff(times, prepend=0.0)
-    incs = dyn.mus[component - 1] * gaps
-    for group in mode_groups(dyn):
-        coef = group.weights[component - 1] / group.lams
-        for start, stop, states in modal_scan(group.lams, group.jumps, times, marks):
-            grown = np.expm1(np.outer(gaps[start:stop], group.lams))
-            incs[start:stop] += mode_sum(states[:-1] * grown, coef)
+    kept = vars(log).get(_RESIDUALS_KEY)
+    if kept is None or kept[0] != dyn:
+        kept = vars(log)[_RESIDUALS_KEY] = (dyn, _all_taus(dyn, times, marks))
+    taus = kept[1][component - 1]
+    series = ResidualSeries(taus=tuple(taus.tolist()), component=component)
+    vars(series)["array"] = taus
+    return series
 
-    own = np.flatnonzero(marks == component)
-    if not len(own):
-        return ResidualSeries(taus=(), component=component)
-    starts = np.concatenate(([0], own[:-1] + 1))
-    taus = np.add.reduceat(incs[: own[-1] + 1], starts)
-    return ResidualSeries(taus=tuple(taus.tolist()), component=component)
+
+def _all_taus(dyn: Dynamics, times: np.ndarray, marks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every component's residuals along a log, read-only, from one
+    modal_scan per mode group: each pass's grown states are formed once and
+    reduced with each component's coefficients, the same products and sums,
+    in the same order, as a scan for one component alone."""
+    gaps = np.diff(times, prepend=0.0)
+    incs = [mu * gaps for mu in dyn.mus]
+    for group in mode_groups(dyn):
+        coefs = [weights / group.lams for weights in group.weights]
+        for start, stop, states in modal_scan(group.lams, group.jumps, times, marks):
+            grown = states[:-1] * np.expm1(np.outer(gaps[start:stop], group.lams))
+            for inc, coef in zip(incs, coefs):
+                inc[start:stop] += mode_sum(grown, coef)
+    taus = []
+    for component, inc in enumerate(incs, start=1):
+        own = np.flatnonzero(marks == component)
+        if len(own):
+            starts = np.concatenate(([0], own[:-1] + 1))
+            tau = np.add.reduceat(inc[: own[-1] + 1], starts)
+        else:
+            tau = np.empty(0)
+        tau.flags.writeable = False
+        taus.append(tau)
+    return tuple(taus)
 
 
 def kolmogorov_survival(kappa: float) -> float:
@@ -153,13 +196,21 @@ def ks_exp1(residuals) -> KsResult:
     again with math.expm1 at those points only, and D is their largest gap.
     An infinite F (a residual of -inf, or one below about -709.78, where
     math.expm1 overflows) makes the window infinite, so every point is
-    refined.  A NaN residual raises NanSample, naming how many there are.
+    refined.  There F is taken as -inf, as for a residual of -inf, so D is
+    inf and the p-value 0.  A NaN residual raises NanSample, naming how many
+    there are.
+
+    A ResidualSeries is read through its array, any other sequence is
+    converted once.
     """
-    taus = residuals.taus if isinstance(residuals, ResidualSeries) else tuple(residuals)
-    n = len(taus)
+    if isinstance(residuals, ResidualSeries):
+        xs = residuals.array
+    else:
+        xs = np.array(tuple(residuals), dtype=float)
+    n = len(xs)
     if n == 0:
         raise EmptySample("cannot run a KS test on an empty sample")
-    xs = np.sort(np.array(taus, dtype=float))
+    xs = np.sort(xs)
     nans = int(np.count_nonzero(np.isnan(xs)))
     if nans:
         raise NanSample(f"cannot run a KS test on a sample with {nans} NaN value(s)")
@@ -169,10 +220,18 @@ def ks_exp1(residuals) -> KsResult:
     gaps = np.maximum(steps[1:] - f, f - steps[:-1])
     cut = float(gaps.max()) - 2.0 * _KS_WINDOW * max(1.0, float(np.abs(f).max()))
     near = np.flatnonzero(gaps >= cut) if math.isfinite(cut) else np.arange(n)
-    f = -np.fromiter(map(math.expm1, (-xs[near]).tolist()), dtype=float, count=len(near))
+    f = -np.fromiter(map(_expm1, (-xs[near]).tolist()), dtype=float, count=len(near))
     d = max(0.0, float((steps[near + 1] - f).max()), float((f - steps[near]).max()))
     p = kolmogorov_survival(math.sqrt(n) * d)
     return KsResult(statistic=d, p_value=p, n=n)
+
+
+def _expm1(x: float) -> float:
+    """math.expm1, inf where it overflows (x above about 709.78)."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +255,9 @@ class ComponentDiagnostics:
             "theoretical_rate": self.theoretical_rate
             if math.isfinite(self.theoretical_rate)
             else None,
-            "ks_statistic": self.ks.statistic if self.ks else None,
+            "ks_statistic": self.ks.statistic
+            if self.ks and math.isfinite(self.ks.statistic)
+            else None,
             "ks_p_value": self.ks.p_value if self.ks else None,
             "residual_mean": self.residual_mean
             if math.isfinite(self.residual_mean)

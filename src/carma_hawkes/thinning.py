@@ -360,6 +360,12 @@ def _row_lines(body: str):
             yield lineno, line
 
 
+def _line_of(body: str, row: int) -> int:
+    """The file line number of row `row` (from 0) of an events file's body."""
+    lineno, _ = next(itertools.islice(_row_lines(body), row, None))
+    return lineno
+
+
 def _row_problem(line: str) -> str | None:
     """Why numpy's reader refuses one row of an events file, or None if it
     reads it."""
@@ -391,11 +397,14 @@ def _parse_error(body: str, exc: ValueError) -> ValueError:
 def read_events_csv(path, meta_path=None) -> EventLog:
     """The log of an events file: the header time,mark, then one row per
     event, a finite time and an integer mark, parsed by numpy's C reader.
-    Blank and whitespace-only lines are skipped; any other malformed row, or
-    a non-finite time, raises ValueError naming the file line of the first
-    bad row (the header is line 1).  With meta_path, the sidecar's fields are
-    read too, and its accepted count must equal the rows read, so a file cut
-    short beside its sidecar is refused."""
+    Blank and whitespace-only lines are skipped; any other malformed row, a
+    non-finite time, a time not above the one before it (or not > 0), or a
+    mark below 1 raises ValueError naming the file line of the first bad row
+    (the header is line 1).  With meta_path, the sidecar's fields are read
+    too, and its accepted count must equal the rows read, so a file cut
+    short beside its sidecar is refused.  The log's arrays are the parsed
+    columns, as contiguous read-only copies, so no caller converts the
+    tuples back."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "time,mark":
@@ -414,14 +423,27 @@ def read_events_csv(path, meta_path=None) -> EventLog:
                 rows = _parse_rows(_BLANK_LINE.sub("", body))
             except ValueError as exc:
                 raise _parse_error(body, exc) from None
-    finite = np.isfinite(rows["time"])
+    times_arr = np.ascontiguousarray(rows["time"])
+    marks_arr = np.ascontiguousarray(rows["mark"])
+    finite = np.isfinite(times_arr)
     if not finite.all():
         row = int(np.argmin(finite))
-        lineno, _ = next(itertools.islice(_row_lines(body), row, None))
-        bad = float(rows["time"][row])
-        raise ValueError(f"line {lineno}: event time must be finite, got {bad!r}")
-    times = rows["time"].tolist()
-    marks = rows["mark"].tolist()
+        bad = float(times_arr[row])
+        raise ValueError(f"line {_line_of(body, row)}: event time must be finite, got {bad!r}")
+    rises = times_arr > np.concatenate(([0.0], times_arr[:-1]))
+    positive = marks_arr >= 1
+    if not (rises.all() and positive.all()):
+        row = int(np.argmin(rises & positive))
+        if not rises[row]:
+            bad = float(times_arr[row])
+            after = f" after {float(times_arr[row - 1])!r}" if row else ""
+            problem = f"event times must be strictly increasing and > 0, got {bad!r}{after}"
+        else:
+            problem = f"marks must be integers >= 1, got {int(marks_arr[row])}"
+        raise ValueError(f"line {_line_of(body, row)}: {problem}")
+    times_arr.flags.writeable = marks_arr.flags.writeable = False
+    times = times_arr.tolist()
+    marks = marks_arr.tolist()
     meta = SimulationMeta(
         seed=None,
         horizon=times[-1] if times else 0.0,
@@ -463,7 +485,9 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             raise ValueError(
                 f"metadata accepted {meta.accepted} events, the file holds {len(times)}"
             )
-    return EventLog(times=tuple(times), marks=tuple(marks), meta=meta)
+    log = EventLog(times=tuple(times), marks=tuple(marks), meta=meta)
+    vars(log)["arrays"] = (times_arr, marks_arr)
+    return log
 
 
 # ---------------------------------------------------------------------------

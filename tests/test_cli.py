@@ -428,6 +428,19 @@ class TestDiagnoseCommand:
         assert "error: cannot run a KS test on a sample with 1 NaN value(s)" in captured.err
         assert captured.out == ""
 
+    def test_residual_below_expm1_range_exits_0(self, tmp_path, hawkes, capsys, monkeypatch):
+        # F overflows for a residual below about -709.78: D is inf and the
+        # strict report writes it as null
+        model = write_spec(tmp_path, hawkes)
+        events = tmp_path / "events.csv"
+        events.write_text("time,mark\n1.0,1\n2.0,1\n")
+        series = diagnostics.ResidualSeries(taus=(-1000.0, 1.0), component=1)
+        monkeypatch.setattr(diagnostics, "residual_transform", lambda *args, **kw: series)
+        assert main(["diagnose", "--model", model, "--events", str(events)]) == 0
+        row = strict_json((tmp_path / "events.report.json").read_text())["components"][0]
+        assert row["ks_statistic"] is None and row["ks_p_value"] == 0.0
+        assert strict_json(capsys.readouterr().out)["components"][0] == row
+
     def test_missing_events_exits_2(self, tmp_path, carma21):
         model = write_spec(tmp_path, carma21)
         assert main(["diagnose", "--model", model, "--events",

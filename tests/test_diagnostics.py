@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,7 +41,7 @@ def _on_gap(n, k, step):
 def ks_tie_samples(draw):
     n = draw(st.integers(1, 12))
     on_gap = st.builds(_on_gap, st.just(n), st.integers(0, n - 1), st.sampled_from((-1, 0, 1)))
-    other = st.floats(-700.0, 50.0) | st.sampled_from([math.inf, -math.inf, -700.0])
+    other = st.floats(-800.0, 50.0) | st.sampled_from([math.inf, -math.inf, -700.0, -710.0])
     return draw(st.lists(st.one_of(on_gap, on_gap, on_gap, other), min_size=n, max_size=n))
 
 
@@ -153,6 +154,88 @@ def _random_log(rng, n_comp, n, scale):
     times = np.cumsum(rng.exponential(scale, size=n)) + 1e-3
     marks = rng.integers(1, n_comp + 1, size=n)
     return util.make_log(times, marks)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSharedScan:
+    """Every component's residuals from one scan per mode group, bit for bit
+    those of a scan per component."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        n=st.integers(1, 3000),
+        log_scale=st.floats(-2.0, 1.0),
+    )
+    @example(seed=0, d=3, n=2500, log_scale=-1.0)  # a real group and a complex one, two passes
+    def test_every_component_matches_its_own_scan(self, seed, d, n, log_scale):
+        rng = np.random.default_rng(seed)
+        spec = util.random_spec(rng, d)
+        log = _random_log(rng, d, n, 10.0**log_scale)
+        # the first call, whichever component it asks for, scans for all
+        for c in rng.permutation(np.arange(1, d + 1)).tolist():
+            got = residual_transform(spec, log, component=c)
+            assert _hexes(got.taus) == _hexes(util.residual_transform_numpy(spec, log, c))
+            assert got.array.tolist() == list(got.taus)
+
+    def test_each_spec_gets_its_own_residuals(self, biv_cross, biv_lagged):
+        # a log without a hash holds the residuals of the latest dynamics only
+        log = _random_log(np.random.default_rng(3), 2, 500, 1.0)
+        assert log.meta.spec_hash is None
+        for spec in (biv_cross, biv_lagged, biv_cross):
+            for c in (1, 2):
+                got = residual_transform(spec, log, component=c).taus
+                assert _hexes(got) == _hexes(util.residual_transform_numpy(spec, log, c))
+        cross = residual_transform(biv_cross, log, component=1).taus
+        assert cross != residual_transform(biv_lagged, log, component=1).taus
+
+    def test_kept_arrays_stay_out_of_the_log_fields(self, biv_cross):
+        log = simulate(biv_cross, 50.0, rng=3)
+        fresh = dataclasses.replace(log)
+        first = residual_transform(biv_cross, log, component=2)
+        again = residual_transform(biv_cross, log, component=2)
+        assert again.array is first.array and not first.array.flags.writeable
+        assert log == fresh and hash(log) == hash(fresh)
+        assert _hexes(residual_transform(biv_cross, fresh, component=2).taus) == _hexes(first.taus)
+
+    def test_every_call_checks_the_log(self, biv_cross, hawkes):
+        # the kept residuals skip no check: the component, the hash and the
+        # marks are checked on every call
+        log = util.make_log([1.0, 2.0, 3.0], [1, 2, 1], spec=biv_cross)
+        residual_transform(biv_cross, log, component=1)
+        with pytest.raises(ValueError, match="component must be in 1..2"):
+            residual_transform(biv_cross, log, component=3)
+        with pytest.raises(SpecLogMismatch, match="hash mismatch"):
+            residual_transform(hawkes, log)
+        plain = util.make_log([1.0, 2.0, 3.0], [1, 2, 1])
+        residual_transform(biv_cross, plain)
+        with pytest.raises(SpecLogMismatch, match="mark outside 1..1"):
+            residual_transform(hawkes, plain)
+
+
+class TestResidualSeriesArray:
+    def test_array_is_read_only_and_equals_taus(self, biv_cross):
+        series = residual_transform(biv_cross, simulate(biv_cross, 50.0, rng=2), component=2)
+        hand = ResidualSeries(taus=series.taus, component=2)
+        assert "array" in vars(series) and "array" not in vars(hand)
+        for s in (series, hand):
+            assert s.array.dtype == np.float64 and s.array.shape == (len(s),)
+            assert _hexes(s.array) == _hexes(s.taus)
+            with pytest.raises(ValueError, match="read-only"):
+                s.array[0] = 1.0
+            assert ks_exp1(s) == ks_exp1(s.taus) == ks_exp1(list(s.taus))
+        assert [f.name for f in dataclasses.fields(ResidualSeries)] == ["taus", "component"]
+        assert hand == series and hash(hand) == hash(series)
+
+    def test_empty_series(self, biv_cross):
+        log = util.make_log([1.0, 2.0], [1, 1], spec=biv_cross)
+        series = residual_transform(biv_cross, log, component=2)
+        assert series.taus == () and series.array.shape == (0,)
+        assert ResidualSeries(taus=(), component=1).array.shape == (0,)
 
 
 class TestResidualScanParity:
@@ -322,8 +405,9 @@ class TestKsTest:
     @example(taus=[math.inf, -math.inf])
     def test_refinement_matches_scalar_loop(self, taus):
         # several points on the maximum gap, where a one-ulp error in
-        # numpy's F can move the argmax, beside residuals down to -700 and
+        # numpy's F can move the argmax, beside residuals down to -800 and
         # +-inf, where the window is relative to a large |F| or infinite
+        # (below about -709.78 math.expm1 overflows and F is -inf)
         res = ks_exp1(taus)
         assert (res.statistic, res.p_value) == util.ks_exp1_scalar(taus)
 
@@ -348,6 +432,15 @@ class TestKsTest:
         exact = np.fromiter(map(math.expm1, ys.tolist()), dtype=float, count=len(ys))
         err = np.abs(np.expm1(ys) - exact) / np.maximum(1.0, np.abs(exact))
         assert err.max() <= diagnostics._KS_WINDOW / 1000
+
+    def test_residual_below_expm1_range(self):
+        # math.expm1(-x) overflows below about x = -709.78: F is -inf there,
+        # as for a residual of -inf, so D is inf and p is 0
+        for taus in ([-1000.0, 1.0], [-710.0], [-1e300, -709.0, 2.0]):
+            res = ks_exp1(taus)
+            assert (res.statistic, res.p_value) == (math.inf, 0.0)
+            assert (res.statistic, res.p_value) == util.ks_exp1_scalar(taus)
+        assert ks_exp1([-709.0, 1.0]).statistic < math.inf
 
     def test_nan_residual_is_refused(self):
         for taus, count in (([math.nan, 1.0, 2.0], 1), ([1.0, math.nan, math.nan], 2)):

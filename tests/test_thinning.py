@@ -581,6 +581,14 @@ class TestEventLogContainer:
             ("time,mark\n1.0,1\n  \n\n2.0,x\n", "line 5: cannot read 'x' as an integer mark"),
             ("time,mark\n1.0,1\n\n2.0,1\ninf,1\n", "line 5: event time must be finite"),
             ("time,mark\r\n1.0,1\r\n2.0,\r\n", "line 3: cannot read '' as an integer mark"),
+            # rows that parse but break the log's own rules; the first bad
+            # row is named, its time before its mark
+            ("time,mark\n1.0,1\n\n2.0,0\n", "line 4: marks must be integers >= 1, got 0"),
+            ("time,mark\n2.0,1\n  \n1.0,1\n",
+             "line 4: event times must be strictly increasing and > 0, got 1.0 after 2.0"),
+            ("time,mark\n1e-400,1\n", "line 2: event times must be strictly increasing and > 0, got 0.0"),
+            ("time,mark\n1.0,1\n1.0,-3\n", "line 3: event times must be strictly increasing"),
+            ("time,mark\n1.0,1\n2.0,0\n1.5,1\n", "line 3: marks must be integers >= 1, got 0"),
         ]
         for text, message in cases:
             path.write_bytes(text.encode())
@@ -588,6 +596,21 @@ class TestEventLogContainer:
                 read_events_csv(path)
             assert str(info.value).startswith(message)
             assert "usecols" not in str(info.value) and "row 1" not in str(info.value)
+
+    def test_read_fills_arrays_from_the_columns(self, tmp_path, biv_cross):
+        # the parsed columns become the log's arrays, as EventLog.arrays
+        # would build them from the tuples
+        path = tmp_path / "events.csv"
+        for log in (simulate(biv_cross, 50.0, rng=3), util.make_log([])):
+            write_events_csv(log, path)
+            again = read_events_csv(path)
+            assert "arrays" in vars(again)
+            for array, field, dtype in zip(again.arrays, (again.times, again.marks), (float, int)):
+                want = np.fromiter(field, dtype=dtype, count=len(field))
+                assert array.dtype == want.dtype and array.shape == want.shape
+                assert array.tobytes() == want.tobytes()
+                assert array.flags.c_contiguous and not array.flags.writeable
+            assert again.times == log.times and again.marks == log.marks
 
     def test_csv_without_meta(self, tmp_path, carma21):
         log = simulate(carma21, 50.0, rng=5)

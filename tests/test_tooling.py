@@ -3,7 +3,8 @@ module and attribute name.  A function moved to another module without the
 tracer following it would fail a traced run; this checks every target the
 tracer looks up first, and reads perfbench/ only.  A fresh import of the
 package, which the benchmark's setup_s times, is checked for worker
-machinery, and summarize for the per-component calls the tracer times."""
+machinery, and summarize for the per-component calls the tracer times and
+for one modal scan per mode group."""
 
 import importlib
 import importlib.util
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import carma_hawkes
 import util
-from carma_hawkes import diagnostics, simulate
+from carma_hawkes import diagnostics, dynamics, load_spec, simulate
+from carma_hawkes.model import mode_groups
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -53,7 +55,8 @@ def test_import_loads_no_worker_machinery():
 
 def test_summarize_calls_residual_transform_per_component(monkeypatch):
     # the tracer's diagnostics.residual_us_per_event times summarize's calls
-    # to residual_transform, which it replaces as a module global
+    # to residual_transform, which it replaces as a module global; the first
+    # call does the scan that every component's residuals share
     calls = []
     scan = diagnostics.residual_transform
 
@@ -65,6 +68,31 @@ def test_summarize_calls_residual_transform_per_component(monkeypatch):
     spec = util.biv_cross()
     diagnostics.summarize(spec, simulate(spec, 50.0, rng=1))
     assert calls == [1, 2]
+
+
+def test_summarize_scans_once_per_mode_group(monkeypatch):
+    # every component's residuals come from one modal_scan per mode group,
+    # not one per component
+    calls = []
+    scan = diagnostics.modal_scan
+
+    def counting(lams, *args):
+        calls.append(lams)
+        return scan(lams, *args)
+
+    monkeypatch.setattr(diagnostics, "modal_scan", counting)
+    specs = (
+        util.biv_cross(),
+        util.diagonal_spec([util.carma31_spec(), util.carma21_spec()]),
+        load_spec(util.MODELS / "trivariate_cyclic.json"),
+    )
+    for spec, n_groups in zip(specs, (1, 2, 1)):
+        calls.clear()
+        diagnostics.summarize(spec, simulate(spec, 50.0, rng=1))
+        groups = mode_groups(dynamics(spec))
+        assert len(groups) == n_groups
+        assert len(calls) == n_groups
+        assert all(lams is group.lams for lams, group in zip(calls, groups))
 
 
 def test_exports_resolve_and_are_sorted():

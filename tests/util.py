@@ -28,6 +28,7 @@ from carma_hawkes import (
     kolmogorov_survival,
     spec_hash,
 )
+from carma_hawkes.model import modal_scan, mode_groups, mode_sum
 
 # The bundled model files.
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -271,6 +272,28 @@ def residual_transform_scalar(spec, log, component=1):
     return tuple(taus), tuple(sizes)
 
 
+def residual_transform_numpy(spec, log, component=1):
+    """Exact reference for diagnostics.residual_transform: one component's
+    residuals from a modal_scan per mode group of its own.  The scan that
+    residual_transform shares between components forms the same products
+    and sums in the same order, so it must agree bit for bit.  Returns the
+    taus as a tuple."""
+    dyn = dynamics(spec)
+    times, marks = log.arrays
+    gaps = np.diff(times, prepend=0.0)
+    incs = dyn.mus[component - 1] * gaps
+    for group in mode_groups(dyn):
+        coef = group.weights[component - 1] / group.lams
+        for start, stop, states in modal_scan(group.lams, group.jumps, times, marks):
+            grown = np.expm1(np.outer(gaps[start:stop], group.lams))
+            incs[start:stop] += mode_sum(states[:-1] * grown, coef)
+    own = np.flatnonzero(marks == component)
+    if not len(own):
+        return ()
+    starts = np.concatenate(([0], own[:-1] + 1))
+    return tuple(np.add.reduceat(incs[: own[-1] + 1], starts).tolist())
+
+
 # ---------------------------------------------------------------------------
 # sampled-path oracles
 
@@ -328,12 +351,16 @@ def ks_exp1_scalar(taus):
 
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) with F(x) = -expm1(-x),
     one sorted point at a time; the vectorised form must agree exactly.
+    Below about -709.78, where math.expm1 overflows, F is -inf, as at -inf.
     """
     xs = sorted(taus)
     n = len(xs)
     d = 0.0
     for i, x in enumerate(xs, start=1):
-        f = -math.expm1(-x)
+        try:
+            f = -math.expm1(-x)
+        except OverflowError:
+            f = -math.inf
         d = max(d, i / n - f, f - (i - 1) / n)
     return d, kolmogorov_survival(math.sqrt(n) * d)
 
