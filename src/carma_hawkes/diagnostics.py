@@ -16,7 +16,8 @@ complex128 with each exact conjugate pair carried once at twice its weight.
 Each group's scan takes BLOCK_EVENTS events per numpy pass, however many
 anchor segments they span.  One scan per group serves every component: the
 first residual_transform of a log computes every component's residuals and
-keeps them with the log, and the calls for the other components read them.
+keeps them with the log, and each call returns its component's read-only
+array itself as the ResidualSeries' taus.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,29 +59,31 @@ _KS_WINDOW = 1e-12
 _RESIDUALS_KEY = "_residuals"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualSeries:
-    """Compensator-transformed inter-event gaps for one component."""
+    """One component's compensator-transformed inter-event gaps as a
+    read-only float64 array: such an array (residual_transform's) is taken
+    as it is, any other sequence converted once.  Compares by identity."""
 
-    taus: tuple[float, ...]
+    taus: np.ndarray
     component: int
+
+    def __post_init__(self):
+        taus = self.taus
+        if not (isinstance(taus, np.ndarray) and taus.dtype == float and not taus.flags.writeable):
+            taus = np.array(taus, dtype=np.float64)
+            taus.flags.writeable = False
+            object.__setattr__(self, "taus", taus)
 
     def __len__(self) -> int:
         return len(self.taus)
 
     @property
     def mean(self) -> float:
-        return sum(self.taus) / len(self.taus) if self.taus else math.nan
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """taus as a read-only float64 array.  residual_transform fills it
-        with the array the taus were read from; a series built by hand
-        converts its taus on first use.  The cache lives in the instance
-        dict, outside the fields: equality and hashing ignore it."""
-        arr = np.array(self.taus, dtype=float)
-        arr.flags.writeable = False
-        return arr
+        """The taus summed in order, as Python's sum of floats (not numpy's
+        pairwise sum), over their count."""
+        n = len(self.taus)
+        return float(np.add.accumulate(self.taus)[-1]) / n if n else math.nan
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     The compensator of the chosen component is accumulated in closed form
     across every global event (events of the other components change the
     state and therefore the integrand), by the blocked scan of
-    model.modal_scan, one scan per mode group, the groups' increments added.
-    The trailing censored gap after the last event is discarded.  Raises
+    model.modal_scan over the log's arrays, one scan per mode group, the
+    groups' increments added.  The trailing censored gap is discarded.  Raises
     SpecLogMismatch when the log carries a spec hash that differs from the
     given spec's, or a mark the spec does not have; every call checks.
 
@@ -107,7 +109,7 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     keeps them in the log's instance dict, one read-only array per component
     (n values in all), with the Dynamics they belong to; a call for the same
     dynamics reads them, and one for other dynamics replaces them.  The
-    series' array is the kept array.
+    series' taus are the kept array itself, not a copy.
     """
     n_comp = spec.n_components
     if not 1 <= component <= n_comp:
@@ -127,10 +129,7 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     kept = vars(log).get(_RESIDUALS_KEY)
     if kept is None or kept[0] != dyn:
         kept = vars(log)[_RESIDUALS_KEY] = (dyn, _all_taus(dyn, times, marks))
-    taus = kept[1][component - 1]
-    series = ResidualSeries(taus=tuple(taus.tolist()), component=component)
-    vars(series)["array"] = taus
-    return series
+    return ResidualSeries(taus=kept[1][component - 1], component=component)
 
 
 def _all_taus(dyn: Dynamics, times: np.ndarray, marks: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -200,11 +199,11 @@ def ks_exp1(residuals) -> KsResult:
     inf and the p-value 0.  A NaN residual raises NanSample, naming how many
     there are.
 
-    A ResidualSeries is read through its array, any other sequence is
+    A ResidualSeries' taus are sorted as they are; any other sequence is
     converted once.
     """
     if isinstance(residuals, ResidualSeries):
-        xs = residuals.array
+        xs = residuals.taus
     else:
         xs = np.array(tuple(residuals), dtype=float)
     n = len(xs)

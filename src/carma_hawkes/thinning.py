@@ -89,9 +89,9 @@ import random
 import re
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from numbers import Integral
-from operator import add, lt
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -282,9 +282,12 @@ class SimulationMeta:
 
 @dataclass(frozen=True)
 class EventLog:
-    """Strictly increasing event times with per-event component marks, each
-    an integer >= 1; whether a mark is one of a spec's components is checked
-    where the spec is known (residual_transform, modal_path)."""
+    """Finite, strictly increasing times > 0 and integer marks >= 1 in int64
+    (whether a mark is a spec's component is checked where the spec is
+    known), as lists, tuples or arrays.  The constructor builds `arrays`,
+    read-only float64 and int64 copies, checks them (_first_bad_row: a
+    ValueError names the first bad event's index) and sets the fields to
+    tuples of Python numbers; `arrays` is not a field."""
 
     times: tuple[float, ...]
     marks: tuple[int, ...]
@@ -293,29 +296,45 @@ class EventLog:
     def __post_init__(self):
         if len(self.times) != len(self.marks):
             raise ValueError("times and marks must have equal length")
-        times = self.times
-        later = itertools.islice(times, 1, None)
-        if times and not (times[0] > 0 and all(map(lt, times, later))):
-            raise ValueError("event times must be strictly increasing and > 0")
-        if not all(isinstance(m, Integral) and m >= 1 for m in set(self.marks)):
-            raise ValueError("marks must be integers >= 1")
+        marks = np.array(self.marks)
+        if marks.dtype.kind not in "bi":  # a bool is the integer it is
+            for row, mark in enumerate(self.marks):
+                if not (isinstance(mark, Integral) and -(2**63) <= mark < 2**63):
+                    raise ValueError(f"index {row}: marks must be integers >= 1 in int64, got {mark}")
+        marks = marks.astype(np.int64, copy=False)
+        times = np.array(self.times, dtype=np.float64)
+        bad = _first_bad_row(times, marks)
+        if bad is not None:
+            raise ValueError("index {}: {}".format(*bad))
+        times.flags.writeable = marks.flags.writeable = False
+        object.__setattr__(self, "arrays", (times, marks))
+        object.__setattr__(self, "times", tuple(times.tolist()))
+        object.__setattr__(self, "marks", tuple(marks.tolist()))
 
     def __len__(self) -> int:
         return len(self.times)
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, marks) as read-only float64 and int arrays, built on first
-        use and kept with the log, so the residuals of every component and
-        the paths along the log share one copy.  The cache lives in the
-        instance dict, outside the fields: equality and hashing ignore it."""
-        times = np.fromiter(self.times, dtype=float, count=len(self.times))
-        marks = np.fromiter(self.marks, dtype=int, count=len(self.marks))
-        times.flags.writeable = marks.flags.writeable = False
-        return times, marks
-
     def times_of(self, mark: int) -> tuple[float, ...]:
         return tuple(t for t, m in zip(self.times, self.marks) if m == mark)
+
+
+def _first_bad_row(times: np.ndarray, marks: np.ndarray) -> tuple[int, str] | None:
+    """(row, problem) of the first bad row of a log's float64 times and
+    int64 marks, or None: a non-finite time wherever it is, else a time not
+    above the one before it (or not > 0), or a mark below 1, time first."""
+    finite = np.isfinite(times)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        return row, f"event time must be finite, got {float(times[row])!r}"
+    rises = times > np.concatenate(([0.0], times[:-1]))
+    positive = marks >= 1
+    if rises.all() and positive.all():
+        return None
+    row = int(np.argmin(rises & positive))
+    if not rises[row]:
+        after = f" after {float(times[row - 1])!r}" if row else ""
+        return row, f"event times must be strictly increasing and > 0, got {float(times[row])!r}{after}"
+    return row, f"marks must be integers >= 1, got {int(marks[row])}"
 
 
 def write_csv_rows(fh, row: str, columns: Sequence) -> None:
@@ -397,14 +416,14 @@ def _parse_error(body: str, exc: ValueError) -> ValueError:
 def read_events_csv(path, meta_path=None) -> EventLog:
     """The log of an events file: the header time,mark, then one row per
     event, a finite time and an integer mark, parsed by numpy's C reader.
-    Blank and whitespace-only lines are skipped; any other malformed row, a
-    non-finite time, a time not above the one before it (or not > 0), or a
-    mark below 1 raises ValueError naming the file line of the first bad row
-    (the header is line 1).  With meta_path, the sidecar's fields are read
-    too, and its accepted count must equal the rows read, so a file cut
-    short beside its sidecar is refused.  The log's arrays are the parsed
-    columns, as contiguous read-only copies, so no caller converts the
-    tuples back."""
+    Blank and whitespace-only lines are skipped; any other malformed row, or
+    the first row that breaks the log's rules (_first_bad_row: a non-finite
+    time, a time not above the one before it or not > 0, a mark below 1),
+    raises ValueError naming its file line (the header is line 1).  With
+    meta_path, the sidecar's fields are read too, and its accepted count
+    must equal the rows read, so a file cut short beside its sidecar is
+    refused.  The parsed columns go to EventLog, which copies them once into
+    its arrays."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "time,mark":
@@ -423,32 +442,17 @@ def read_events_csv(path, meta_path=None) -> EventLog:
                 rows = _parse_rows(_BLANK_LINE.sub("", body))
             except ValueError as exc:
                 raise _parse_error(body, exc) from None
-    times_arr = np.ascontiguousarray(rows["time"])
-    marks_arr = np.ascontiguousarray(rows["mark"])
-    finite = np.isfinite(times_arr)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        bad = float(times_arr[row])
-        raise ValueError(f"line {_line_of(body, row)}: event time must be finite, got {bad!r}")
-    rises = times_arr > np.concatenate(([0.0], times_arr[:-1]))
-    positive = marks_arr >= 1
-    if not (rises.all() and positive.all()):
-        row = int(np.argmin(rises & positive))
-        if not rises[row]:
-            bad = float(times_arr[row])
-            after = f" after {float(times_arr[row - 1])!r}" if row else ""
-            problem = f"event times must be strictly increasing and > 0, got {bad!r}{after}"
-        else:
-            problem = f"marks must be integers >= 1, got {int(marks_arr[row])}"
+    bad = _first_bad_row(rows["time"], rows["mark"])
+    if bad is not None:
+        row, problem = bad
         raise ValueError(f"line {_line_of(body, row)}: {problem}")
-    times_arr.flags.writeable = marks_arr.flags.writeable = False
-    times = times_arr.tolist()
-    marks = marks_arr.tolist()
+    n = len(rows)
+    last = float(rows["time"][-1]) if n else 0.0
     meta = SimulationMeta(
         seed=None,
-        horizon=times[-1] if times else 0.0,
+        horizon=last,
         proposed=0,
-        accepted=len(times),
+        accepted=n,
         acceptance_ratio=0.0,
         wall_time_seconds=0.0,
         spec_hash=None,
@@ -463,7 +467,7 @@ def read_events_csv(path, meta_path=None) -> EventLog:
                 seed=data.get("seed"),
                 horizon=float(data.get("horizon", meta.horizon)),
                 proposed=int(data.get("proposed", 0)),
-                accepted=int(data.get("accepted", len(times))),
+                accepted=int(data.get("accepted", n)),
                 acceptance_ratio=float(data.get("acceptance_ratio", 0.0)),
                 wall_time_seconds=float(data.get("wall_time_seconds", 0.0)),
                 spec_hash=data.get("spec_hash"),
@@ -477,17 +481,13 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             )
         if not (math.isfinite(meta.horizon) and math.isfinite(meta.acceptance_ratio)):
             raise ValueError("metadata horizon and acceptance_ratio must be finite")
-        if times and meta.horizon < times[-1]:
+        if n and meta.horizon < last:
             raise ValueError(
-                f"metadata horizon {meta.horizon!r} precedes the last event time {times[-1]!r}"
+                f"metadata horizon {meta.horizon!r} precedes the last event time {last!r}"
             )
-        if meta.accepted != len(times):
-            raise ValueError(
-                f"metadata accepted {meta.accepted} events, the file holds {len(times)}"
-            )
-    log = EventLog(times=tuple(times), marks=tuple(marks), meta=meta)
-    vars(log)["arrays"] = (times_arr, marks_arr)
-    return log
+        if meta.accepted != n:
+            raise ValueError(f"metadata accepted {meta.accepted} events, the file holds {n}")
+    return EventLog(times=rows["time"], marks=rows["mark"], meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +538,7 @@ def _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start
         spec_hash=spec_hash(spec),
         squeezed=squeezed,
     )
-    return EventLog(times=tuple(times), marks=tuple(marks), meta=meta)
+    return EventLog(times=times, marks=marks, meta=meta)
 
 
 def _certify_envelope(w_total, jumps, k_consts) -> None:

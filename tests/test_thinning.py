@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import re
 import tempfile
 
 import numpy as np
@@ -486,6 +487,23 @@ class TestLongRunRates:
         assert len(log.times_of(2)) / 5000.0 == pytest.approx(r2, rel=0.07)
 
 
+@st.composite
+def _rows(draw):
+    """Up to 8 (time, mark) rows: mostly rising times and valid marks, with
+    NaN, +-inf, 0, equal and decreasing times and marks 0 and -1 mixed in."""
+    rows, t = [], 0.0
+    for _ in range(draw(st.integers(0, 8))):
+        kind, value = draw(st.one_of(
+            st.tuples(st.just("gap"), st.floats(1e-3, 10.0)),
+            st.sampled_from([("gap", 0.0), ("gap", -1.0), ("at", 0.0), ("at", math.nan),
+                             ("at", math.inf), ("at", -math.inf)]),
+        ))
+        time = t + value if kind == "gap" else value
+        t = time if math.isfinite(time) else t
+        rows.append((time, draw(st.sampled_from([1, 2, 3, 0, -1]))))
+    return rows
+
+
 class TestEventLogContainer:
     def test_rejects_nonincreasing_times(self):
         with pytest.raises(ValueError):
@@ -495,10 +513,23 @@ class TestEventLogContainer:
         with pytest.raises(ValueError):
             util.make_log([0.0, 1.0])
 
+    def test_rejects_non_finite_times(self):
+        # an infinite last time would give summarize an infinite horizon
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="index 2: event time must be finite"):
+                util.make_log([1.0, 2.0, bad])
+        with pytest.raises(ValueError, match="index 0: event time must be finite, got inf"):
+            EventLog(times=(math.inf, 0.5), marks=(1, 0), meta=util.make_log([]).meta)
+
     def test_rejects_bad_marks(self):
-        for bad in (0, -1, 1.5):
-            with pytest.raises(ValueError, match="marks must be integers >= 1"):
+        for bad in (0, -1, 1.5, 2**70, 2**63, -(2**63) - 1, np.uint64(2**63), "1"):
+            with pytest.raises(ValueError, match="index 1: marks must be integers >= 1"):
                 util.make_log([1.0, 2.0], [1, bad])
+        assert util.make_log([1.0], [2**63 - 1]).marks == (2**63 - 1,)
+        # a bool is the integer it is: True is mark 1, False a mark of 0
+        assert util.make_log([1.0, 2.0], [True, 2]).marks == (1, 2)
+        with pytest.raises(ValueError, match="index 1: marks must be integers >= 1, got 0"):
+            util.make_log([1.0, 2.0], [True, False])
         # any integer mark >= 1 is a log's own business; whether the spec
         # has that component is checked where the spec is known
         assert util.make_log([1.0, 2.0], [3, 12]).marks == (3, 12)
@@ -518,22 +549,33 @@ class TestEventLogContainer:
     def test_arrays_leave_fields_equality_and_hash(self, biv_cross):
         log = simulate(biv_cross, 50.0, rng=3)
         fresh = dataclasses.replace(log)
-        log.arrays
         assert [f.name for f in dataclasses.fields(EventLog)] == ["times", "marks", "meta"]
-        assert "arrays" not in fresh.__dict__
         assert log == fresh and hash(log) == hash(fresh)
+
+    def test_fields_are_tuples_of_python_numbers(self):
+        # lists, tuples and arrays all give the same log
+        times, marks = [0.5, 1.0, 2.5], [2, 1, 2]
+        for given in ((times, marks), (tuple(times), tuple(marks)),
+                      (np.array(times), np.array(marks, dtype=np.int32))):
+            log = EventLog(times=given[0], marks=given[1], meta=util.make_log([]).meta)
+            assert log.times == tuple(times) and log.marks == tuple(marks)
+            assert all(type(t) is float for t in log.times)
+            assert all(type(m) is int for m in log.marks)
+            assert log.arrays[0].dtype == np.float64 and log.arrays[1].dtype == np.int64
 
     def test_residuals_and_paths_share_one_copy(self, biv_cross, monkeypatch):
         # summarize runs one residual transform per component, and the
-        # paths scan the log again: the log's tuples are converted once
+        # paths scan the log again: all read the arrays the constructor
+        # built, and none converts the log's tuples
         log = simulate(biv_cross, 50.0, rng=3)
         seen = []
-        fromiter = np.fromiter
-        monkeypatch.setattr(np, "fromiter", lambda it, *a, **k: seen.append(it) or fromiter(it, *a, **k))
+        for name in ("fromiter", "array", "asarray"):
+            convert = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda it, *a, _c=convert, **k: seen.append(it) or _c(it, *a, **k))
         summarize(biv_cross, log)
         intensity_path(biv_cross, log, [1.0, 2.0])
         bound_path(biv_cross, log, [1.0, 2.0])
-        assert [it for it in seen if it is log.times or it is log.marks] == [log.times, log.marks]
+        assert seen and [it for it in seen if it is log.times or it is log.marks] == []
 
     def test_csv_roundtrip(self, tmp_path, biv_cross):
         log = simulate(biv_cross, 200.0, rng=5)
@@ -598,13 +640,12 @@ class TestEventLogContainer:
             assert "usecols" not in str(info.value) and "row 1" not in str(info.value)
 
     def test_read_fills_arrays_from_the_columns(self, tmp_path, biv_cross):
-        # the parsed columns become the log's arrays, as EventLog.arrays
-        # would build them from the tuples
+        # the parsed columns become the log's arrays, as the constructor
+        # builds them from tuples
         path = tmp_path / "events.csv"
         for log in (simulate(biv_cross, 50.0, rng=3), util.make_log([])):
             write_events_csv(log, path)
             again = read_events_csv(path)
-            assert "arrays" in vars(again)
             for array, field, dtype in zip(again.arrays, (again.times, again.marks), (float, int)):
                 want = np.fromiter(field, dtype=dtype, count=len(field))
                 assert array.dtype == want.dtype and array.shape == want.shape
@@ -642,6 +683,35 @@ class TestEventLogContainer:
             again = read_events_csv(path)
         assert [t.hex() for t in again.times] == [t.hex() for t in log.times]
         assert again.marks == log.marks
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_rows())
+    def test_constructor_and_reader_refuse_alike(self, rows):
+        # the log's rules have one implementation: a log built from rows is
+        # refused exactly when the same rows read from a file are, and both
+        # name the same first bad row with the same problem
+        times, marks = [t for t, _ in rows], [m for _, m in rows]
+        try:
+            made = EventLog(times=times, marks=marks, meta=util.make_log([]).meta)
+            refused = None
+        except ValueError as exc:
+            refused = str(exc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "events.csv")
+            with open(path, "w") as fh:
+                fh.write("time,mark\n" + "".join("%.17g,%d\n" % row for row in rows))
+            try:
+                read = read_events_csv(path)
+                read_refused = None
+            except ValueError as exc:
+                read_refused = str(exc)
+        if refused is None:
+            assert read_refused is None
+            assert read.times == made.times and read.marks == made.marks
+        else:
+            index, problem = re.fullmatch(r"index (\d+): (.*)", refused).groups()
+            # the header is line 1
+            assert read_refused == f"line {int(index) + 2}: {problem}"
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "junk.csv"

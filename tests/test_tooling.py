@@ -4,7 +4,9 @@ tracer following it would fail a traced run; this checks every target the
 tracer looks up first, and reads perfbench/ only.  A fresh import of the
 package, which the benchmark's setup_s times, is checked for worker
 machinery, and summarize for the per-component calls the tracer times and
-for one modal scan per mode group."""
+for one modal scan per mode group.  The benchmark's own correctness check of
+an in-process replication (perfbench/checks.py) must pass on every benchmark
+model, so a change to the record types cannot fail its operations."""
 
 import importlib
 import importlib.util
@@ -15,16 +17,23 @@ from pathlib import Path
 
 import carma_hawkes
 import util
-from carma_hawkes import diagnostics, dynamics, load_spec, simulate
+from carma_hawkes import diagnostics, dynamics, load_spec, simulate, summarize, validate
 from carma_hawkes.model import mode_groups
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    """A perfbench module, loaded by path without putting perfbench on the
+    import path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_targets_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer")
     assert tracer.TARGETS
     for name, places, _ in tracer.TARGETS:
         module_name, attr = places[0]
@@ -100,3 +109,17 @@ def test_exports_resolve_and_are_sorted():
     names = carma_hawkes.__all__
     assert names == sorted(set(names))
     assert [name for name in names if not hasattr(carma_hawkes, name)] == []
+
+
+def test_library_check_passes_on_every_benchmark_model(tmp_path):
+    # round 0 of protocol-lib also re-simulates and compares the log fields,
+    # and writes and parses the events CSV
+    checks, workloads = _load("checks"), _load("workloads")
+    assert len(workloads.ALL_MODELS) == 6
+    for model in workloads.ALL_MODELS:
+        spec = load_spec(workloads.model_path(model))
+        override = {model: not validate(spec).admissible}
+        log = simulate(spec, 200.0, rng=5, override_validation=override[model])
+        op = {"round": 0, "model": model, "horizon": 200.0, "seed": 5}
+        out = checks.check_library_op(op, spec, log, summarize(spec, log), override, tmp_path)
+        assert out["failures"] == [] and len(log) > 0 and out["roundtrip_err"] == 0.0
