@@ -1,8 +1,13 @@
 """Command-line front end: simulate, validate, diagnose, bench.
 
-Exit codes: 0 success, 2 invalid configuration or input (an unusable path
-included), 3 validation failure without --force, 4 runtime envelope
-violation (internal assertion).
+Exit codes, from _failure, the one map of an error's type to its code; an
+error prints one `error:` line.  0 success; 2 invalid configuration or
+input: a model spec or events file that cannot be read, an OSError (an
+unusable path), every other CarmaHawkesError (HorizonNonPositive,
+SpecLogMismatch, ZeroEigenvalue, DegenerateEigenvalues, ...); 3 a spec that
+fails validation without --force, or NonStationarySpec; 4 BoundViolation,
+the envelope not dominating (an internal assertion).  Any other exception
+is a bug, and ends in its traceback.
 
 `simulate` and `bench` split their replications over
 P = min(reps, usable CPUs) processes, the CPUs being those of the process's
@@ -35,15 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import summarize, write_report_json, write_residuals_csv
-from .errors import (
-    BoundViolation,
-    CarmaHawkesError,
-    HorizonNonPositive,
-    NonStationarySpec,
-    SpecLogMismatch,
-)
-from .model import intensity_path, load_spec, spec_hash, validate
+from .errors import BoundViolation, CarmaHawkesError, NonStationarySpec
+from .model import intensity_path, load_spec, validate
 from .thinning import (
+    _check_horizon,
     bound_path,
     read_events_csv,
     simulate,
@@ -92,8 +92,7 @@ def _checked_run(args):
     spec = _load_spec_or_none(args.model)
     if spec is None:
         return None, EXIT_BAD_CONFIG
-    if not (math.isfinite(args.horizon) and args.horizon > 0):
-        return None, _fail(f"horizon must be > 0, got {args.horizon}", EXIT_BAD_CONFIG)
+    _check_horizon(args.horizon)
     if args.reps < 1:
         return None, _fail(f"reps must be >= 1, got {args.reps}", EXIT_BAD_CONFIG)
     if args.seed < 0:
@@ -136,16 +135,17 @@ def _share(spec, args, each, ks):
     return results, None
 
 
-def _failure(k, exc):
-    """(k, exit code, error line) of a replication's error; the code is None,
-    and the line a traceback, for an error the CLI does not expect."""
+def _failure(exc):
+    """(exit code, error line) of an error: the one map from exception type
+    to exit code.  The code is None, and the line a traceback, for an error
+    the CLI does not expect."""
     if isinstance(exc, BoundViolation):
-        return k, EXIT_BOUND_VIOLATION, f"envelope violation during simulation: {exc}"
-    if isinstance(exc, (NonStationarySpec, HorizonNonPositive)):
-        return k, EXIT_VALIDATION, str(exc)
+        return EXIT_BOUND_VIOLATION, f"envelope violation during simulation: {exc}"
+    if isinstance(exc, NonStationarySpec):
+        return EXIT_VALIDATION, str(exc)
     if isinstance(exc, (CarmaHawkesError, OSError)):
-        return k, EXIT_BAD_CONFIG, str(exc)
-    return k, None, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        return EXIT_BAD_CONFIG, str(exc)
+    return None, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
 
 
 def _worker(spec, args, each, ks, parent: int, fd: int) -> None:
@@ -154,7 +154,7 @@ def _worker(spec, args, each, ks, parent: int, fd: int) -> None:
     alive = itertools.takewhile(lambda k: os.getppid() == parent, ks)
     results, failed = _share(spec, args, each, alive)
     with os.fdopen(fd, "wb") as pipe:
-        pickle.dump((results, failed and _failure(*failed)), pipe)
+        pickle.dump((results, failed and (failed[0], *_failure(failed[1]))), pipe)
 
 
 def _collect(pid: int, fd: int, first: int):
@@ -198,7 +198,7 @@ def _replicate(spec, args, each):
             os.close(w)
             workers[pid] = (r, i)
         results, failed = _share(spec, args, each, range(0, args.reps, procs))
-        failures = [] if failed is None else [(*_failure(*failed), failed[1])]
+        failures = [] if failed is None else [(failed[0], *_failure(failed[1]), failed[1])]
         while workers:
             pid = next(iter(workers))
             theirs, failure = _collect(pid, *workers[pid])
@@ -284,10 +284,7 @@ def cmd_diagnose(args) -> int:
         log = read_events_csv(events_path, meta_path if meta_path.exists() else None)
     except ValueError as exc:
         return _fail(f"cannot parse events file: {exc}", EXIT_BAD_CONFIG)
-    try:
-        report = summarize(spec, log)
-    except SpecLogMismatch as exc:
-        return _fail(str(exc), EXIT_BAD_CONFIG)
+    report = summarize(spec, log)
 
     out_dir = Path(args.out) if args.out else events_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -387,7 +384,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CarmaHawkesError, OSError) as exc:
-        return _fail(str(exc), EXIT_BAD_CONFIG)
+        code, message = _failure(exc)
+        return _fail(message, code)
 
 
 if __name__ == "__main__":

@@ -34,12 +34,14 @@ from .model import (  # the scan's block limits are re-exported
     BLOCK_EXPONENT,
     Dynamics,
     Spec,
+    check_nonzero_roots,
     dynamics,
     modal_scan,
     mode_groups,
     mode_sum,
     spec_hash,
     stationary_rates,
+    strict_json_values,
 )
 from .thinning import EventLog, write_csv_rows
 
@@ -102,7 +104,8 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     model.modal_scan over the log's arrays, one scan per mode group, the
     groups' increments added.  The trailing censored gap is discarded.  Raises
     SpecLogMismatch when the log carries a spec hash that differs from the
-    given spec's, or a mark the spec does not have; every call checks.
+    given spec's, or a mark the spec does not have; every call checks.  A
+    spec with a root at 0 raises ZeroEigenvalue on a non-empty log.
 
     The scans give every component's increments at once, so the first call
     for a log computes the residuals of all its components (_all_taus) and
@@ -124,8 +127,7 @@ def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> Residua
     if marks.max() > n_comp:
         raise SpecLogMismatch(f"event log holds a mark outside 1..{n_comp}")
     dyn = dynamics(spec)
-    if 0 in dyn.lams:
-        raise ValueError("zero eigenvalue: compensator closed form undefined")
+    check_nonzero_roots(dyn)
     kept = vars(log).get(_RESIDUALS_KEY)
     if kept is None or kept[0] != dyn:
         kept = vars(log)[_RESIDUALS_KEY] = (dyn, _all_taus(dyn, times, marks))
@@ -247,22 +249,17 @@ class ComponentDiagnostics:
     residual_mean: float
 
     def to_dict(self, acceptance_ratio: float) -> dict:
-        return {
+        """The row as strict JSON values (model.strict_json_values)."""
+        return strict_json_values({
             "component": self.component,
             "n_events": self.n_events,
             "empirical_rate": self.empirical_rate,
-            "theoretical_rate": self.theoretical_rate
-            if math.isfinite(self.theoretical_rate)
-            else None,
-            "ks_statistic": self.ks.statistic
-            if self.ks and math.isfinite(self.ks.statistic)
-            else None,
+            "theoretical_rate": self.theoretical_rate,
+            "ks_statistic": self.ks.statistic if self.ks else None,
             "ks_p_value": self.ks.p_value if self.ks else None,
-            "residual_mean": self.residual_mean
-            if math.isfinite(self.residual_mean)
-            else None,
+            "residual_mean": self.residual_mean,
             "acceptance_ratio": acceptance_ratio,
-        }
+        })
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,11 @@ class NonStationarySpec(CarmaHawkesError):
     """Simulation refused: the spec failed validation and no override was given."""
 
 
+class ZeroEigenvalue(CarmaHawkesError, ValueError):
+    """An AR root is exactly 0: the compensator's closed form divides by
+    every root, so it is undefined."""
+
+
 class HorizonNonPositive(CarmaHawkesError, ValueError):
     """Simulation horizon must be a finite positive number."""
 

@@ -37,6 +37,7 @@ from .errors import (
     NegativeIntensity,
     NumericalOverflow,
     RootFindingFailure,
+    ZeroEigenvalue,
 )
 
 # Kernel values above this (negative) threshold count as non-negative.
@@ -285,8 +286,7 @@ def compensator_increment(spec: Spec, state: ProcessState, t0: float, t1: float)
         raise ValueError("interval starts before the state's last event")
     if t1 < t0:
         raise ValueError("interval must satisfy t1 >= t0")
-    if any(lam == 0 for lam in dyn.lams):
-        raise ValueError("zero eigenvalue: compensator closed form undefined")
+    check_nonzero_roots(dyn)
     d0 = max(t0 - te, 0.0)
     d1 = max(t1 - te, 0.0)
     _guard_exponent(dyn.decay, d1)
@@ -299,6 +299,12 @@ def compensator_increment(spec: Spec, state: ProcessState, t0: float, t1: float)
         inc = mu_c * (t1 - t0) + sum((wj * dj).real for wj, dj in zip(w, diff))
         vals.append(inc)
     return vals[0] if len(vals) == 1 else tuple(vals)
+
+
+def check_nonzero_roots(dyn: Dynamics) -> None:
+    """Refuse dyn for a compensator, whose closed form divides by every root."""
+    if 0 in dyn.lams:
+        raise ZeroEigenvalue("zero eigenvalue: compensator closed form undefined")
 
 
 def _cexpm1(w: complex) -> complex:
@@ -401,34 +407,38 @@ class ValidationReport:
         return not self.flags
 
     def to_dict(self) -> dict:
-        """The report as strict JSON values: a non-finite number is None."""
-
-        def num(v):
-            return v if v is None or math.isfinite(v) else None
-
-        def nums(vs):
-            return None if vs is None else [num(v) for v in vs]
-
+        """The report as strict JSON values (strict_json_values)."""
         d = {
             "process_type": self.process_type,
             "admissible": self.admissible,
-            "flags": list(self.flags),
-            "branching": num(self.branching),
-            "branching_matrix": None
-            if self.branching_matrix is None
-            else [nums(r) for r in self.branching_matrix],
-            "spectral_radius": num(self.spectral_radius),
-            "decay": num(self.decay),
-            "kernel_min": num(self.kernel_min),
-            "kernel_mins": {k: num(v) for k, v in self.kernel_mins} if self.kernel_mins else None,
-            "eigenvalues": None
-            if self.eigenvalues is None
-            else [nums((z.real, z.imag)) for z in self.eigenvalues],
-            "bound_constants": nums(self.bound_constants),
+            "flags": self.flags,
+            "branching": self.branching,
+            "branching_matrix": self.branching_matrix,
+            "spectral_radius": self.spectral_radius,
+            "decay": self.decay,
+            "kernel_min": self.kernel_min,
+            "kernel_mins": None if self.kernel_mins is None else dict(self.kernel_mins),
+            "eigenvalues": self.eigenvalues,
+            "bound_constants": self.bound_constants,
         }
         if self.detail:
             d["detail"] = self.detail
-        return d
+        return strict_json_values(d)
+
+
+def strict_json_values(value):
+    """A report tree as the values strict JSON can hold: through dicts,
+    lists and tuples, a non-finite float becomes None, a tuple a list and a
+    complex number [real, imag]; every other value is kept as it is."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, complex):
+        return [strict_json_values(value.real), strict_json_values(value.imag)]
+    if isinstance(value, dict):
+        return {k: strict_json_values(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [strict_json_values(v) for v in value]
+    return value
 
 
 def _branching_entry(b: Sequence[float], a: Sequence[float]) -> float:
@@ -733,6 +743,8 @@ def spec_to_dict(spec: Spec) -> dict:
 
 
 def spec_from_dict(data: dict) -> Spec:
+    if not isinstance(data, dict):
+        raise ValueError(f"a model spec must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
     if kind == "univariate":
         return UnivariateSpec(data["mu"], data["a"], data["b"])

@@ -43,8 +43,9 @@ routing rule would reject it too, and the test comes after the envelope's
 decay, so candidates, decisions and seeded output are those of the loop
 without it.  Squeezed candidates never evaluate lam, so the per-candidate
 check lam <= lam_bar does not see them; they are covered instead by a
-certificate checked once per run, sum_j |W_j| |J_mj| <= K_m for every mark m,
-which bounds lam - base by lam_bar - base at every t.
+certificate, sum_j |W_j| |J_mj| <= K_m for every mark m, which bounds
+lam - base by lam_bar - base at every t; it depends on the Dynamics alone, so
+it is checked where the loop is compiled.
 
 The loop is not interpreted over lists of modes.  _kernel writes it out once
 per Dynamics as straight-line Python, compiled with compile/exec (as
@@ -87,25 +88,22 @@ import json
 import math
 import random
 import re
+import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 from operator import add
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BoundViolation,
-    HorizonNonPositive,
-    NonStationarySpec,
-    NumericalOverflow,
-)
+from .errors import BoundViolation, HorizonNonPositive, NonStationarySpec
 from .model import (
     CACHE_MAXSIZE,
     Dynamics,
     Spec,
+    _guard_exponent,
     dynamics,
     modal_path,
     mode_kinds,
@@ -213,10 +211,8 @@ def _decayed_excess(tracker: BoundTracker, t: float) -> float:
     dt = t - tracker.anchor_time
     if dt < 0:
         raise ValueError("envelope queried before its anchor time")
-    x = tracker.decay * dt
-    if x > 700.0:
-        raise NumericalOverflow(f"envelope factor exp({x:.6g}) overflows")
-    return (tracker.lambda_bar - tracker.base) * math.exp(x)
+    _guard_exponent(tracker.decay, dt)
+    return (tracker.lambda_bar - tracker.base) * math.exp(tracker.decay * dt)
 
 
 def bound_value(tracker: BoundTracker, t: float) -> float:
@@ -267,18 +263,6 @@ class SimulationMeta:
     # candidates rejected by the squeeze pretest, without evaluating lam
     squeezed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "proposed": self.proposed,
-            "accepted": self.accepted,
-            "acceptance_ratio": self.acceptance_ratio,
-            "wall_time_seconds": self.wall_time_seconds,
-            "spec_hash": self.spec_hash,
-            "squeezed": self.squeezed,
-        }
-
 
 @dataclass(frozen=True)
 class EventLog:
@@ -287,7 +271,9 @@ class EventLog:
     known), as lists, tuples or arrays.  The constructor builds `arrays`,
     read-only float64 and int64 copies, checks them (_first_bad_row: a
     ValueError names the first bad event's index) and sets the fields to
-    tuples of Python numbers; `arrays` is not a field."""
+    tuples of Python numbers; `arrays` is not a field.  A time that is not
+    a real number within float range (a string, say), or a mark that is not
+    an integer in int64, is refused first."""
 
     times: tuple[float, ...]
     marks: tuple[int, ...]
@@ -302,7 +288,12 @@ class EventLog:
                 if not (isinstance(mark, Integral) and -(2**63) <= mark < 2**63):
                     raise ValueError(f"index {row}: marks must be integers >= 1 in int64, got {mark}")
         marks = marks.astype(np.int64, copy=False)
-        times = np.array(self.times, dtype=np.float64)
+        times = np.array(self.times)
+        if times.dtype.kind not in "biuf":
+            for row, t in enumerate(self.times):
+                if not (isinstance(t, Real) and abs(t) <= sys.float_info.max):
+                    raise ValueError(f"index {row}: event times must be finite real numbers, got {t!r}")
+        times = times.astype(np.float64, copy=False)
         bad = _first_bad_row(times, marks)
         if bad is not None:
             raise ValueError("index {}: {}".format(*bad))
@@ -313,9 +304,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def times_of(self, mark: int) -> tuple[float, ...]:
-        return tuple(t for t, m in zip(self.times, self.marks) if m == mark)
 
 
 def _first_bad_row(times: np.ndarray, marks: np.ndarray) -> tuple[int, str] | None:
@@ -361,7 +349,7 @@ def write_events_csv(log: EventLog, path) -> None:
 
 def write_meta_json(log: EventLog, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(log.meta.to_dict(), fh, indent=2)
+        json.dump(asdict(log.meta), fh, indent=2)
         fh.write("\n")
 
 
@@ -416,14 +404,14 @@ def _parse_error(body: str, exc: ValueError) -> ValueError:
 def read_events_csv(path, meta_path=None) -> EventLog:
     """The log of an events file: the header time,mark, then one row per
     event, a finite time and an integer mark, parsed by numpy's C reader.
-    Blank and whitespace-only lines are skipped; any other malformed row, or
-    the first row that breaks the log's rules (_first_bad_row: a non-finite
-    time, a time not above the one before it or not > 0, a mark below 1),
+    Blank and whitespace-only lines are skipped; any other malformed row
     raises ValueError naming its file line (the header is line 1).  With
     meta_path, the sidecar's fields are read too, and its accepted count
     must equal the rows read, so a file cut short beside its sidecar is
     refused.  The parsed columns go to EventLog, which copies them once into
-    its arrays."""
+    its arrays and checks the log's rules on them; the first row that breaks
+    one (_first_bad_row: a non-finite time, a time not above the one before
+    it or not > 0, a mark below 1) raises ValueError naming its file line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "time,mark":
@@ -442,10 +430,6 @@ def read_events_csv(path, meta_path=None) -> EventLog:
                 rows = _parse_rows(_BLANK_LINE.sub("", body))
             except ValueError as exc:
                 raise _parse_error(body, exc) from None
-    bad = _first_bad_row(rows["time"], rows["mark"])
-    if bad is not None:
-        row, problem = bad
-        raise ValueError(f"line {_line_of(body, row)}: {problem}")
     n = len(rows)
     last = float(rows["time"][-1]) if n else 0.0
     meta = SimulationMeta(
@@ -487,7 +471,12 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             )
         if meta.accepted != n:
             raise ValueError(f"metadata accepted {meta.accepted} events, the file holds {n}")
-    return EventLog(times=rows["time"], marks=rows["mark"], meta=meta)
+    try:
+        return EventLog(times=rows["time"], marks=rows["mark"], meta=meta)
+    except ValueError:
+        # a row broke the log's rules: find it again to name its file line
+        row, problem = _first_bad_row(rows["time"], rows["mark"])
+        raise ValueError(f"line {_line_of(body, row)}: {problem}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -504,26 +493,26 @@ def _check_horizon(horizon) -> float:
     return h
 
 
-def _require_admissible(spec: Spec, override: bool) -> None:
+def _require_admissible(spec: Spec, override: bool) -> Dynamics:
+    """The spec's Dynamics, once it may be simulated.  A spectral failure
+    (DegenerateEigenvalues, RootFindingFailure) is raised as it is, as no
+    override makes such a spec simulable."""
+    dyn = dynamics(spec)
     report = validate(spec)
-    if not report.admissible:
-        hard = {"DegenerateEigenvalues", "RootFindingFailure"}
-        if hard & set(report.flags):
-            # not simulable at all: the spectral machinery itself is unavailable
-            dynamics(spec)  # re-raises the underlying spectral error
-        if not override:
-            raise NonStationarySpec(
-                f"spec failed validation ({', '.join(report.flags)}); "
-                "pass override to simulate anyway"
-            )
+    if not (report.admissible or override):
+        raise NonStationarySpec(
+            f"spec failed validation ({', '.join(report.flags)}); "
+            "pass override to simulate anyway"
+        )
     # Not overridable: with a non-negative decay rate the envelope grows
     # between events, so a constant proposal rate taken at the current time
     # would no longer dominate and thinning would be biased.
-    if dynamics(spec).decay >= 0:
+    if dyn.decay >= 0:
         raise NonStationarySpec(
             "decay rate >= 0: envelope-based thinning requires every "
             "autoregressive root to have negative real part"
         )
+    return dyn
 
 
 def _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start) -> EventLog:
@@ -558,18 +547,16 @@ def _certify_envelope(w_total, jumps, k_consts) -> None:
             )
 
 
-def _total_weights(dyn: Dynamics) -> list:
-    # the envelope bounds the summed intensity, whose modal weights are the
-    # column sums of the per-component weights
-    return [sum(col) for col in zip(*dyn.weights)]
-
-
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def _kernel(dyn: Dynamics):
     """Compile the thinning loop for dyn as straight-line Python; the loop,
-    its exactness and the mode kinds are set out in the module docstring."""
+    its exactness and the mode kinds are set out in the module docstring.
+    A dyn that fails _certify_envelope raises, and nothing is cached."""
     n_comp = len(dyn.mus)
-    w_total = _total_weights(dyn)
+    # the envelope bounds the summed intensity, whose modal weights are the
+    # column sums of the per-component weights
+    w_total = [sum(col) for col in zip(*dyn.weights)]
+    _certify_envelope(w_total, dyn.jumps, dyn.bound_jumps)
     # the squeeze's a_j = max_c |W^(c)_j| over the running-sum rows and its
     # constant (module docstring), each with its rounding margin
     sums = itertools.accumulate(dyn.weights, lambda acc, w: list(map(add, acc, w)))
@@ -695,7 +682,6 @@ def _run(dyn: Dynamics, horizon: float, stream) -> tuple[list, list, int, int]:
 
     The first arrival is drawn here; the compiled kernel does the rest.
     """
-    _certify_envelope(_total_weights(dyn), dyn.jumps, dyn.bound_jumps)
     loop = _kernel(dyn)
     draw = stream.draw
     times: list[float] = []
@@ -718,9 +704,8 @@ def simulate(spec: Spec, horizon: float, rng=None, override_validation: bool = F
     event); every later candidate that the squeeze does not reject is
     checked against the envelope, and a breach raises BoundViolation."""
     horizon = _check_horizon(horizon)
-    _require_admissible(spec, override_validation)
+    dyn = _require_admissible(spec, override_validation)
     stream = as_uniform_stream(rng)
-    dyn = dynamics(spec)
     t_start = time.perf_counter()
     times, marks, proposed, squeezed = _run(dyn, horizon, stream)
     return _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start)

@@ -53,12 +53,18 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, cpu=None):
+    """The CLI in a fresh interpreter; with cpu, pinned to that one CPU, so
+    simulate and bench run in one process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(env_extra or {})
+    entry = ["-m", "carma_hawkes"] if cpu is None else [
+        "-c",
+        f"import os, sys; os.sched_setaffinity(0, [{cpu}]); "
+        "from carma_hawkes.cli import main; sys.exit(main(sys.argv[1:]))",
+    ]
     return subprocess.run(
-        [sys.executable, "-m", "carma_hawkes", *args],
+        [sys.executable, *entry, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -93,11 +99,14 @@ class TestSimulateCommand:
         n = json.loads(capsys.readouterr().out)["events"][0]
         assert abs(n - 4500) <= 0.05 * 4500
 
-    def test_negative_horizon_exits_2(self, tmp_path, carma21):
+    def test_negative_horizon_exits_2(self, tmp_path, carma21, capsys):
         model = write_spec(tmp_path, carma21)
-        code = main(["simulate", "--model", model, "--horizon", "-1", "--seed", "1",
-                     "--out", str(tmp_path / "x")])
-        assert code == 2
+        for horizon in ("-1", "inf", "nan"):
+            for argv in (["simulate", "--out", str(tmp_path / "x")], ["bench"]):
+                code = main([*argv, "--model", model, "--horizon", horizon, "--seed", "1"])
+                assert code == 2
+                err = capsys.readouterr().err
+                assert err == f"error: horizon must be finite and > 0, got {float(horizon)!r}\n"
 
     def test_zero_reps_exits_2(self, tmp_path, carma21):
         model = write_spec(tmp_path, carma21)
@@ -280,11 +289,27 @@ class TestValidateCommand:
 
     def test_malformed_multivariate_spec_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        for b in ([1.0, 2.0], [[1.0, 2.0]], [[[1.0], [0.0]], [[0.0], [-1.0, 0.5]]]):
-            spec = {"type": "multivariate", "mu": [0.3, 0.3], "a": [[2.0], [2.0]], "b": b}
+        specs = [
+            {"type": "multivariate", "mu": [0.3, 0.3], "a": [[2.0], [2.0]], "b": b}
+            for b in ([1.0, 2.0], [[1.0, 2.0]], [[[1.0], [0.0]], [[0.0], [-1.0, 0.5]]])
+        ]
+        for spec in specs:
             path.write_text(json.dumps(spec))
             assert main(["validate", "--model", str(path)]) == 2
             assert "cannot load model spec" in capsys.readouterr().err
+        # a document that is not a JSON object, refused by every command
+        for doc, kind in (([1, 2], "list"), ("x", "str")):
+            path.write_text(json.dumps(doc))
+            for argv in (["validate"], ["bench", "--horizon", "1"],
+                         ["simulate", "--horizon", "1", "--seed", "1", "--out", str(tmp_path / "o")],
+                         ["diagnose", "--events", str(tmp_path / "events.csv")]):
+                assert main([*argv, "--model", str(path)]) == 2
+                captured = capsys.readouterr()
+                assert captured.err == (
+                    f"error: cannot load model spec from {path}: "
+                    f"a model spec must be a JSON object, got {kind}\n"
+                )
+                assert captured.out == ""
 
 
 class TestDiagnoseCommand:
@@ -439,6 +464,28 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--model", model, "--events", str(events)]) == 0
         row = strict_json((tmp_path / "events.report.json").read_text())["components"][0]
         assert row["ks_statistic"] is None and row["ks_p_value"] == 0.0
+        assert strict_json(capsys.readouterr().out)["components"][0] == row
+
+    def test_zero_root_exits_2(self, tmp_path, capsys):
+        # the compensator divides by every AR root: validate flags the spec,
+        # and diagnose refuses it with a typed error
+        model = tmp_path / "zero.json"
+        model.write_text(json.dumps(ZERO_ROOT_SPEC))
+        events = tmp_path / "events.csv"
+        events.write_text("time,mark\n1.0,1\n2.0,1\n")
+        assert main(["diagnose", "--model", str(model), "--events", str(events)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: zero eigenvalue: compensator closed form undefined\n"
+        assert captured.out == ""
+
+    def test_infinite_empirical_rate_is_null(self, tmp_path, hawkes, capsys):
+        # one event at 1e-320 gives a rate of 1 / 1e-320 = inf
+        model = write_spec(tmp_path, hawkes)
+        events = tmp_path / "events.csv"
+        events.write_text("time,mark\n1e-320,1\n")
+        assert main(["diagnose", "--model", model, "--events", str(events)]) == 0
+        row = strict_json((tmp_path / "events.report.json").read_text())["components"][0]
+        assert row["n_events"] == 1 and row["empirical_rate"] is None
         assert strict_json(capsys.readouterr().out)["components"][0] == row
 
     def test_missing_events_exits_2(self, tmp_path, carma21):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import operator
 
@@ -13,12 +14,15 @@ from carma_hawkes import diagnostics, model, thinning
 from carma_hawkes import (
     BivariateSpec,
     CarmaHawkesError,
+    ComponentDiagnostics,
     DiagnosticsReport,
     EmptySample,
+    KsResult,
     NanSample,
     NumericalOverflow,
     SpecLogMismatch,
     UnivariateSpec,
+    ValidationReport,
     dynamics,
     kolmogorov_survival,
     ks_exp1,
@@ -475,6 +479,40 @@ class TestKsTest:
 
 
 class TestSummarize:
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.floats(), min_size=17, max_size=17))
+    def test_reports_are_strict_json(self, x):
+        # any float, NaN and +-inf included: a non-finite one is null, and
+        # every finite one comes through unchanged, its sign bit too
+        def want(v):
+            return v if math.isfinite(v) else None
+
+        row = ComponentDiagnostics(
+            component=1, n_events=3, empirical_rate=x[0], theoretical_rate=x[1],
+            ks=KsResult(statistic=x[2], p_value=x[3], n=3), residual_mean=x[4],
+        ).to_dict(acceptance_ratio=x[5])
+        assert json.dumps(row, allow_nan=False) == json.dumps({
+            "component": 1, "n_events": 3, "empirical_rate": want(x[0]),
+            "theoretical_rate": want(x[1]), "ks_statistic": want(x[2]),
+            "ks_p_value": want(x[3]), "residual_mean": want(x[4]),
+            "acceptance_ratio": want(x[5]),
+        })
+        report = ValidationReport(
+            process_type="bivariate", flags=("KernelNegative",), branching=x[6],
+            branching_matrix=((x[7], x[8]), (x[9], x[10])), spectral_radius=x[11],
+            decay=x[12], kernel_min=x[13], kernel_mins=(("h11", x[14]), ("h21", x[15])),
+            eigenvalues=(complex(x[16], x[0]),), bound_constants=(x[1], x[2]),
+        ).to_dict()
+        assert json.dumps(report, allow_nan=False) == json.dumps({
+            "process_type": "bivariate", "admissible": False, "flags": ["KernelNegative"],
+            "branching": want(x[6]),
+            "branching_matrix": [[want(x[7]), want(x[8])], [want(x[9]), want(x[10])]],
+            "spectral_radius": want(x[11]), "decay": want(x[12]), "kernel_min": want(x[13]),
+            "kernel_mins": {"h11": want(x[14]), "h21": want(x[15])},
+            "eigenvalues": [[want(x[16]), want(x[0])]],
+            "bound_constants": [want(x[1]), want(x[2])],
+        })
+
     def test_report_json_is_strict(self, hawkes, tmp_path):
         log = util.make_log([1.0], spec=hawkes)
         report = summarize(hawkes, log)

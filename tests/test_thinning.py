@@ -15,6 +15,7 @@ import util
 from carma_hawkes import (
     BivariateSpec,
     BoundViolation,
+    DegenerateEigenvalues,
     EventLog,
     HorizonNonPositive,
     NonStationarySpec,
@@ -195,6 +196,14 @@ class TestSimulationGuards:
             simulate(spec, 10.0, rng=1)
         with pytest.raises(NonStationarySpec):
             simulate(spec, 10.0, rng=1, override_validation=True)
+
+    def test_degenerate_roots_never_simulable(self):
+        # a double root at -1 has no spectral decomposition: the override
+        # lifts validation's refusal, not the spectral failure
+        spec = UnivariateSpec(mu=0.3, a=(2.0, 1.0), b=(1.0,))
+        for override in (False, True):
+            with pytest.raises(DegenerateEigenvalues):
+                simulate(spec, 10.0, rng=1, override_validation=override)
 
     def test_kernel_negative_refused_without_override(self, biv_lagged):
         with pytest.raises(NonStationarySpec):
@@ -483,8 +492,8 @@ class TestLongRunRates:
     def test_bivariate_rates_near_theory(self, biv_cross):
         log = simulate(biv_cross, 5000.0, rng=2024)
         r1, r2 = stationary_rates(biv_cross)
-        assert len(log.times_of(1)) / 5000.0 == pytest.approx(r1, rel=0.07)
-        assert len(log.times_of(2)) / 5000.0 == pytest.approx(r2, rel=0.07)
+        assert log.marks.count(1) / 5000.0 == pytest.approx(r1, rel=0.07)
+        assert log.marks.count(2) / 5000.0 == pytest.approx(r2, rel=0.07)
 
 
 @st.composite
@@ -520,6 +529,14 @@ class TestEventLogContainer:
                 util.make_log([1.0, 2.0, bad])
         with pytest.raises(ValueError, match="index 0: event time must be finite, got inf"):
             EventLog(times=(math.inf, 0.5), marks=(1, 0), meta=util.make_log([]).meta)
+
+    def test_rejects_times_that_are_not_numbers(self):
+        meta = util.make_log([]).meta
+        for bad in ("2.0", 10**400, None, 1j, b"2"):
+            with pytest.raises(ValueError, match="index 1: event times must be finite real numbers"):
+                EventLog(times=(1.0, bad), marks=(1, 1), meta=meta)
+        # an integer within float range is the float it rounds to
+        assert EventLog(times=(1, 2**70), marks=(1, 1), meta=meta).times == (1.0, 2.0**70)
 
     def test_rejects_bad_marks(self):
         for bad in (0, -1, 1.5, 2**70, 2**63, -(2**63) - 1, np.uint64(2**63), "1"):
