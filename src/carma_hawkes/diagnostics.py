@@ -138,15 +138,18 @@ def _all_taus(dyn: Dynamics, times: np.ndarray, marks: np.ndarray) -> tuple[np.n
     """Every component's residuals along a log, read-only, from one
     modal_scan per mode group: each pass's grown states are formed once and
     reduced with each component's coefficients, the same products and sums,
-    in the same order, as a scan for one component alone."""
+    in the same order, as a scan for one component alone.  The grown states
+    are modes x events, as the scan's own arrays are, so each product runs
+    along the events of one mode."""
     gaps = np.diff(times, prepend=0.0)
     incs = [mu * gaps for mu in dyn.mus]
     for group in mode_groups(dyn):
         coefs = [weights / group.lams for weights in group.weights]
+        lams = group.lams[:, np.newaxis]
         for start, stop, states in modal_scan(group.lams, group.jumps, times, marks):
-            grown = states[:-1] * np.expm1(np.outer(gaps[start:stop], group.lams))
+            grown = states.T[:, :-1] * np.expm1(np.multiply(gaps[start:stop], lams))
             for inc, coef in zip(incs, coefs):
-                inc[start:stop] += mode_sum(grown, coef)
+                inc[start:stop] += mode_sum(grown.T, coef)
     taus = []
     for component, inc in enumerate(incs, start=1):
         own = np.flatnonzero(marks == component)

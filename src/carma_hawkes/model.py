@@ -617,13 +617,22 @@ def modal_scan(lams: np.ndarray, jumps: np.ndarray, times: np.ndarray, marks: np
     cut into segments: its exponents, factors and states are each one numpy
     operation over the pass, and only each segment's prefix sum and the
     state it carries to the next (three length-p operations) are a Python
-    loop.  The working arrays are BLOCK_EVENTS x p at most.  Yields
-    (start, stop, states) per pass, states[i] = z_{start+i-1}.
+    loop.
+
+    The working arrays are modes x events, p x BLOCK_EVENTS at most, so
+    every numpy operation runs along the events of one mode.  numpy's
+    complex product is not commutative bit for bit, so the operand order of
+    each product is part of the pinned residuals
+    (tests/test_compatibility.py).  Yields (start, stop, states) per pass,
+    states[i] = z_{start+i-1}: states is the transposed view of a
+    C-contiguous p x (stop - start + 1) array, so states.T is the
+    mode-major array itself.
     """
     gaps = np.diff(times, prepend=0.0)
     _guard_exponent(float(lams.real.max()), float(gaps.max(initial=0.0)))
     max_rate = float(np.abs(lams.real).max())
     span = BLOCK_EXPONENT / max_rate if max_rate > 0 else math.inf
+    jumps_by_mode = np.ascontiguousarray(jumps.T)
     z = np.zeros(len(lams), dtype=lams.dtype)
     for start in range(0, len(times), BLOCK_EVENTS):
         stop = min(start + BLOCK_EVENTS, len(times))
@@ -637,19 +646,19 @@ def modal_scan(lams: np.ndarray, jumps: np.ndarray, times: np.ndarray, marks: np
         ends = heads[1:] + [len(window)]
         anchors = np.repeat(window[heads], np.subtract(ends, heads))
         hi, lo = _outer_exact(window - anchors, lams)
-        terms = jumps[marks[start:stop] - 1] * (np.exp(-hi) * (1.0 - lo))
+        terms = jumps_by_mode.take(marks[start:stop] - 1, axis=1) * (np.exp(-hi) * (1.0 - lo))
         grow = np.exp(hi) * (1.0 + lo)
         # each segment's carried state decays over the gap before its head
         fades = np.exp(np.multiply.outer(gaps[start + np.array(heads)], lams))
-        states = np.empty((len(window) + 1, len(lams)), dtype=lams.dtype)
-        states[0] = z
+        states = np.empty((len(lams), len(window) + 1), dtype=lams.dtype)
+        states[:, 0] = z
         for a, b, fade in zip(heads, ends, fades):
-            seg = terms[a:b]
-            seg[0] += z * fade
-            np.add.accumulate(seg, axis=0, out=seg)
-            z = grow[b - 1] * seg[-1]
-        np.multiply(grow, terms, out=states[1:])
-        yield start, stop, states
+            seg = terms[:, a:b]
+            seg[:, 0] += z * fade
+            np.add.accumulate(seg, axis=1, out=seg)
+            z = grow[:, b - 1] * seg[:, -1]
+        np.multiply(grow, terms, out=states[:, 1:])
+        yield start, stop, states.T
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -660,24 +669,37 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _outer_exact(rel: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """outer(rel, lams) as hi + lo, lo holding the rounding error of hi.
+    """The products rel[k] * lams[j] as hi + lo, lo holding the rounding
+    error of hi, laid out modes x events: hi[j, k] and lo[j, k].
 
     Dekker's exact product; complex lams are split into their real and
-    imaginary parts, interleaved, and done at once.  The scan's exponents
-    reach BLOCK_EXPONENT in size, where the rounding of a plain product alone
-    would cost ~1e-13 relative in every exp factor; exp(hi) * (1 + lo) keeps
-    them to a few ulp.
+    imaginary parts, stacked as 2p rows of float products done at once, and
+    each half put back as the real and imaginary parts of p complex rows.
+    The scan's exponents reach BLOCK_EXPONENT in size, where the rounding of
+    a plain product alone would cost ~1e-13 relative in every exp factor;
+    exp(hi) * (1 + lo) keeps them to a few ulp.
     """
-    parts = lams.view(np.float64)
-    prod = np.multiply.outer(rel, parts)
-    rel_hi, rel_lo = _split(rel)
+    parts = np.concatenate((lams.real, lams.imag)) if lams.dtype.kind == "c" else lams
+    prod = np.multiply.outer(parts, rel)
     parts_hi, parts_lo = _split(parts)
+    rel_hi, rel_lo = _split(rel)
     err = (
-        (np.multiply.outer(rel_hi, parts_hi) - prod)
-        + np.multiply.outer(rel_hi, parts_lo)
-        + np.multiply.outer(rel_lo, parts_hi)
-    ) + np.multiply.outer(rel_lo, parts_lo)
-    return prod.view(lams.dtype), err.view(lams.dtype)
+        (np.multiply.outer(parts_hi, rel_hi) - prod)
+        + np.multiply.outer(parts_lo, rel_hi)
+        + np.multiply.outer(parts_hi, rel_lo)
+    ) + np.multiply.outer(parts_lo, rel_lo)
+    if lams.dtype.kind != "c":
+        return prod, err
+    return _complex_rows(prod), _complex_rows(err)
+
+
+def _complex_rows(stacked: np.ndarray) -> np.ndarray:
+    """p complex rows from 2p float rows, the real parts above the imaginary."""
+    half = len(stacked) // 2
+    out = np.empty((half, stacked.shape[1]), dtype=complex)
+    out.real = stacked[:half]
+    out.imag = stacked[half:]
+    return out
 
 
 def modal_path(dyn: Dynamics, log, times: Sequence[float]) -> np.ndarray:

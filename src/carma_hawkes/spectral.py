@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +37,8 @@ DISTINCTNESS_RTOL = 1e-7
 _FORM_GUARD_RTOL = 1e-8
 # exp(x) overflows near x = 709.78 for IEEE doubles.
 _EXP_OVERFLOW = 700.0
+# The least norm whose square is a normal double.
+_SQRT_MIN = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -204,18 +207,37 @@ def _pad(b: Sequence[float], p: int) -> tuple[float, ...]:
 
 
 def _l2(vals) -> float:
-    return math.sqrt(sum(abs(v) ** 2 for v in vals))
+    """Euclidean norm of real or complex values: sqrt of the sum of squared
+    moduli where that sum is a finite normal double (or every value is 0),
+    else math.hypot, which scales, so a norm that a double holds never
+    overflows or underflows on the way."""
+    mags = [abs(v) for v in vals]
+    try:
+        total = sum(m ** 2 for m in mags)
+    except OverflowError:
+        total = math.inf
+    if any(mags) and not sys.float_info.min <= total < math.inf:
+        return math.hypot(*mags)
+    return math.sqrt(total)
 
 
 def _bound_constant_dense(s: SpectralData, b: Sequence[float]) -> float:
-    """||b^T S||_2 * ||S^{-1} e||_2 with S materialised and e solved for."""
+    """||b^T S||_2 * ||S^{-1} e||_2 with S materialised and e solved for.
+
+    Where the squares behind ||b^T S|| overflow or underflow a double, b is
+    scaled by a power of two first, so that max|b| lies in [0.5, 1), and
+    the norm scaled back, which is exact where nothing overflows."""
     bf = np.array(_pad(b, s.p))
     mat = vandermonde(s)
-    bs = bf @ mat
     e = np.zeros(s.p, dtype=complex)
     e[-1] = 1.0
-    se = np.linalg.solve(mat, e)
-    return float(np.linalg.norm(bs) * np.linalg.norm(se))
+    se_norm = np.linalg.norm(np.linalg.solve(mat, e))
+    with np.errstate(over="ignore", under="ignore"):
+        bs_norm = np.linalg.norm(bf @ mat)
+        if bf.any() and not _SQRT_MIN <= bs_norm < math.inf:
+            shift = math.frexp(float(np.abs(bf).max()))[1]
+            bs_norm = np.ldexp(np.linalg.norm(np.ldexp(bf, -shift) @ mat), shift)
+        return float(bs_norm * se_norm)
 
 
 def bound_constant(s: SpectralData, b: Sequence[float]) -> float:

@@ -77,6 +77,11 @@ counted too; only the candidates that pass the squeeze bump a counter,
 evaluated, and the squeezed count is derived on return as
 proposed - (n + 1) - evaluated.  The time step is written t -= log(u) /
 lam_bar, the same double as t += -log(u) / lam_bar in IEEE arithmetic.
+
+An accepted event appends its time to a list, and with more than one
+component its mark to another; a one-component kernel appends no marks, as
+they are all 1.  simulate builds its EventLog once from those lists
+(_finish_log), without a second set of float objects.
 """
 
 from __future__ import annotations
@@ -271,9 +276,13 @@ class EventLog:
     known), as lists, tuples or arrays.  The constructor builds `arrays`,
     read-only float64 and int64 copies, checks them (_first_bad_row: a
     ValueError names the first bad event's index) and sets the fields to
-    tuples of Python numbers; `arrays` is not a field.  A time that is not
-    a real number within float range (a string, say), or a mark that is not
-    an integer in int64, is refused first."""
+    tuples of Python numbers, taken from the arrays; `arrays` is not a field.
+    A time that is not a real number within float range (a string, say), or
+    a mark that is not an integer in int64, is refused first.  simulate
+    builds its log without the constructor (_finish_log): the tuples hold
+    the thinning kernel's own float and int objects, the arrays are built
+    from its lists with their dtypes given, and the same _first_bad_row
+    check runs."""
 
     times: tuple[float, ...]
     marks: tuple[int, ...]
@@ -294,13 +303,19 @@ class EventLog:
                 if not (isinstance(t, Real) and abs(t) <= sys.float_info.max):
                     raise ValueError(f"index {row}: event times must be finite real numbers, got {t!r}")
         times = times.astype(np.float64, copy=False)
+        self._seal(times, marks, tuple(times.tolist()), tuple(marks.tolist()))
+
+    def _seal(self, times: np.ndarray, marks: np.ndarray, time_items: tuple, mark_items: tuple) -> None:
+        """Check the float64 times and int64 marks by the log's rules, make
+        them read-only as `arrays`, and set the fields to the given tuples,
+        which hold the same numbers as Python floats and ints."""
         bad = _first_bad_row(times, marks)
         if bad is not None:
             raise ValueError("index {}: {}".format(*bad))
         times.flags.writeable = marks.flags.writeable = False
         object.__setattr__(self, "arrays", (times, marks))
-        object.__setattr__(self, "times", tuple(times.tolist()))
-        object.__setattr__(self, "marks", tuple(marks.tolist()))
+        object.__setattr__(self, "times", time_items)
+        object.__setattr__(self, "marks", mark_items)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -515,7 +530,13 @@ def _require_admissible(spec: Spec, override: bool) -> Dynamics:
     return dyn
 
 
-def _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start) -> EventLog:
+def _finish_log(times: list, marks: list | None, stream, horizon, proposed, squeezed, spec,
+                t_start) -> EventLog:
+    """The log of one run, built once from the kernel's lists: the fields are
+    tuples of the kernel's own float and int objects, the arrays are built
+    from the lists with their dtypes given, and EventLog._seal checks them.
+    marks is None for a one-component run, whose kernel appends no marks:
+    they are all 1, so the marks come from the event count."""
     accepted = len(times)
     meta = SimulationMeta(
         seed=getattr(stream, "seed", None),
@@ -527,7 +548,14 @@ def _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start
         spec_hash=spec_hash(spec),
         squeezed=squeezed,
     )
-    return EventLog(times=times, marks=marks, meta=meta)
+    if marks is None:
+        mark_array, mark_items = np.ones(accepted, dtype=np.int64), (1,) * accepted
+    else:
+        mark_array, mark_items = np.array(marks, dtype=np.int64), tuple(marks)
+    log = object.__new__(EventLog)
+    object.__setattr__(log, "meta", meta)
+    log._seal(np.array(times, dtype=np.float64), mark_array, tuple(times), mark_items)
+    return log
 
 
 def _certify_envelope(w_total, jumps, k_consts) -> None:
@@ -611,8 +639,9 @@ def _kernel(dyn: Dynamics):
             "lam_bar = base + excess",
             "t_last = t",
             "append_time(t)",
-            f"append_mark({m})",
         ]
+        if n_comp > 1:
+            lines.append(f"append_mark({m})")
         return lines
 
     def block(lines, depth):
@@ -677,22 +706,24 @@ def _kernel(dyn: Dynamics):
     return namespace["loop"]
 
 
-def _run(dyn: Dynamics, horizon: float, stream) -> tuple[list, list, int, int]:
+def _run(dyn: Dynamics, horizon: float, stream) -> tuple[list, list | None, int, int]:
     """One thinning run over dyn: times, marks, proposed and squeezed.
+    marks is None for a one-component dyn, whose kernel appends none.
 
     The first arrival is drawn here; the compiled kernel does the rest.
     """
     loop = _kernel(dyn)
     draw = stream.draw
     times: list[float] = []
-    marks: list[int] = []
+    marks: list[int] | None = [] if len(dyn.mus) > 1 else None
     firsts = [-math.log(draw()) / mu_c for mu_c in dyn.mus]
     t = min(firsts)
     if t > horizon:
         return times, marks, len(firsts), 0
     rand = stream._rng.random if type(stream) is UniformStream else draw
     proposed, squeezed = loop(
-        rand, draw, horizon, t, firsts.index(t) + 1, times.append, marks.append
+        rand, draw, horizon, t, firsts.index(t) + 1, times.append,
+        None if marks is None else marks.append,
     )
     return times, marks, proposed, squeezed
 

@@ -108,6 +108,17 @@ class TestSimulateCommand:
                 err = capsys.readouterr().err
                 assert err == f"error: horizon must be finite and > 0, got {float(horizon)!r}\n"
 
+    def test_tiny_envelope_constant_is_kept(self, tmp_path):
+        # the envelope constant's squares underflow a double, its norm does not
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"type": "univariate", "mu": 0.5, "a": [1e-300], "b": [1e-300]}))
+        done = run_cli(["validate", "--model", str(path)])
+        assert (done.returncode, done.stderr) == (3, "")
+        assert strict_json(done.stdout)["bound_constants"] == [1e-300]
+        done = run_cli(["simulate", "--model", str(path), "--force", "--horizon", "5",
+                        "--seed", "1", "--out", str(tmp_path / "runs")])
+        assert (done.returncode, done.stderr) == (0, "")
+
     def test_zero_reps_exits_2(self, tmp_path, carma21):
         model = write_spec(tmp_path, carma21)
         code = main(["simulate", "--model", model, "--horizon", "10", "--seed", "1",
@@ -286,6 +297,16 @@ class TestValidateCommand:
             assert strict_json(captured.out)["spectral_radius"] is None
             assert "use --force" in captured.err
 
+
+    def test_huge_ma_coefficient_exits_3(self, tmp_path):
+        # the envelope constant's squares overflow a double, its norm does not
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"type": "univariate", "mu": 0.5, "a": [3, 2], "b": [1e300, 1]}))
+        done = run_cli(["validate", "--model", str(path)])
+        assert (done.returncode, done.stderr) == (3, "")
+        report = strict_json(done.stdout)
+        assert report["flags"] == ["NonStationary"]
+        assert report["bound_constants"][0] == pytest.approx(2e300, rel=1e-12)
 
     def test_malformed_multivariate_spec_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

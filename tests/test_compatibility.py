@@ -4,14 +4,17 @@ where the model fails validation.  Saved sidecars carry the hash and a seed
 must always give the same events, so a change to the spec layer or to the
 thinning loop must move neither.  The same runs' loop counters, proposed and
 squeezed, are pinned too: a change to the loop's bookkeeping must not move
-them."""
+them.  So is the residual path of each run, bit for bit: the sha256 of each
+component's residuals as little-endian float64 bytes, and its KS statistic
+and p-value as float.hex, so a change to the modal scan or to the KS test
+must move none of them."""
 
 import hashlib
 import json
 
 import pytest
 
-from carma_hawkes import load_spec, simulate, spec_hash, validate
+from carma_hawkes import load_spec, simulate, spec_hash, summarize, validate
 from util import MODELS
 
 HORIZON = 2000.0
@@ -60,25 +63,107 @@ COUNTERS = {
     "trivariate_cyclic": (21034, 12029),
 }
 
+# model: per component, (sha256 of the residuals' bytes, KS D hex, KS p hex)
+RESIDUALS = {
+    "hawkes": (
+        (
+            "48a5ee7cc9f2a9db4ceb1666a40f4fbe086604529eda4a90203b318fef5a7310",
+            "0x1.9fc3bb52b6300p-6", "0x1.30e8d194e9ea3p-1",
+        ),
+    ),
+    "carma21": (
+        (
+            "16a59d4112180af1ade217e1df3ee05716a6fd98c0935d8f89aada73e819d280",
+            "0x1.7459ccc71d6b0p-5", "0x1.397bead2269a0p-7",
+        ),
+    ),
+    "carma31": (
+        (
+            "a4b651bdfb58901dc23e2143ea0436a4e17dbee91d360fe588855741c4a3d630",
+            "0x1.b70e127378920p-6", "0x1.1e5bb062d480fp-4",
+        ),
+    ),
+    "bivariate_independent": (
+        (
+            "496e33be9be26a3bdbdee0eb25692e72011185471f3a5a60f7c9387a302a933d",
+            "0x1.b9a4e691808a0p-6", "0x1.226feece5b400p-1",
+        ),
+        (
+            "453ae74d5b790afca1719c9e3238c59594212820931c1b45c10ccd651a243322",
+            "0x1.49f5a31dde2c0p-6", "0x1.840999b741ddbp-1",
+        ),
+    ),
+    "bivariate_cross": (
+        (
+            "48641201ccfe367714aa735d6706d253e4077aa73c02912d1e00af580299b968",
+            "0x1.98d70be65bd80p-7", "0x1.c90af0d29bfdap-1",
+        ),
+        (
+            "8a4227c394a270f64da30674de338c640b00b41498431352358df3defdbc4fb8",
+            "0x1.a32d30acc4c40p-7", "0x1.dc907ca5c2313p-1",
+        ),
+    ),
+    "bivariate_lagged": (
+        (
+            "cb4e1957373909ac41503aaec15257d031bc729e09de9f67e394839b75d3465e",
+            "0x1.5e704fc2fc290p-6", "0x1.37de06ff8bbf3p-1",
+        ),
+        (
+            "4a307cdf145f227312a4575a1b57f6af8dbc2b565c881673c751135a82595f42",
+            "0x1.0f7abf569e430p-6", "0x1.fddb523d9cd82p-1",
+        ),
+    ),
+    "trivariate_cyclic": (
+        (
+            "27716f6de7a393b9262d40326979e552f48ca42c6d1522ec0e1ec34b9ee0ce42",
+            "0x1.7e57be0747e80p-6", "0x1.8a631470e4f57p-3",
+        ),
+        (
+            "b0ac1899f71c07014161e8f0c3718d2b401b0247c070d6405698f1ec2407aa00",
+            "0x1.2cca8176a3240p-6", "0x1.285b8219fbc8fp-1",
+        ),
+        (
+            "8a72b2a56433d479a79c57d14238ce67ded22893fd1a50acf4119f0052edacc5",
+            "0x1.13dfee6b577e0p-5", "0x1.4cbc8aad72d81p-5",
+        ),
+    ),
+}
+
+
+def _seeded_run(name):
+    spec = load_spec(MODELS / f"{name}.json")
+    forced = not validate(spec).admissible
+    return spec, simulate(spec, HORIZON, rng=SEED, override_validation=forced)
+
 
 def test_every_bundled_model_is_pinned():
-    assert {path.stem for path in MODELS.glob("*.json")} == set(PINS) == set(COUNTERS)
+    assert {path.stem for path in MODELS.glob("*.json")} == set(PINS) == set(COUNTERS) == set(RESIDUALS)
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_bundled_model_hash_and_seeded_run(name):
-    spec = load_spec(MODELS / f"{name}.json")
+    spec, log = _seeded_run(name)
     want_hash, want_run = PINS[name]
     assert spec_hash(spec) == want_hash
-    forced = not validate(spec).admissible
-    log = simulate(spec, HORIZON, rng=SEED, override_validation=forced)
     payload = json.dumps([log.times, log.marks]).encode()
     assert hashlib.sha256(payload).hexdigest() == want_run
 
 
 @pytest.mark.parametrize("name", sorted(COUNTERS))
 def test_bundled_model_seeded_counters(name):
-    spec = load_spec(MODELS / f"{name}.json")
-    forced = not validate(spec).admissible
-    meta = simulate(spec, HORIZON, rng=SEED, override_validation=forced).meta
+    meta = _seeded_run(name)[1].meta
     assert (meta.proposed, meta.squeezed) == COUNTERS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUALS))
+def test_bundled_model_seeded_residuals(name):
+    report = summarize(*_seeded_run(name))
+    got = tuple(
+        (
+            hashlib.sha256(series.taus.astype("<f8").tobytes()).hexdigest(),
+            comp.ks.statistic.hex(),
+            comp.ks.p_value.hex(),
+        )
+        for series, comp in zip(report.residuals, report.components)
+    )
+    assert got == RESIDUALS[name]

@@ -202,3 +202,25 @@ class TestBoundConstant:
             )
             k_dense = _bound_constant_dense(sd, spec.ma[0][0])
             assert abs(k_spec - k_dense) <= 1e-12 * max(k_spec, k_dense, 1e-300)
+
+    def test_norms_scale_only_past_the_double_range(self):
+        # in range, the plain sum of squares, bit for bit (hypot rounds
+        # this one the other way)
+        assert _l2((0.1, 0.1j)) == math.sqrt(0.1**2 + 0.1**2) != math.hypot(0.1, 0.1)
+        vals = (0.7, -0.4 + 0.1j, 1e-150, 3e150)
+        assert _l2(vals) == math.sqrt(sum(abs(v) ** 2 for v in vals))
+        # where the squares overflow or underflow, the scaled norm
+        assert _l2((1e300, 1e300)) == math.hypot(1e300, 1e300)
+        assert _l2((3e-300, -4e-300j)) == math.hypot(3e-300, 4e-300)
+        assert _l2((1e-300,)) == 1e-300
+        assert _l2((0.0, 0j)) == 0.0
+        sd = spectral_decompose([3.0, 2.0])
+        for scale in (1e300, 1e-300, 1e-160, 2.0**600):
+            b = [0.5 * scale, 0.25 * scale]
+            want = _bound_constant_dense(sd, [0.5, 0.25]) * scale
+            assert _bound_constant_dense(sd, b) == pytest.approx(want, rel=1e-14)
+            assert bound_constant(sd, b) == pytest.approx(want, rel=1e-14)
+        # a power-of-two scale leaves the form exact
+        assert _bound_constant_dense(sd, [2.0**600, 2.0**599]) == (
+            _bound_constant_dense(sd, [1.0, 0.5]) * 2.0**600
+        )

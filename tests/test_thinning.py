@@ -29,6 +29,7 @@ from carma_hawkes import (
     dynamics,
     initial_bound,
     intensity_path,
+    load_spec,
     read_events_csv,
     simulate,
     spec_hash,
@@ -579,6 +580,32 @@ class TestEventLogContainer:
             assert all(type(t) is float for t in log.times)
             assert all(type(m) is int for m in log.marks)
             assert log.arrays[0].dtype == np.float64 and log.arrays[1].dtype == np.int64
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in util.MODELS.glob("*.json")))
+    def test_simulated_log_equals_the_constructors(self, name, monkeypatch):
+        # simulate builds its log from the kernel's lists, past the
+        # constructor: its fields and arrays must be the constructor's,
+        # the empty log (no arrival by the horizon) included, and it checks
+        # the log's rules as the constructor does
+        spec = load_spec(util.MODELS / f"{name}.json")
+        checked = []
+        check = thinning._first_bad_row
+        monkeypatch.setattr(thinning, "_first_bad_row", lambda *cols: checked.append(cols) or check(*cols))
+        for horizon, seed in ((1e-6, 1), (300.0, 1), (300.0, 2), (300.0, 3)):
+            del checked[:]
+            log = simulate(spec, horizon, rng=seed, override_validation=True)
+            assert len(checked) == 1 and checked[0][0] is log.arrays[0] and checked[0][1] is log.arrays[1]
+            ref = EventLog(list(log.times), list(log.marks), log.meta)
+            assert horizon > 1 or len(log) == 0
+            assert type(log.times) is tuple and type(log.marks) is tuple
+            assert (log.times, log.marks) == (ref.times, ref.marks)
+            assert all(type(t) is float for t in log.times)
+            assert all(type(m) is int for m in log.marks)
+            for got, want in zip(log.arrays, ref.arrays):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous and want.flags.c_contiguous
+                assert not got.flags.writeable and not want.flags.writeable
 
     def test_residuals_and_paths_share_one_copy(self, biv_cross, monkeypatch):
         # summarize runs one residual transform per component, and the
