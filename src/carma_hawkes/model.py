@@ -21,7 +21,6 @@ states to the residuals and both sampled paths.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import itertools
 import json
 import math
@@ -39,6 +38,17 @@ from .errors import (
     RootFindingFailure,
     ZeroEigenvalue,
 )
+
+# CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before), as the
+# random module takes its sha512: hashlib would load OpenSSL's libcrypto
+# into every process for one digest of a few hundred bytes.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 # Kernel values above this (negative) threshold count as non-negative.
 KERNEL_NEG_TOL = -1e-12
@@ -63,8 +73,10 @@ _SPLITTER = 134217729.0
 
 
 def _finite_tuple(vals, name: str) -> tuple[float, ...]:
+    """The values as Python floats, each -0.0 read as 0.0: equal specs then
+    hold the same floats, and so the same canonical JSON (spec_hash)."""
     try:
-        out = tuple(float(v) for v in vals)
+        out = tuple(float(v) + 0.0 for v in vals)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of numbers") from None
     if not all(math.isfinite(v) for v in out):
@@ -788,6 +800,11 @@ def save_spec(spec: Spec, path) -> None:
         fh.write("\n")
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def spec_hash(spec: Spec) -> str:
+    """The hex SHA-256 of the spec's canonical JSON (spec_to_dict, sorted
+    keys, no spaces), the digest hashlib.sha256 gives, taken by CPython's
+    built-in implementation and kept per spec, so a run hashes its spec
+    once."""
     payload = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256(payload.encode("utf-8")).hexdigest()

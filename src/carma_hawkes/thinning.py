@@ -123,8 +123,8 @@ _BOUND_RTOL = 1e-10
 # never squeezes a candidate that routing would accept
 _SQUEEZE_MARGIN = 1.0 + 1e-12
 # Rows formatted per % operation by write_csv_rows, which bounds the string
-# held in memory.
-CSV_CHUNK_ROWS = 1 << 14
+# held in memory: 4,096 rows write as fast as 16,384 and hold a quarter.
+CSV_CHUNK_ROWS = 1 << 12
 # One events-file row, and a line of whitespace alone, which the events
 # reader skips as it does an empty line.
 _ROW_DTYPE = np.dtype([("time", np.float64), ("mark", np.int64)])
@@ -173,12 +173,22 @@ class ScriptedUniforms:
         return v
 
 
+def _non_negative_int(value) -> bool:
+    """Whether value is a seed or a count: an int >= 0, not a bool or 2.0."""
+    return type(value) is int and value >= 0
+
+
 def as_uniform_stream(rng) -> UniformStream | ScriptedUniforms:
-    if rng is None or isinstance(rng, int):
+    """The stream of rng: None, a seed or an object with .draw().  A seed is
+    a non-negative int, the rule the CLI and the sidecar reader keep (the
+    Mersenne Twister would read -5 as 5, and a bool is no seed)."""
+    if rng is None or _non_negative_int(rng):
         return UniformStream(rng)
+    if type(rng) is int:
+        raise ValueError(f"seed must be a non-negative integer, got {rng}")
     if hasattr(rng, "draw"):
         return rng
-    raise TypeError("rng must be None, an int seed, or an object with .draw()")
+    raise TypeError("rng must be None, a non-negative int seed, or an object with .draw()")
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +352,9 @@ def _first_bad_row(times: np.ndarray, marks: np.ndarray) -> tuple[int, str] | No
 
 def write_csv_rows(fh, row: str, columns: Sequence) -> None:
     """Write `row % values` for each row of the equal-length columns, one
-    % operation per CSV_CHUNK_ROWS rows: the bytes of one format per row,
-    with the string held in memory bounded.  A numpy column is taken a
-    chunk at a time as Python numbers."""
+    % operation per CSV_CHUNK_ROWS (4,096) rows: the bytes of one format per
+    row, with the string held in memory bounded to one chunk's.  A numpy
+    column is taken a chunk at a time as Python numbers."""
     width = len(columns)
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         parts = [col[start : start + CSV_CHUNK_ROWS] for col in columns]
@@ -421,12 +431,14 @@ def read_events_csv(path, meta_path=None) -> EventLog:
     event, a finite time and an integer mark, parsed by numpy's C reader.
     Blank and whitespace-only lines are skipped; any other malformed row
     raises ValueError naming its file line (the header is line 1).  With
-    meta_path, the sidecar's fields are read too, and its accepted count
-    must equal the rows read, so a file cut short beside its sidecar is
-    refused.  The parsed columns go to EventLog, which copies them once into
-    its arrays and checks the log's rules on them; the first row that breaks
-    one (_first_bad_row: a non-finite time, a time not above the one before
-    it or not > 0, a mark below 1) raises ValueError naming its file line."""
+    meta_path, the sidecar's fields are read too: its counts (proposed,
+    accepted, squeezed) must be non-negative ints and its seed null or one,
+    and its accepted count must equal the rows read, so a file cut short
+    beside its sidecar is refused.  The parsed columns go to EventLog, which
+    copies them once into its arrays and checks the log's rules on them;
+    the first row that breaks one (_first_bad_row: a non-finite time, a
+    time not above the one before it or not > 0, a mark below 1) raises
+    ValueError naming its file line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "time,mark":
@@ -465,8 +477,8 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             meta = SimulationMeta(
                 seed=data.get("seed"),
                 horizon=float(data.get("horizon", meta.horizon)),
-                proposed=int(data.get("proposed", 0)),
-                accepted=int(data.get("accepted", n)),
+                proposed=data.get("proposed", 0),
+                accepted=data.get("accepted", n),
                 acceptance_ratio=float(data.get("acceptance_ratio", 0.0)),
                 wall_time_seconds=float(data.get("wall_time_seconds", 0.0)),
                 spec_hash=data.get("spec_hash"),
@@ -474,10 +486,12 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"metadata field is not a number: {exc}") from None
-        if type(meta.squeezed) is not int or meta.squeezed < 0:
-            raise ValueError(
-                f"metadata squeezed must be a non-negative integer, got {meta.squeezed!r}"
-            )
+        for name in ("proposed", "accepted", "squeezed"):
+            value = getattr(meta, name)
+            if not _non_negative_int(value):
+                raise ValueError(f"metadata {name} must be a non-negative integer, got {value!r}")
+        if not (meta.seed is None or _non_negative_int(meta.seed)):
+            raise ValueError(f"metadata seed must be null or a non-negative integer, got {meta.seed!r}")
         if not (math.isfinite(meta.horizon) and math.isfinite(meta.acceptance_ratio)):
             raise ValueError("metadata horizon and acceptance_ratio must be finite")
         if n and meta.horizon < last:

@@ -414,7 +414,9 @@ class TestDiagnoseCommand:
 
     def test_bad_sidecar_exits_2(self, tmp_path, carma21, capsys):
         # a horizon before the last event, a non-finite or null sidecar
-        # number, or a sidecar that is valid JSON but not an object
+        # number, a count that is not a non-negative int, a seed that is
+        # neither null nor one, or a sidecar that is valid JSON but not an
+        # object
         model = write_spec(tmp_path, carma21)
         out = tmp_path / "runs"
         main(["simulate", "--model", model, "--horizon", "200", "--seed", "5",
@@ -428,7 +430,12 @@ class TestDiagnoseCommand:
                         {"acceptance_ratio": math.nan}, {"horizon": None},
                         {"proposed": math.inf}, {"squeezed": math.inf},
                         {"squeezed": 2.5}, {"squeezed": None},
-                        {"accepted": good["accepted"] - 1})
+                        {"accepted": good["accepted"] - 1},
+                        {"accepted": good["accepted"] + 0.5}, {"accepted": 1.5},
+                        {"accepted": float(good["accepted"])}, {"accepted": True},
+                        {"proposed": 2.9}, {"proposed": -7}, {"proposed": False},
+                        {"proposed": "9"}, {"seed": "abc"}, {"seed": -1},
+                        {"seed": 5.0}, {"seed": True})
         ] + [[1, 2]]
         for sidecar in bad_sidecars:
             meta_path.write_text(json.dumps(sidecar))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -31,6 +32,7 @@ from carma_hawkes import (
     spec_to_dict,
     state_vector,
     stationary_rates,
+    summarize,
     validate,
 )
 
@@ -263,7 +265,7 @@ class TestValidate:
         # grow them past their bound
         for i in range(model.CACHE_MAXSIZE + 20):
             simulate(UnivariateSpec(mu=0.3, a=(3.0 + 1e-3 * i, 2.0), b=(1.0,)), 1.0, rng=i)
-        for cached in (model.dynamics, model.validate, model.mode_groups, thinning._kernel):
+        for cached in (model.dynamics, model.validate, model.mode_groups, model.spec_hash, thinning._kernel):
             info = cached.cache_info()
             assert info.maxsize == model.CACHE_MAXSIZE
             assert info.currsize <= model.CACHE_MAXSIZE
@@ -673,6 +675,34 @@ class TestRatesAndIO:
 
     def test_hash_distinguishes_specs(self, hawkes, carma21):
         assert spec_hash(hawkes) != spec_hash(carma21)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bivariate=st.booleans())
+    def test_hash_is_sha256_of_the_canonical_json(self, seed, bivariate):
+        # the built-in SHA-256, cached per spec, gives hashlib's digest
+        make = util.random_bivariate_spec if bivariate else util.random_univariate_spec
+        spec = make(np.random.default_rng(seed))
+        payload = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
+        want = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        assert spec_hash(spec) == want
+        assert spec_hash(spec_from_dict(spec_to_dict(spec))) == want
+
+    def test_negative_zero_is_zero(self):
+        # equal specs share one cache entry, so they must share one digest
+        plus = UnivariateSpec(mu=0.3, a=(3.0, 2.0), b=(1.0, 0.0))
+        minus = UnivariateSpec(mu=0.3, a=(3.0, 2.0), b=(1.0, -0.0))
+        assert minus == plus
+        assert math.copysign(1.0, minus.ma[0][0][1]) == 1.0
+        assert json.dumps(spec_to_dict(minus)) == json.dumps(spec_to_dict(plus))
+        assert spec_hash(minus) == spec_hash(plus)
+
+    def test_one_digest_per_spec(self, biv_cross):
+        # simulate's sidecar and every component's spec check in summarize
+        # share one json.dumps and SHA-256
+        spec_hash.cache_clear()
+        summarize(biv_cross, simulate(biv_cross, 50.0, rng=1))
+        info = spec_hash.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_bundled_model_files(self):
         import pathlib

@@ -53,6 +53,18 @@ class TestStreams:
     def test_different_seeds_differ(self):
         assert UniformStream(1).draw() != UniformStream(2).draw()
 
+    def test_seed_is_a_non_negative_int(self, hawkes, tmp_path):
+        # the rule the sidecar reader keeps, so simulate writes no sidecar
+        # that read_events_csv refuses
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate(hawkes, 10.0, rng=-5)
+        with pytest.raises(TypeError):
+            simulate(hawkes, 10.0, rng=True)
+        log = simulate(hawkes, 10.0, rng=0)
+        write_events_csv(log, tmp_path / "e.csv")
+        write_meta_json(log, tmp_path / "e.meta.json")
+        assert read_events_csv(tmp_path / "e.csv", tmp_path / "e.meta.json").meta.seed == 0
+
     def test_scripted_stream(self):
         s = ScriptedUniforms([0.25, 0.75])
         assert s.draw() == 0.25

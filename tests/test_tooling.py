@@ -3,7 +3,7 @@ module and attribute name.  A function moved to another module without the
 tracer following it would fail a traced run; this checks every target the
 tracer looks up first, and reads perfbench/ only.  A fresh import of the
 package, which the benchmark's setup_s times, is checked for worker
-machinery, and summarize for the per-component calls the tracer times and
+machinery, a CLI simulate and diagnose for OpenSSL, and summarize for the per-component calls the tracer times and
 for one modal scan per mode group.  The benchmark's own correctness check of
 an in-process replication (perfbench/checks.py) must pass on every benchmark
 model, so a change to the record types cannot fail its operations."""
@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import carma_hawkes
+import pytest
 import util
 from carma_hawkes import diagnostics, dynamics, load_spec, simulate, summarize, validate
 from carma_hawkes.model import mode_groups
@@ -60,6 +61,36 @@ def test_import_loads_no_worker_machinery():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256 (_sha2 or _sha256), so spec_hash uses hashlib",
+)
+def test_runs_load_no_openssl(tmp_path):
+    # spec_hash takes CPython's built-in SHA-256, so neither the package nor
+    # a CLI simulate (forked workers included) and diagnose loads _hashlib,
+    # OpenSSL's binding
+    src = Path(__file__).resolve().parents[1] / "src"
+    model = util.MODELS / "bivariate_cross.json"
+    code = "\n".join((
+        "import sys",
+        "from carma_hawkes import load_spec, spec_hash",
+        "from carma_hawkes.cli import main",
+        f"spec_hash(load_spec({str(model)!r}))",
+        "loaded = ['_hashlib' in sys.modules]",
+        f"assert main(['simulate', '--model', {str(model)!r}, '--horizon', '200', '--seed', '1',"
+        " '--reps', '2', '--out', 'runs']) == 0",
+        f"assert main(['diagnose', '--model', {str(model)!r}, '--events', 'runs/events_1.csv']) == 0",
+        "loaded.append('_hashlib' in sys.modules)",
+        "print('loaded', loaded, file=sys.stderr)",
+    ))
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "loaded [False, False]"
+    assert (tmp_path / "runs" / "events_1.report.json").exists()
 
 
 def test_summarize_calls_residual_transform_per_component(monkeypatch):
