@@ -6,147 +6,116 @@ Core pieces:
 
 * spectral  -- companion-matrix spectra, exact matrix-exponential action,
                and the constants behind the dominating intensity envelope
-* model     -- model specs, admissibility validation, exact intensity /
-               state / compensator evolution
+* model     -- model specs, admissibility validation, modal states along a
+               recorded log
 * thinning  -- rejection sampling against the recursive envelope
 * diagnostics -- residual analysis and a KS test against Exp(1)
+* oracles   -- per-event state, intensity, compensator and envelope steps,
+               the reference the fast paths are tested against
 * cli       -- the `carma-hawkes` command-line front end
+
+Imports are lazy (PEP 562): `import carma_hawkes` loads no submodule, and
+a public name imports its submodule on first use and is then kept here, so
+a call loads only the modules it runs: load_spec, dynamics and validate load
+errors, spectral and model alone.  The submodules resolve as attributes too
+(carma_hawkes.model, ...), and the package's public API is unchanged.
 """
 
-from .diagnostics import (
-    ComponentDiagnostics,
-    DiagnosticsReport,
-    KsResult,
-    ResidualSeries,
-    kolmogorov_survival,
-    ks_exp1,
-    residual_transform,
-    summarize,
-    write_report_json,
-    write_residuals_csv,
-)
-from .errors import (
-    BoundViolation,
-    CarmaHawkesError,
-    DegenerateEigenvalues,
-    EmptySample,
-    HorizonNonPositive,
-    NanSample,
-    NegativeIntensity,
-    NonStationarySpec,
-    NumericalOverflow,
-    RootFindingFailure,
-    SpecLogMismatch,
-    ZeroEigenvalue,
-)
-from .model import (
-    BivariateSpec,
-    Dynamics,
-    ProcessState,
-    Spec,
-    UnivariateSpec,
-    ValidationReport,
-    apply_event,
-    channel_kernel,
-    compensator_increment,
-    dynamics,
-    initial_state,
-    intensity_at,
-    intensity_path,
-    load_spec,
-    save_spec,
-    spec_from_dict,
-    spec_hash,
-    spec_to_dict,
-    state_vector,
-    stationary_rates,
-    validate,
-)
-from .spectral import (
-    SpectralData,
-    bound_constant,
-    build_companion,
-    exp_action,
-    spectral_decompose,
-)
-from .thinning import (
-    BoundTracker,
-    EventLog,
-    ScriptedUniforms,
-    SimulationMeta,
-    UniformStream,
-    bound_after_event,
-    bound_path,
-    bound_value,
-    initial_bound,
-    read_events_csv,
-    simulate,
-    write_events_csv,
-    write_meta_json,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivariateSpec",
-    "BoundTracker",
-    "BoundViolation",
-    "CarmaHawkesError",
-    "ComponentDiagnostics",
-    "DegenerateEigenvalues",
-    "DiagnosticsReport",
-    "Dynamics",
-    "EmptySample",
-    "EventLog",
-    "HorizonNonPositive",
-    "KsResult",
-    "NanSample",
-    "NegativeIntensity",
-    "NonStationarySpec",
-    "NumericalOverflow",
-    "ProcessState",
-    "ResidualSeries",
-    "RootFindingFailure",
-    "ScriptedUniforms",
-    "SimulationMeta",
-    "Spec",
-    "SpecLogMismatch",
-    "SpectralData",
-    "UniformStream",
-    "UnivariateSpec",
-    "ValidationReport",
-    "ZeroEigenvalue",
-    "apply_event",
-    "bound_after_event",
-    "bound_constant",
-    "bound_path",
-    "bound_value",
-    "build_companion",
-    "channel_kernel",
-    "compensator_increment",
-    "dynamics",
-    "exp_action",
-    "initial_bound",
-    "initial_state",
-    "intensity_at",
-    "intensity_path",
-    "kolmogorov_survival",
-    "ks_exp1",
-    "load_spec",
-    "read_events_csv",
-    "residual_transform",
-    "save_spec",
-    "simulate",
-    "spec_from_dict",
-    "spec_hash",
-    "spec_to_dict",
-    "spectral_decompose",
-    "state_vector",
-    "stationary_rates",
-    "summarize",
-    "validate",
-    "write_events_csv",
-    "write_meta_json",
-    "write_report_json",
-    "write_residuals_csv",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "diagnostics": (
+        "ComponentDiagnostics",
+        "DiagnosticsReport",
+        "KsResult",
+        "ResidualSeries",
+        "kolmogorov_survival",
+        "ks_exp1",
+        "residual_transform",
+        "summarize",
+        "write_report_json",
+        "write_residuals_csv",
+    ),
+    "errors": (
+        "BoundViolation",
+        "CarmaHawkesError",
+        "DegenerateEigenvalues",
+        "EmptySample",
+        "HorizonNonPositive",
+        "NanSample",
+        "NegativeIntensity",
+        "NonStationarySpec",
+        "NumericalOverflow",
+        "RootFindingFailure",
+        "SpecLogMismatch",
+        "ZeroEigenvalue",
+    ),
+    "model": (
+        "BivariateSpec",
+        "Dynamics",
+        "Spec",
+        "UnivariateSpec",
+        "ValidationReport",
+        "channel_kernel",
+        "dynamics",
+        "intensity_path",
+        "load_spec",
+        "save_spec",
+        "spec_from_dict",
+        "spec_hash",
+        "spec_to_dict",
+        "stationary_rates",
+        "validate",
+    ),
+    "oracles": (
+        "BoundTracker",
+        "ProcessState",
+        "apply_event",
+        "bound_after_event",
+        "bound_value",
+        "compensator_increment",
+        "initial_bound",
+        "initial_state",
+        "intensity_at",
+        "state_vector",
+    ),
+    "spectral": (
+        "SpectralData",
+        "bound_constant",
+        "build_companion",
+        "exp_action",
+        "spectral_decompose",
+    ),
+    "thinning": (
+        "EventLog",
+        "ScriptedUniforms",
+        "SimulationMeta",
+        "UniformStream",
+        "bound_path",
+        "read_events_csv",
+        "simulate",
+        "write_events_csv",
+        "write_meta_json",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli"})
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -1,4 +1,4 @@
-"""Model specifications, admissibility checks, and exact state evolution.
+"""Model specifications, admissibility checks, and exact modal states.
 
 A one-component model has intensity lam_t = mu + b^T X_t where X solves
 dX = A X dt + e dN with X_0 = 0; its excitation kernel is
@@ -15,7 +15,9 @@ compensators are then closed-form sums over modes, with no quadrature and
 no time discretisation anywhere.  Along a recorded log one blocked prefix
 scan (modal_scan), run once per mode group (mode_groups: the real modes in
 float, the rest in complex with exact conjugate pairs folded), gives the
-states to the residuals and both sampled paths.
+states to the residuals and both sampled paths.  The same evolution one
+event at a time (apply_event, intensity_at, compensator_increment, ...) is
+in oracles.py, which only tests and the acceptance gate use.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 from . import spectral
 from .errors import (
     DegenerateEigenvalues,
-    NegativeIntensity,
     NumericalOverflow,
     RootFindingFailure,
     ZeroEigenvalue,
@@ -55,8 +56,6 @@ KERNEL_NEG_TOL = -1e-12
 # Kernel non-negativity grid: log-spaced points on [0, span/|decay|].
 KERNEL_GRID_POINTS = 4000
 KERNEL_GRID_SPAN = 20.0
-
-_INTENSITY_SLACK = 1e-9
 
 # Entries kept by each of the spec caches behind dynamics and validate.
 # Unbounded, they grow by a few kB per distinct spec for the life of the
@@ -157,19 +156,6 @@ def BivariateSpec(mu, a1, a2, b11, b12, b21, b22) -> Spec:
 
 
 @dataclass(frozen=True)
-class ProcessState:
-    """Excitation state at (and including the jump of) the last event.
-
-    `modes` are the complex coordinates of the state vector in the
-    eigenbasis; the physical vector is recovered with state_vector().
-    """
-
-    modes: tuple[complex, ...]
-    t: float
-    last_event_time: float
-
-
-@dataclass(frozen=True)
 class Dynamics:
     """Spec-derived constants used by every evolution routine.
 
@@ -190,6 +176,11 @@ class Dynamics:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def dynamics(spec: Spec) -> Dynamics:
+    """The spec's modes, weights, jumps and envelope constants, cached per
+    spec.  Raises DegenerateEigenvalues or RootFindingFailure for a block
+    whose spectrum fails its checks, and NumericalOverflow, naming the
+    value, where the summed baseline, an envelope weight or a K_m is not a
+    finite double."""
     sds = tuple(spectral.spectral_decompose(a) for a in spec.ar)
     weights = tuple(
         tuple(spectral.ma_value(b, lam) for b, sd in zip(row, sds) for lam in sd.eigenvalues)
@@ -204,39 +195,42 @@ def dynamics(spec: Spec) -> Dynamics:
     # jump at a mark-m event is K_m = ||W|| * ||S_m^{-1} e||.  bound_constant
     # cross-checks each block's share of that product, ||W_m|| * ||S_m^{-1} e||,
     # against its dense Vandermonde form; with one block it is K itself.
+    # Finite inputs can still sum past a double: an infinite base would stop
+    # thinning's clock, and an infinite weight or K breaks the envelope, so
+    # each is refused here, before any of them is used.
+    base = sum(spec.mu)
+    if not math.isfinite(base):
+        raise NumericalOverflow(f"the summed baseline sum(mu) = {base} overflows a double")
+    w_total = [sum(col) for col in zip(*weights)]
+    for j, w in enumerate(w_total):
+        if not cmath.isfinite(w):
+            raise NumericalOverflow(f"the envelope weight of mode {j + 1}, {w}, overflows a double")
     for m, sd in enumerate(sds):
         column_ma = tuple(map(sum, zip(*(row[m] for row in spec.ma))))
+        if not all(map(math.isfinite, column_ma)):
+            raise NumericalOverflow(
+                f"the MA coefficients of block {m + 1} sum past a double: {column_ma}"
+            )
         spectral.bound_constant(sd, column_ma)
-    wsum_norm = spectral._l2(sum(col) for col in zip(*weights))
+    wsum_norm = spectral._l2(w_total)
+    bound_jumps = tuple(wsum_norm * spectral._l2(sd.sinv_e) for sd in sds)
+    for m, k in enumerate(bound_jumps, start=1):
+        if not math.isfinite(k):
+            raise NumericalOverflow(f"the envelope jump K_{m} = {k} overflows a double")
     return Dynamics(
         lams=sum((sd.eigenvalues for sd in sds), ()),
         weights=weights,
         jumps=jumps,
         mus=spec.mu,
-        base=sum(spec.mu),
+        base=base,
         decay=max(sd.decay for sd in sds),
-        bound_jumps=tuple(wsum_norm * spectral._l2(sd.sinv_e) for sd in sds),
+        bound_jumps=bound_jumps,
         block_sizes=tuple(sd.p for sd in sds),
     )
 
 
 # ---------------------------------------------------------------------------
-# state evolution
-
-
-def initial_state(spec: Spec) -> ProcessState:
-    n = sum(dynamics(spec).block_sizes)
-    return ProcessState(modes=(0j,) * n, t=0.0, last_event_time=0.0)
-
-
-def state_vector(spec: Spec, state: ProcessState) -> np.ndarray:
-    """Physical state vector x (length p1 + ... + pd) from modal coordinates."""
-    dyn = dynamics(spec)
-    out = []
-    for lams, z in zip(_by_block(dyn, dyn.lams), _by_block(dyn, state.modes)):
-        mat = np.vander(np.array(lams), N=len(lams), increasing=True).T
-        out.append((mat @ np.array(z)).real)
-    return np.concatenate(out)
+# helpers shared with the per-event oracles (oracles.py)
 
 
 def _by_block(dyn: Dynamics, per_mode: Sequence) -> list:
@@ -245,87 +239,10 @@ def _by_block(dyn: Dynamics, per_mode: Sequence) -> list:
     return [per_mode[start:end] for start, end in zip(ends, ends[1:])]
 
 
-def apply_event(spec: Spec, state: ProcessState, t: float, mark: int = 1) -> ProcessState:
-    """Propagate the state to time t and add the jump of the given mark."""
-    dyn = dynamics(spec)
-    if not 1 <= mark <= len(dyn.jumps):
-        raise ValueError(f"mark must be in 1..{len(dyn.jumps)}")
-    dt = t - state.last_event_time
-    if dt < 0:
-        raise ValueError("event time precedes the state's last event")
-    _guard_exponent(dyn.decay, dt)
-    jump = dyn.jumps[mark - 1]
-    modes = tuple(
-        z * cmath.exp(lam * dt) + dz
-        for z, lam, dz in zip(state.modes, dyn.lams, jump)
-    )
-    return ProcessState(modes=modes, t=t, last_event_time=t)
-
-
-def intensity_at(spec: Spec, state: ProcessState, t: float):
-    """Conditional intensity at time t >= the state's last event time.
-
-    Returns a float for a one-component spec, a tuple (lam1, ..., lamd) for
-    a d-component one.  For specs whose kernels validated as non-negative, a
-    result below baseline - 1e-9 raises NegativeIntensity (internal
-    consistency check).
-    """
-    dyn = dynamics(spec)
-    dt = t - state.last_event_time
-    if dt < 0:
-        raise ValueError("intensity requested before the state's last event")
-    _guard_exponent(dyn.decay, dt)
-    ez = [z * cmath.exp(lam * dt) for z, lam in zip(state.modes, dyn.lams)]
-    vals = []
-    for mu_c, w in zip(dyn.mus, dyn.weights):
-        lam_c = mu_c + sum((wj * zj).real for wj, zj in zip(w, ez))
-        if lam_c < mu_c - _INTENSITY_SLACK and _kernels_nonnegative(spec):
-            raise NegativeIntensity(
-                f"intensity {lam_c} below baseline {mu_c} for a validated spec"
-            )
-        vals.append(lam_c)
-    return vals[0] if len(vals) == 1 else tuple(vals)
-
-
-def compensator_increment(spec: Spec, state: ProcessState, t0: float, t1: float):
-    """Integral of the intensity over (t0, t1), closed form, no events inside.
-
-    Returns a float for a one-component spec, a d-tuple for a d-component one.
-    """
-    dyn = dynamics(spec)
-    te = state.last_event_time
-    if t0 < te - 1e-12:
-        raise ValueError("interval starts before the state's last event")
-    if t1 < t0:
-        raise ValueError("interval must satisfy t1 >= t0")
-    check_nonzero_roots(dyn)
-    d0 = max(t0 - te, 0.0)
-    d1 = max(t1 - te, 0.0)
-    _guard_exponent(dyn.decay, d1)
-    diff = [
-        z * cmath.exp(lam * d0) * _cexpm1(lam * (d1 - d0)) / lam
-        for z, lam in zip(state.modes, dyn.lams)
-    ]
-    vals = []
-    for mu_c, w in zip(dyn.mus, dyn.weights):
-        inc = mu_c * (t1 - t0) + sum((wj * dj).real for wj, dj in zip(w, diff))
-        vals.append(inc)
-    return vals[0] if len(vals) == 1 else tuple(vals)
-
-
 def check_nonzero_roots(dyn: Dynamics) -> None:
     """Refuse dyn for a compensator, whose closed form divides by every root."""
     if 0 in dyn.lams:
         raise ZeroEigenvalue("zero eigenvalue: compensator closed form undefined")
-
-
-def _cexpm1(w: complex) -> complex:
-    """exp(w) - 1 without the cancellation of the direct form at small |w|."""
-    half_sin = math.sin(0.5 * w.imag)
-    return complex(
-        math.expm1(w.real) * math.cos(w.imag) - 2.0 * half_sin * half_sin,
-        math.exp(w.real) * math.sin(w.imag),
-    )
 
 
 def _guard_exponent(decay: float, dt: float) -> None:
@@ -516,11 +433,6 @@ def validate(spec: Spec) -> ValidationReport:
         eigenvalues=dyn.lams,
         bound_constants=dyn.bound_jumps,
     )
-
-
-def _kernels_nonnegative(spec: Spec) -> bool:
-    report = validate(spec)
-    return report.kernel_min is not None and report.kernel_min >= KERNEL_NEG_TOL
 
 
 def stationary_rates(spec: Spec) -> tuple[float, ...]:

@@ -82,6 +82,10 @@ An accepted event appends its time to a list, and with more than one
 component its mark to another; a one-component kernel appends no marks, as
 they are all 1.  simulate builds its EventLog once from those lists
 (_finish_log), without a second set of float objects.
+
+The envelope one event at a time (BoundTracker, bound_after_event,
+bound_value), which tests fold to check the kernel's envelope, is in
+oracles.py; bound_path samples it along a whole log.
 """
 
 from __future__ import annotations
@@ -108,7 +112,6 @@ from .model import (
     CACHE_MAXSIZE,
     Dynamics,
     Spec,
-    _guard_exponent,
     dynamics,
     modal_path,
     mode_kinds,
@@ -193,58 +196,6 @@ def as_uniform_stream(rng) -> UniformStream | ScriptedUniforms:
 
 # ---------------------------------------------------------------------------
 # dominating envelope
-
-
-@dataclass(frozen=True)
-class BoundTracker:
-    """State of the dominating envelope at its most recent anchor.
-
-    jump_size_for_mark holds one K per event mark (a single entry for a
-    one-component model).  lambda_bar is the envelope value at anchor_time,
-    inclusive of the anchor event's jump.
-    """
-
-    base: float
-    decay: float
-    jump_size_for_mark: tuple[float, ...]
-    lambda_bar: float
-    anchor_time: float
-
-
-def initial_bound(spec: Spec) -> BoundTracker:
-    dyn = dynamics(spec)
-    return BoundTracker(
-        base=dyn.base,
-        decay=dyn.decay,
-        jump_size_for_mark=dyn.bound_jumps,
-        lambda_bar=dyn.base,
-        anchor_time=0.0,
-    )
-
-
-def _decayed_excess(tracker: BoundTracker, t: float) -> float:
-    dt = t - tracker.anchor_time
-    if dt < 0:
-        raise ValueError("envelope queried before its anchor time")
-    _guard_exponent(tracker.decay, dt)
-    return (tracker.lambda_bar - tracker.base) * math.exp(tracker.decay * dt)
-
-
-def bound_value(tracker: BoundTracker, t: float) -> float:
-    """Envelope value at t >= anchor_time (decay only, no new jumps)."""
-    return tracker.base + _decayed_excess(tracker, t)
-
-
-def bound_after_event(tracker: BoundTracker, event_time: float, mark: int = 1) -> BoundTracker:
-    """Decay the envelope to the event time, then add the mark's jump."""
-    if not 1 <= mark <= len(tracker.jump_size_for_mark):
-        raise ValueError(f"mark must be in 1..{len(tracker.jump_size_for_mark)}")
-    new_bar = (
-        tracker.base
-        + _decayed_excess(tracker, event_time)
-        + tracker.jump_size_for_mark[mark - 1]
-    )
-    return replace(tracker, lambda_bar=new_bar, anchor_time=event_time)
 
 
 def bound_path(spec: Spec, log, times: Sequence[float]) -> np.ndarray:
@@ -426,19 +377,31 @@ def _parse_error(body: str, exc: ValueError) -> ValueError:
     return exc
 
 
+def _sidecar_number(data: dict, name: str, default: float) -> float:
+    """A sidecar's float field as a float, default where it is absent: a
+    finite JSON number, an int or a float, and not a bool or a string, the
+    way a count must be an int (_non_negative_int)."""
+    value = data.get(name, default)
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"metadata {name} must be a finite number, got {value!r}")
+
+
 def read_events_csv(path, meta_path=None) -> EventLog:
     """The log of an events file: the header time,mark, then one row per
     event, a finite time and an integer mark, parsed by numpy's C reader.
     Blank and whitespace-only lines are skipped; any other malformed row
     raises ValueError naming its file line (the header is line 1).  With
     meta_path, the sidecar's fields are read too: its counts (proposed,
-    accepted, squeezed) must be non-negative ints and its seed null or one,
-    and its accepted count must equal the rows read, so a file cut short
-    beside its sidecar is refused.  The parsed columns go to EventLog, which
-    copies them once into its arrays and checks the log's rules on them;
-    the first row that breaks one (_first_bad_row: a non-finite time, a
-    time not above the one before it or not > 0, a mark below 1) raises
-    ValueError naming its file line."""
+    accepted, squeezed) must be non-negative ints, its seed null or one, its
+    horizon, acceptance_ratio and wall_time_seconds finite JSON numbers (no
+    bools or strings) and its spec_hash null or a string, and its accepted
+    count must equal the rows read, so a file cut short beside its sidecar
+    is refused; each of these raises a `metadata ...` ValueError.  The
+    parsed columns go to EventLog, which copies them once into its arrays
+    and checks the log's rules on them; the first row that breaks one
+    (_first_bad_row: a non-finite time, a time not above the one before it
+    or not > 0, a mark below 1) raises ValueError naming its file line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "time,mark":
@@ -473,27 +436,24 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"metadata must be a JSON object, got {type(data).__name__}")
-        try:
-            meta = SimulationMeta(
-                seed=data.get("seed"),
-                horizon=float(data.get("horizon", meta.horizon)),
-                proposed=data.get("proposed", 0),
-                accepted=data.get("accepted", n),
-                acceptance_ratio=float(data.get("acceptance_ratio", 0.0)),
-                wall_time_seconds=float(data.get("wall_time_seconds", 0.0)),
-                spec_hash=data.get("spec_hash"),
-                squeezed=data.get("squeezed", 0),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"metadata field is not a number: {exc}") from None
+        meta = SimulationMeta(
+            seed=data.get("seed"),
+            horizon=_sidecar_number(data, "horizon", meta.horizon),
+            proposed=data.get("proposed", 0),
+            accepted=data.get("accepted", n),
+            acceptance_ratio=_sidecar_number(data, "acceptance_ratio", 0.0),
+            wall_time_seconds=_sidecar_number(data, "wall_time_seconds", 0.0),
+            spec_hash=data.get("spec_hash"),
+            squeezed=data.get("squeezed", 0),
+        )
         for name in ("proposed", "accepted", "squeezed"):
             value = getattr(meta, name)
             if not _non_negative_int(value):
                 raise ValueError(f"metadata {name} must be a non-negative integer, got {value!r}")
         if not (meta.seed is None or _non_negative_int(meta.seed)):
             raise ValueError(f"metadata seed must be null or a non-negative integer, got {meta.seed!r}")
-        if not (math.isfinite(meta.horizon) and math.isfinite(meta.acceptance_ratio)):
-            raise ValueError("metadata horizon and acceptance_ratio must be finite")
+        if not (meta.spec_hash is None or isinstance(meta.spec_hash, str)):
+            raise ValueError(f"metadata spec_hash must be null or a string, got {meta.spec_hash!r}")
         if n and meta.horizon < last:
             raise ValueError(
                 f"metadata horizon {meta.horizon!r} precedes the last event time {last!r}"

@@ -53,9 +53,10 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def run_cli(args, cpu=None):
+def run_cli(args, cpu=None, timeout=None):
     """The CLI in a fresh interpreter; with cpu, pinned to that one CPU, so
-    simulate and bench run in one process."""
+    simulate and bench run in one process.  A run past timeout seconds is
+    killed, and raises."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     entry = ["-m", "carma_hawkes"] if cpu is None else [
@@ -68,6 +69,7 @@ def run_cli(args, cpu=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -413,10 +415,11 @@ class TestDiagnoseCommand:
             assert captured.out == ""
 
     def test_bad_sidecar_exits_2(self, tmp_path, carma21, capsys):
-        # a horizon before the last event, a non-finite or null sidecar
-        # number, a count that is not a non-negative int, a seed that is
-        # neither null nor one, or a sidecar that is valid JSON but not an
-        # object
+        # a horizon before the last event, a sidecar number that is not a
+        # finite JSON number (null, a string, a bool, beyond a double), a
+        # count that is not a non-negative int, a seed that is neither null
+        # nor one, a spec_hash that is neither null nor a string, or a
+        # sidecar that is valid JSON but not an object
         model = write_spec(tmp_path, carma21)
         out = tmp_path / "runs"
         main(["simulate", "--model", model, "--horizon", "200", "--seed", "5",
@@ -435,7 +438,11 @@ class TestDiagnoseCommand:
                         {"accepted": float(good["accepted"])}, {"accepted": True},
                         {"proposed": 2.9}, {"proposed": -7}, {"proposed": False},
                         {"proposed": "9"}, {"seed": "abc"}, {"seed": -1},
-                        {"seed": 5.0}, {"seed": True})
+                        {"seed": 5.0}, {"seed": True}, {"horizon": "50000"},
+                        {"acceptance_ratio": "0.4"}, {"wall_time_seconds": "1"},
+                        {"horizon": True}, {"acceptance_ratio": False},
+                        {"wall_time_seconds": math.inf},
+                        {"horizon": 10**400}, {"spec_hash": 5})
         ] + [[1, 2]]
         for sidecar in bad_sidecars:
             meta_path.write_text(json.dumps(sidecar))
@@ -834,3 +841,34 @@ class TestBundledModels:
         assert main(["validate", "--model", str(model)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["branching"] == pytest.approx(0.736, abs=5e-4)
+
+
+class TestOverflowingSpecs:
+    # a baseline that sums to inf would stop thinning's clock, and an
+    # envelope weight that sums to inf breaks the envelope: each command
+    # exits 2 before any loop runs, with no warning.  Each run has a timeout,
+    # so a regression fails rather than hangs.
+    SPECS = {
+        "base": {"type": "bivariate", "mu": [1e308, 1e308], "a1": [1], "a2": [1],
+                 "b11": [0.1], "b12": [0], "b21": [0], "b22": [0.1]},
+        "weight": {"type": "bivariate", "mu": [1, 1], "a1": [1], "a2": [1],
+                   "b11": [1e308], "b12": [0], "b21": [1e308], "b22": [0.1]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_every_command_exits_2(self, tmp_path, case):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(self.SPECS[case]))
+        events = tmp_path / "events.csv"
+        events.write_text("time,mark\n0.5,1\n")
+        commands = [
+            ["validate"],
+            ["simulate", "--horizon", "1", "--seed", "1", "--force", "--out", str(tmp_path / "runs")],
+            ["bench", "--horizon", "1", "--force"],
+            ["diagnose", "--events", str(events)],
+        ]
+        for command in commands:
+            done = run_cli([*command, "--model", str(model)], timeout=60)
+            assert (done.returncode, done.stdout) == (2, ""), done.stderr
+            assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+            assert "overflows a double" in done.stderr

@@ -14,6 +14,7 @@ from carma_hawkes import model, spectral, thinning
 from carma_hawkes import (
     BivariateSpec,
     NegativeIntensity,
+    NumericalOverflow,
     ProcessState,
     RootFindingFailure,
     Spec,
@@ -269,6 +270,38 @@ class TestValidate:
             info = cached.cache_info()
             assert info.maxsize == model.CACHE_MAXSIZE
             assert info.currsize <= model.CACHE_MAXSIZE
+
+
+class TestOverflowingConstants:
+    # finite coefficients whose sums leave a double: an infinite base would
+    # stop thinning's clock, and an infinite envelope weight or K breaks the
+    # envelope.  tests/test_cli.py runs simulate on such specs, under a
+    # timeout, as a hang there would stall the suite.
+    CASES = (
+        (BivariateSpec([1e308, 1e308], [1.0], [1.0], [0.1], [0.0], [0.0], [0.1]),
+         r"the summed baseline sum\(mu\) = inf"),
+        (BivariateSpec([1.0, 1.0], [1.0], [1.0], [1e308], [0.0], [1e308], [0.1]),
+         "the envelope weight of mode 1"),
+        # roots -1 and -1 - 1e-6: each weight, and their sum, is finite, but
+        # the MA coefficients summed over the components are not
+        (BivariateSpec([1.0, 1.0], [2.0 + 1e-6, 1.0 + 1e-6], [1.0], [0.9e308, 0.9e308], [0.0],
+                       [0.9e308, 0.9e308], [0.1]),
+         "the MA coefficients of block 1 sum past a double"),
+        # |W| = 1.4e308 and ||S^-1 e|| = sqrt(2): K alone overflows
+        (UnivariateSpec(1.0, [3.0, 2.0], [1e308]), "the envelope jump K_1 = inf"),
+    )
+
+    @pytest.mark.parametrize("spec, message", CASES)
+    def test_dynamics_and_validate_refuse(self, spec, message):
+        for call in (model.dynamics, validate):
+            with pytest.raises(NumericalOverflow, match=message):
+                call(spec)
+
+    def test_largest_finite_constants_pass(self):
+        # the checks refuse only what overflows: a base, weight and K just
+        # inside a double are kept
+        dyn = model.dynamics(BivariateSpec([8e307, 8e307], [1.0], [1.0], [8e307], [0.0], [8e307], [0.1]))
+        assert math.isfinite(dyn.base) and math.isfinite(dyn.bound_jumps[0])
 
 
 class TestKernel:

@@ -1,13 +1,20 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package functions by
 module and attribute name.  A function moved to another module without the
 tracer following it would fail a traced run; this checks every target the
-tracer looks up first, and reads perfbench/ only.  A fresh import of the
-package, which the benchmark's setup_s times, is checked for worker
-machinery, a CLI simulate and diagnose for OpenSSL, and summarize for the per-component calls the tracer times and
-for one modal scan per mode group.  The benchmark's own correctness check of
-an in-process replication (perfbench/checks.py) must pass on every benchmark
-model, so a change to the record types cannot fail its operations."""
+tracer looks up first, and that a traced CLI and library run records the
+spans the per-layer metrics read.  It reads perfbench/ only.
 
+The package's imports are lazy.  A fresh import of the package loads no
+submodule, numpy or worker machinery; the benchmark's set-up code, which
+setup_s times, loads errors, spectral and model alone; a CLI simulate and
+diagnose load neither OpenSSL nor the per-event oracles.  Every public name
+resolves to its own module's object.  summarize is checked for the
+per-component calls the tracer times and for one modal scan per mode group.
+The benchmark's own correctness check of an in-process replication
+(perfbench/checks.py) must pass on every benchmark model, so a change to the
+record types cannot fail its operations."""
+
+import ast
 import importlib
 import importlib.util
 import os
@@ -22,6 +29,50 @@ from carma_hawkes import diagnostics, dynamics, load_spec, simulate, summarize, 
 from carma_hawkes.model import mode_groups
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The package's public names before its imports became lazy, each with the
+# module that defines it; the oracles moved out of model and thinning.
+PUBLIC_NAMES = {
+    **dict.fromkeys(
+        ("ComponentDiagnostics", "DiagnosticsReport", "KsResult", "ResidualSeries",
+         "kolmogorov_survival", "ks_exp1", "residual_transform", "summarize",
+         "write_report_json", "write_residuals_csv"),
+        "diagnostics",
+    ),
+    **dict.fromkeys(
+        ("BoundViolation", "CarmaHawkesError", "DegenerateEigenvalues", "EmptySample",
+         "HorizonNonPositive", "NanSample", "NegativeIntensity", "NonStationarySpec",
+         "NumericalOverflow", "RootFindingFailure", "SpecLogMismatch", "ZeroEigenvalue"),
+        "errors",
+    ),
+    **dict.fromkeys(
+        ("BivariateSpec", "Dynamics", "Spec", "UnivariateSpec", "ValidationReport",
+         "channel_kernel", "dynamics", "intensity_path", "load_spec", "save_spec",
+         "spec_from_dict", "spec_hash", "spec_to_dict", "stationary_rates", "validate"),
+        "model",
+    ),
+    **dict.fromkeys(
+        ("BoundTracker", "ProcessState", "apply_event", "bound_after_event", "bound_value",
+         "compensator_increment", "initial_bound", "initial_state", "intensity_at",
+         "state_vector"),
+        "oracles",
+    ),
+    **dict.fromkeys(
+        ("SpectralData", "bound_constant", "build_companion", "exp_action",
+         "spectral_decompose"),
+        "spectral",
+    ),
+    **dict.fromkeys(
+        ("EventLog", "ScriptedUniforms", "SimulationMeta", "UniformStream", "bound_path",
+         "read_events_csv", "simulate", "write_events_csv", "write_meta_json"),
+        "thinning",
+    ),
+}
+SUBMODULES = ("cli", "diagnostics", "errors", "model", "oracles", "spectral", "thinning")
+# Code that prints the package's loaded submodules, by name.
+PRINT_SUBMODULES = ("print(sorted(m.split('.', 1)[1] for m in __import__('sys').modules "
+                    "if m.startswith('carma_hawkes.')))")
 
 
 def _load(name: str):
@@ -31,6 +82,17 @@ def _load(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _run_fresh(code: str, *args: str, cwd=None) -> str:
+    """What a fresh interpreter running code (with args) prints, the
+    package's src first on its path; it must exit 0."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_tracer_targets_resolve():
@@ -48,19 +110,110 @@ def test_tracer_targets_resolve():
         )
 
 
+def test_traced_runs_record_every_layer(tmp_path):
+    # the tracer installed on a fresh package, as perfbench/worker.py does,
+    # then a CLI simulate and diagnose and a library simulate -> summarize:
+    # the spans the per-layer metrics read must all be there
+    model = util.MODELS / "bivariate_cross.json"
+    code = "\n".join((
+        "import importlib.util",
+        "import carma_hawkes",
+        f"spec = importlib.util.spec_from_file_location('tracer', {str(PERFBENCH / 'tracer.py')!r})",
+        "tracer_module = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(tracer_module)",
+        "tracer = tracer_module.Tracer()",
+        "tracer.install(carma_hawkes)",
+        f"model = {str(model)!r}",
+        "assert carma_hawkes.cli.main(['simulate', '--model', model, '--horizon', '100',"
+        " '--seed', '1', '--out', 'runs']) == 0",
+        "assert carma_hawkes.cli.main(['diagnose', '--model', model, '--events', 'runs/events_0.csv']) == 0",
+        "spec = carma_hawkes.load_spec(model)",
+        "carma_hawkes.summarize(spec, carma_hawkes.simulate(spec, 100.0, rng=2))",
+        "print(sorted({span[1] for span in tracer.spans if not span[8]}))",
+    ))
+    names = set(ast.literal_eval(_run_fresh(code, cwd=tmp_path).splitlines()[-1]))
+    assert {
+        "thinning.simulate", "model.validate", "diagnostics.summarize",
+        "diagnostics.residual_transform", "cli.cmd_diagnose",
+    } <= names
+
+
 def test_import_loads_no_worker_machinery():
     # the CLI forks its workers with os.fork; a fresh `import carma_hawkes`
     # (what the benchmark's setup_s times) must not pull in a process pool
-    src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, carma_hawkes; "
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
     )
-    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert _run_fresh(code).strip() == "[]"
+
+
+def test_import_loads_no_submodule_or_numpy():
+    code = "import sys, carma_hawkes; print('numpy' in sys.modules); " + PRINT_SUBMODULES
+    assert _run_fresh(code) == "False\n[]\n"
+
+
+def _setup_code() -> str:
+    """perfbench/run.py's SETUP_CODE, the set-up that setup_s times."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SETUP_CODE"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no SETUP_CODE")
+
+
+def test_setup_code_loads_model_layers_only():
+    # load_spec, dynamics and validate of every bundled model load errors,
+    # spectral and model: no thinning, diagnostics, cli or oracles
+    models = sorted(str(path) for path in util.MODELS.glob("*.json"))
+    out = _run_fresh(_setup_code() + "\n" + PRINT_SUBMODULES, *models)
+    assert out == "['errors', 'model', 'spectral']\n"
+
+
+def test_public_names_resolve_to_their_modules():
+    assert carma_hawkes.__all__ == sorted(PUBLIC_NAMES)
+    listed = dir(carma_hawkes)
+    for name, home in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"carma_hawkes.{home}")
+        assert getattr(carma_hawkes, name) is getattr(module, name), name
+        assert name in listed
+    assert set(SUBMODULES) <= set(listed)
+
+
+def test_submodules_resolve_as_attributes():
+    # in a fresh interpreter, so each attribute goes through the package's
+    # lazy lookup; model alone loads what it imports, not thinning
+    code = "\n".join((
+        "import sys, carma_hawkes",
+        "assert carma_hawkes.model is sys.modules['carma_hawkes.model']",
+        PRINT_SUBMODULES,
+        f"for name in {SUBMODULES!r}:",
+        "    assert getattr(carma_hawkes, name) is sys.modules['carma_hawkes.' + name], name",
+        "print(carma_hawkes.oracles.apply_event is carma_hawkes.apply_event)",
+    ))
+    assert _run_fresh(code) == "['errors', 'model', 'spectral']\nTrue\n"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'carma_hawkes' has no attribute 'no_such_name'"):
+        carma_hawkes.no_such_name
+    assert not hasattr(carma_hawkes, "ProcessStates")
+    with pytest.raises(ImportError):
+        exec("from carma_hawkes import no_such_name", {})
+
+
+def test_cli_runs_load_no_oracles(tmp_path):
+    # the oracles are for tests: a CLI simulate and diagnose never need them
+    model = util.MODELS / "carma21.json"
+    code = "\n".join((
+        "from carma_hawkes.cli import main",
+        f"assert main(['simulate', '--model', {str(model)!r}, '--horizon', '100', '--seed', '1',"
+        " '--out', 'runs']) == 0",
+        f"assert main(['diagnose', '--model', {str(model)!r}, '--events', 'runs/events_0.csv']) == 0",
+        PRINT_SUBMODULES,
+    ))
+    out = _run_fresh(code, cwd=tmp_path).splitlines()[-1]
+    assert out == "['cli', 'diagnostics', 'errors', 'model', 'spectral', 'thinning']"
 
 
 @pytest.mark.skipif(
@@ -71,7 +224,6 @@ def test_runs_load_no_openssl(tmp_path):
     # spec_hash takes CPython's built-in SHA-256, so neither the package nor
     # a CLI simulate (forked workers included) and diagnose loads _hashlib,
     # OpenSSL's binding
-    src = Path(__file__).resolve().parents[1] / "src"
     model = util.MODELS / "bivariate_cross.json"
     code = "\n".join((
         "import sys",
@@ -83,13 +235,9 @@ def test_runs_load_no_openssl(tmp_path):
         " '--reps', '2', '--out', 'runs']) == 0",
         f"assert main(['diagnose', '--model', {str(model)!r}, '--events', 'runs/events_1.csv']) == 0",
         "loaded.append('_hashlib' in sys.modules)",
-        "print('loaded', loaded, file=sys.stderr)",
+        "assert loaded == [False, False], loaded",
     ))
-    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.strip() == "loaded [False, False]"
+    _run_fresh(code, cwd=tmp_path)
     assert (tmp_path / "runs" / "events_1.report.json").exists()
 
 
