@@ -67,12 +67,11 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _load_spec_or_none(path: str):
+def _load_spec(path: str):
     try:
         return load_spec(path)
-    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load model spec from {path}: {exc}", file=sys.stderr)
-        return None
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise CarmaHawkesError(f"cannot load model spec from {path}: {exc}") from exc
 
 
 def _write_trace(spec, log, horizon: float, dt: float, path: Path) -> None:
@@ -88,23 +87,20 @@ def _write_trace(spec, log, horizon: float, dt: float, path: Path) -> None:
 
 
 def _checked_run(args):
-    """The spec and the checks simulate and bench share: (spec, None) or (None, exit code)."""
-    spec = _load_spec_or_none(args.model)
-    if spec is None:
-        return None, EXIT_BAD_CONFIG
+    """The spec, after the checks simulate and bench share."""
+    spec = _load_spec(args.model)
     _check_horizon(args.horizon)
     if args.reps < 1:
-        return None, _fail(f"reps must be >= 1, got {args.reps}", EXIT_BAD_CONFIG)
+        raise CarmaHawkesError(f"reps must be >= 1, got {args.reps}")
     if args.seed < 0:
-        return None, _fail("seed must be a non-negative integer", EXIT_BAD_CONFIG)
+        raise CarmaHawkesError("seed must be a non-negative integer")
     report = validate(spec)
     if not report.admissible and not args.force:
         print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
-        return None, _fail(
-            f"spec failed validation ({', '.join(report.flags)}); use --force to simulate anyway",
-            EXIT_VALIDATION,
+        raise NonStationarySpec(
+            f"spec failed validation ({', '.join(report.flags)}); use --force to simulate anyway"
         )
-    return spec, None
+    return spec
 
 
 def _usable_cpus() -> int:
@@ -228,14 +224,11 @@ def _replicate(spec, args, each):
 def cmd_simulate(args) -> int:
     step = args.trace_intensity
     if step is not None and not (math.isfinite(step) and step > 0):
-        return _fail("--trace-intensity step must be finite and > 0", EXIT_BAD_CONFIG)
-    spec, code = _checked_run(args)
-    if spec is None:
-        return code
+        raise CarmaHawkesError("--trace-intensity step must be finite and > 0")
+    spec = _checked_run(args)
     if step is not None and args.horizon / step + 1 > TRACE_MAX_ROWS:
-        return _fail(
-            f"--trace-intensity step {step} gives more than {TRACE_MAX_ROWS} grid rows",
-            EXIT_BAD_CONFIG,
+        raise CarmaHawkesError(
+            f"--trace-intensity step {step} gives more than {TRACE_MAX_ROWS} grid rows"
         )
 
     out_dir = Path(args.out)
@@ -264,26 +257,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    spec = _load_spec_or_none(args.model)
-    if spec is None:
-        return EXIT_BAD_CONFIG
-    report = validate(spec)
+    report = validate(_load_spec(args.model))
     print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
     return EXIT_OK if report.admissible else EXIT_VALIDATION
 
 
 def cmd_diagnose(args) -> int:
-    spec = _load_spec_or_none(args.model)
-    if spec is None:
-        return EXIT_BAD_CONFIG
+    spec = _load_spec(args.model)
     events_path = Path(args.events)
     if not events_path.exists():
-        return _fail(f"events file not found: {events_path}", EXIT_BAD_CONFIG)
+        raise CarmaHawkesError(f"events file not found: {events_path}")
     meta_path = events_path.parent / (events_path.stem + ".meta.json")
     try:
         log = read_events_csv(events_path, meta_path if meta_path.exists() else None)
     except ValueError as exc:
-        return _fail(f"cannot parse events file: {exc}", EXIT_BAD_CONFIG)
+        raise CarmaHawkesError(f"cannot parse events file: {exc}") from exc
     report = summarize(spec, log)
 
     out_dir = Path(args.out) if args.out else events_path.parent
@@ -297,9 +285,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec, code = _checked_run(args)
-    if spec is None:
-        return code
+    spec = _checked_run(args)
     t0 = time.perf_counter()
     results, code = _replicate(
         spec,

@@ -14,10 +14,9 @@ one running total.  The sum over modes is taken per mode group
 (model.mode_groups): the exactly real modes in float64, the others in
 complex128 with each exact conjugate pair carried once at twice its weight.
 Each group's scan takes BLOCK_EVENTS events per numpy pass, however many
-anchor segments they span.  One scan per group serves every component: the
-first residual_transform of a log computes every component's residuals and
-keeps them with the log, and each call returns its component's read-only
-array itself as the ResidualSeries' taus.
+anchor segments they span.  One scan per group serves every component:
+residual_transform returns every component's residuals from it at once, one
+read-only array per component, and leaves the log as it was built.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .errors import EmptySample, NanSample, SpecLogMismatch
 from .model import (  # the scan's block limits are re-exported
     BLOCK_EVENTS,
     BLOCK_EXPONENT,
-    Dynamics,
     Spec,
     check_nonzero_roots,
     dynamics,
@@ -56,9 +54,6 @@ _KAPPA_FLOOR = 0.18
 # within _KS_WINDOW / 1000, so every point's error, with the rounding of its
 # gap, stays far inside the window.
 _KS_WINDOW = 1e-12
-# Where residual_transform keeps a log's residuals, in the log's instance
-# dict: (the Dynamics they were computed for, one array per component).
-_RESIDUALS_KEY = "_residuals"
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,52 +90,34 @@ class KsResult:
     n: int
 
 
-def residual_transform(spec: Spec, log: EventLog, component: int = 1) -> ResidualSeries:
-    """Transformed inter-event gaps of one component along a full log.
+def residual_transform(spec: Spec, log: EventLog) -> tuple[ResidualSeries, ...]:
+    """Transformed inter-event gaps along a full log, one ResidualSeries per
+    component, in component order.
 
-    The compensator of the chosen component is accumulated in closed form
-    across every global event (events of the other components change the
-    state and therefore the integrand), by the blocked scan of
-    model.modal_scan over the log's arrays, one scan per mode group, the
-    groups' increments added.  The trailing censored gap is discarded.  Raises
-    SpecLogMismatch when the log carries a spec hash that differs from the
-    given spec's, or a mark the spec does not have; every call checks.  A
-    spec with a root at 0 raises ZeroEigenvalue on a non-empty log.
-
-    The scans give every component's increments at once, so the first call
-    for a log computes the residuals of all its components (_all_taus) and
-    keeps them in the log's instance dict, one read-only array per component
-    (n values in all), with the Dynamics they belong to; a call for the same
-    dynamics reads them, and one for other dynamics replaces them.  The
-    series' taus are the kept array itself, not a copy.
+    Each component's compensator is accumulated in closed form across every
+    global event (events of the other components change the state and
+    therefore the integrand), by the blocked scan of model.modal_scan over
+    the log's arrays, one scan per mode group.  Each pass's grown states are
+    formed once, modes x events as the scan's own arrays are, and reduced
+    with each component's coefficients: the same products and sums, in the
+    same order, as a scan for one component alone.  The trailing censored
+    gap is discarded.  Raises SpecLogMismatch when the log carries a spec
+    hash that differs from the given spec's, or a mark the spec does not
+    have.  A spec with a root at 0 raises ZeroEigenvalue on a non-empty log.
+    The log is only read.
     """
     n_comp = spec.n_components
-    if not 1 <= component <= n_comp:
-        raise ValueError(f"component must be in 1..{n_comp}")
     if log.meta.spec_hash is not None and log.meta.spec_hash != spec_hash(spec):
         raise SpecLogMismatch(
             "event log was produced under a different spec (hash mismatch)"
         )
     if not log.times:
-        return ResidualSeries(taus=(), component=component)
+        return tuple(ResidualSeries(taus=(), component=c) for c in range(1, n_comp + 1))
     times, marks = log.arrays
     if marks.max() > n_comp:
         raise SpecLogMismatch(f"event log holds a mark outside 1..{n_comp}")
     dyn = dynamics(spec)
     check_nonzero_roots(dyn)
-    kept = vars(log).get(_RESIDUALS_KEY)
-    if kept is None or kept[0] != dyn:
-        kept = vars(log)[_RESIDUALS_KEY] = (dyn, _all_taus(dyn, times, marks))
-    return ResidualSeries(taus=kept[1][component - 1], component=component)
-
-
-def _all_taus(dyn: Dynamics, times: np.ndarray, marks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every component's residuals along a log, read-only, from one
-    modal_scan per mode group: each pass's grown states are formed once and
-    reduced with each component's coefficients, the same products and sums,
-    in the same order, as a scan for one component alone.  The grown states
-    are modes x events, as the scan's own arrays are, so each product runs
-    along the events of one mode."""
     gaps = np.diff(times, prepend=0.0)
     incs = [mu * gaps for mu in dyn.mus]
     for group in mode_groups(dyn):
@@ -150,17 +127,15 @@ def _all_taus(dyn: Dynamics, times: np.ndarray, marks: np.ndarray) -> tuple[np.n
             grown = states.T[:, :-1] * np.expm1(np.multiply(gaps[start:stop], lams))
             for inc, coef in zip(incs, coefs):
                 inc[start:stop] += mode_sum(grown.T, coef)
-    taus = []
+    series = []
     for component, inc in enumerate(incs, start=1):
         own = np.flatnonzero(marks == component)
+        taus = ()
         if len(own):
-            starts = np.concatenate(([0], own[:-1] + 1))
-            tau = np.add.reduceat(inc[: own[-1] + 1], starts)
-        else:
-            tau = np.empty(0)
-        tau.flags.writeable = False
-        taus.append(tau)
-    return tuple(taus)
+            taus = np.add.reduceat(inc[: own[-1] + 1], np.concatenate(([0], own[:-1] + 1)))
+            taus.flags.writeable = False
+        series.append(ResidualSeries(taus=taus, component=component))
+    return tuple(series)
 
 
 def kolmogorov_survival(kappa: float) -> float:
@@ -283,31 +258,27 @@ class DiagnosticsReport:
 
 
 def summarize(spec: Spec, log: EventLog) -> DiagnosticsReport:
-    """Per-component event counts, rates, and residual KS results."""
+    """Per-component event counts, rates, and residual KS results, from one
+    residual_transform of the log."""
     rates = stationary_rates(spec)
     horizon = log.meta.horizon if log.meta.horizon > 0 else (log.times[-1] if log.times else 0.0)
-    comps = []
-    residuals = []
-    for c in range(1, spec.n_components + 1):
-        series = residual_transform(spec, log, component=c)
-        residuals.append(series)
-        n = len(series)
-        ks = ks_exp1(series) if n > 0 else None
-        comps.append(
-            ComponentDiagnostics(
-                component=c,
-                n_events=n,
-                empirical_rate=n / horizon if horizon > 0 else 0.0,
-                theoretical_rate=rates[c - 1],
-                ks=ks,
-                residual_mean=series.mean,
-            )
+    residuals = residual_transform(spec, log)
+    comps = tuple(
+        ComponentDiagnostics(
+            component=series.component,
+            n_events=len(series),
+            empirical_rate=len(series) / horizon if horizon > 0 else 0.0,
+            theoretical_rate=rates[series.component - 1],
+            ks=ks_exp1(series) if len(series) else None,
+            residual_mean=series.mean,
         )
+        for series in residuals
+    )
     return DiagnosticsReport(
-        components=tuple(comps),
+        components=comps,
         horizon=horizon,
         acceptance_ratio=log.meta.acceptance_ratio,
-        residuals=tuple(residuals),
+        residuals=residuals,
     )
 
 

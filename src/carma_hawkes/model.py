@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -73,11 +74,20 @@ _SPLITTER = 134217729.0
 
 def _finite_tuple(vals, name: str) -> tuple[float, ...]:
     """The values as Python floats, each -0.0 read as 0.0: equal specs then
-    hold the same floats, and so the same canonical JSON (spec_hash)."""
+    hold the same floats, and so the same canonical JSON (spec_hash).  Each
+    value must be a real number (numpy's included): a bool or a string,
+    which would be read character by character, is refused, and so is one
+    past a double's range."""
     try:
-        out = tuple(float(v) + 0.0 for v in vals)
+        items = tuple(vals)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of numbers") from None
+    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in items):
+        raise ValueError(f"{name} must be a sequence of numbers")
+    try:
+        out = tuple(float(v) + 0.0 for v in items)
+    except OverflowError:  # an integer too large for a double
+        out = (math.inf,)
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{name} must contain only finite values")
     return out

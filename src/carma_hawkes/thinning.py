@@ -473,10 +473,14 @@ def read_events_csv(path, meta_path=None) -> EventLog:
 
 
 def _check_horizon(horizon) -> float:
+    """The horizon as a float: a real number (a bool or a string is not one,
+    the rule seeds keep) that is finite and > 0."""
+    if not isinstance(horizon, Real) or isinstance(horizon, bool):
+        raise HorizonNonPositive(f"horizon must be a number, got {horizon!r}")
     try:
         h = float(horizon)
-    except (TypeError, ValueError):
-        raise HorizonNonPositive(f"horizon must be a number, got {horizon!r}")
+    except OverflowError:  # an integer too large for a double
+        h = math.inf
     if not (math.isfinite(h) and h > 0):
         raise HorizonNonPositive(f"horizon must be finite and > 0, got {h!r}")
     return h

@@ -334,6 +334,34 @@ class TestValidateCommand:
                 )
                 assert captured.out == ""
 
+    # a coefficient that is not a real number within a double's range:
+    # "32" would be read as (3, 2), true as 1, and a 400-digit integer
+    # would end in an OverflowError
+    NON_NUMBERS = {
+        "string mu": {"type": "univariate", "mu": "0.5", "a": [3, 2], "b": [1]},
+        "string a": {"type": "univariate", "mu": 0.5, "a": "32", "b": [1]},
+        "string b": {"type": "univariate", "mu": 0.5, "a": [3, 2], "b": "1"},
+        "bool mu": {"type": "univariate", "mu": True, "a": [3, 2], "b": [1]},
+        "bool in a": {"type": "univariate", "mu": 0.5, "a": [3, False], "b": [1]},
+        "huge mu": {"type": "univariate", "mu": 10**400, "a": [3, 2], "b": [1]},
+        "huge a": {"type": "univariate", "mu": 0.5, "a": [10**400, 2], "b": [1]},
+        "huge b": {"type": "univariate", "mu": 0.5, "a": [3, 2], "b": [10**400]},
+        "multivariate string": {"type": "multivariate", "mu": [0.3, "0.3"], "a": [[2.0], [2.0]],
+                                "b": [[[0.5], [0.1]], [[0.1], [0.5]]]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_NUMBERS))
+    def test_coefficients_must_be_numbers(self, tmp_path, capsys, case):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.NON_NUMBERS[case]))
+        for argv in (["validate"], ["bench", "--horizon", "1"],
+                     ["simulate", "--horizon", "1", "--seed", "1", "--out", str(tmp_path / "o")],
+                     ["diagnose", "--events", str(tmp_path / "events.csv")]):
+            assert main([*argv, "--model", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: cannot load model spec from {path}: ")
+            assert captured.err.count("\n") == 1 and captured.out == ""
+
 
 class TestDiagnoseCommand:
     def test_roundtrip_matches_in_process_report(self, tmp_path, carma21, capsys):
@@ -482,7 +510,7 @@ class TestDiagnoseCommand:
         events = tmp_path / "events.csv"
         events.write_text("time,mark\n1.0,1\n2.0,1\n")
         nan_series = diagnostics.ResidualSeries(taus=(math.nan, 1.0), component=1)
-        monkeypatch.setattr(diagnostics, "residual_transform", lambda *args, **kw: nan_series)
+        monkeypatch.setattr(diagnostics, "residual_transform", lambda *args, **kw: (nan_series,))
         assert main(["diagnose", "--model", model, "--events", str(events)]) == 2
         captured = capsys.readouterr()
         assert "error: cannot run a KS test on a sample with 1 NaN value(s)" in captured.err
@@ -495,7 +523,7 @@ class TestDiagnoseCommand:
         events = tmp_path / "events.csv"
         events.write_text("time,mark\n1.0,1\n2.0,1\n")
         series = diagnostics.ResidualSeries(taus=(-1000.0, 1.0), component=1)
-        monkeypatch.setattr(diagnostics, "residual_transform", lambda *args, **kw: series)
+        monkeypatch.setattr(diagnostics, "residual_transform", lambda *args, **kw: (series,))
         assert main(["diagnose", "--model", model, "--events", str(events)]) == 0
         row = strict_json((tmp_path / "events.report.json").read_text())["components"][0]
         assert row["ks_statistic"] is None and row["ks_p_value"] == 0.0

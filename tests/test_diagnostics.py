@@ -55,50 +55,43 @@ class TestResidualTransform:
     def test_pure_poisson(self):
         spec = UnivariateSpec(mu=0.3, a=(1.0,), b=(0.0,))
         log = util.make_log([1.0, 2.0], horizon=2.0, spec=spec)
-        series = residual_transform(spec, log)
+        (series,) = residual_transform(spec, log)
         assert series.taus == pytest.approx([0.3, 0.3], abs=1e-15)
 
     def test_single_event(self, hawkes):
         log = util.make_log([1.0], horizon=1.0, spec=hawkes)
-        series = residual_transform(hawkes, log)
+        (series,) = residual_transform(hawkes, log)
         assert series.taus == pytest.approx([0.3], abs=1e-12)
 
     def test_two_events_closed_form(self, hawkes):
         # oracle: second gap integrates mu plus one kernel tail:
         # 0.3 + (1/3)(1 - e^-3)
         log = util.make_log([1.0, 2.0], horizon=2.0, spec=hawkes)
-        series = residual_transform(hawkes, log)
+        (series,) = residual_transform(hawkes, log)
         expected = 0.3 + (1.0 - math.exp(-3.0)) / 3.0
         assert series.taus[1] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.616738, abs=5e-7)
 
     def test_censored_tail_discarded(self, hawkes):
         log = util.make_log([1.0], horizon=100.0, spec=hawkes)
-        assert len(residual_transform(hawkes, log)) == 1
+        (series,) = residual_transform(hawkes, log)
+        assert len(series) == 1
 
     def test_bivariate_counts_per_component(self, biv_cross):
         log = util.make_log([0.5, 1.0, 2.0, 2.5], [1, 2, 2, 1], spec=biv_cross)
-        s1 = residual_transform(biv_cross, log, component=1)
-        s2 = residual_transform(biv_cross, log, component=2)
+        s1, s2 = residual_transform(biv_cross, log)
+        assert (s1.component, s2.component) == (1, 2)
         assert len(s1) == 2
         assert len(s2) == 2
-        assert all(t >= 0 for t in s1.taus + s2.taus)
+        assert (np.concatenate((s1.taus, s2.taus)) >= 0).all()
 
     def test_bivariate_cross_effects_enter_compensator(self, biv_cross):
         # a component-2 event must change component 1's later residual
         with_cross = util.make_log([1.0, 2.0], [2, 1], spec=biv_cross)
         without = util.make_log([2.0], [1], spec=biv_cross)
-        tau_with = residual_transform(biv_cross, with_cross, component=1).taus[0]
-        tau_without = residual_transform(biv_cross, without, component=1).taus[0]
+        tau_with = residual_transform(biv_cross, with_cross)[0].taus[0]
+        tau_without = residual_transform(biv_cross, without)[0].taus[0]
         assert tau_with > tau_without  # b12 is positive for this spec
-
-    def test_component_validation(self, hawkes, biv_cross):
-        log = util.make_log([1.0], spec=hawkes)
-        with pytest.raises(ValueError):
-            residual_transform(hawkes, log, component=2)
-        log2 = util.make_log([1.0], [1], spec=biv_cross)
-        with pytest.raises(ValueError):
-            residual_transform(biv_cross, log2, component=3)
 
     def test_spec_hash_mismatch(self, hawkes, carma21):
         log = util.make_log([1.0, 2.0], spec=carma21)
@@ -107,7 +100,8 @@ class TestResidualTransform:
 
     def test_no_hash_no_check(self, hawkes):
         log = util.make_log([1.0, 2.0])  # no spec hash in metadata
-        assert len(residual_transform(hawkes, log)) == 2
+        (series,) = residual_transform(hawkes, log)
+        assert len(series) == 2
 
     def test_mark_outside_spec(self, hawkes, biv_cross):
         log = util.make_log([1.0, 2.0], [1, 2])
@@ -115,7 +109,7 @@ class TestResidualTransform:
             residual_transform(hawkes, log)
         log = util.make_log([1.0, 2.0, 3.0], [1, 2, 3])
         with pytest.raises(SpecLogMismatch, match="mark outside 1..2"):
-            residual_transform(biv_cross, log, component=2)
+            residual_transform(biv_cross, log)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4))
@@ -130,10 +124,11 @@ class TestResidualTransform:
         times = np.cumsum(rng.exponential(0.4, size=n))
         marks = rng.integers(1, d + 1, size=n)
         log = util.make_log(times, marks.tolist())
+        every = residual_transform(spec, log)
         for c, part in enumerate(parts, start=1):
             own = util.make_log(times[marks == c])
-            got = residual_transform(spec, log, component=c).taus
-            want = residual_transform(part, own).taus
+            got = every[c - 1].taus
+            want = residual_transform(part, own)[0].taus
             _, sizes = util.residual_transform_scalar(spec, log, component=c)
             assert len(got) == len(want) == len(sizes)
             for g, w, size in zip(got, want, sizes):
@@ -148,8 +143,8 @@ def _assert_matches_oracle(spec, log):
     intensity, or modal weights of opposite sign) is only ever known to
     rounding on that larger scale, by either implementation.
     """
-    for c in range(1, spec.n_components + 1):
-        got = np.array(residual_transform(spec, log, component=c).taus)
+    for c, series in enumerate(residual_transform(spec, log), start=1):
+        got = series.taus
         want, sizes = (np.array(v) for v in util.residual_transform_scalar(spec, log, component=c))
         assert got.shape == want.shape
         worst = np.max(np.abs(got - want) / sizes, initial=0.0)
@@ -182,38 +177,43 @@ class TestSharedScan:
         rng = np.random.default_rng(seed)
         spec = util.random_spec(rng, d)
         log = _random_log(rng, d, n, 10.0**log_scale)
-        # the first call, whichever component it asks for, scans for all
-        for c in rng.permutation(np.arange(1, d + 1)).tolist():
-            got = residual_transform(spec, log, component=c)
-            assert _hexes(got.taus) == _hexes(util.residual_transform_numpy(spec, log, c))
+        every = residual_transform(spec, log)
+        assert [series.component for series in every] == list(range(1, d + 1))
+        for c, series in enumerate(every, start=1):
+            assert _hexes(series.taus) == _hexes(util.residual_transform_numpy(spec, log, c))
 
     def test_each_spec_gets_its_own_residuals(self, biv_cross, biv_lagged):
-        # a log without a hash holds the residuals of the latest dynamics only
+        # a log without a hash may be transformed under any spec, in any
+        # order: each call gives that spec's residuals
         log = _random_log(np.random.default_rng(3), 2, 500, 1.0)
         assert log.meta.spec_hash is None
         for spec in (biv_cross, biv_lagged, biv_cross):
-            for c in (1, 2):
-                got = residual_transform(spec, log, component=c).taus
-                assert _hexes(got) == _hexes(util.residual_transform_numpy(spec, log, c))
-        cross = residual_transform(biv_cross, log, component=1).taus
-        assert not np.array_equal(cross, residual_transform(biv_lagged, log, component=1).taus)
+            for c, series in enumerate(residual_transform(spec, log), start=1):
+                assert _hexes(series.taus) == _hexes(util.residual_transform_numpy(spec, log, c))
+        cross = residual_transform(biv_cross, log)[0].taus
+        assert not np.array_equal(cross, residual_transform(biv_lagged, log)[0].taus)
 
-    def test_kept_arrays_stay_out_of_the_log_fields(self, biv_cross):
-        log = simulate(biv_cross, 50.0, rng=3)
-        fresh = dataclasses.replace(log)
-        first = residual_transform(biv_cross, log, component=2)
-        again = residual_transform(biv_cross, log, component=2)
-        assert again.taus is first.taus and not first.taus.flags.writeable
-        assert log == fresh and hash(log) == hash(fresh)
-        assert _hexes(residual_transform(biv_cross, fresh, component=2).taus) == _hexes(first.taus)
+    def test_summarize_leaves_the_log_as_built(self, biv_cross):
+        # a frozen log is only read: after summarize and residual_transform
+        # it holds what it was built with, whether simulate or the
+        # constructor built it, and each call computes its own arrays
+        simulated = simulate(biv_cross, 50.0, rng=3)
+        for log in (simulated, dataclasses.replace(simulated)):
+            built = dict(vars(log))
+            report = summarize(biv_cross, log)
+            again = residual_transform(biv_cross, log)
+            assert vars(log).keys() == built.keys()
+            assert all(vars(log)[key] is value for key, value in built.items())
+            assert log == dataclasses.replace(log) == simulated and hash(log) == hash(simulated)
+            for first, second in zip(report.residuals, again):
+                assert _hexes(first.taus) == _hexes(second.taus)
+                assert first.taus is not second.taus and not second.taus.flags.writeable
 
     def test_every_call_checks_the_log(self, biv_cross, hawkes):
-        # the kept residuals skip no check: the component, the hash and the
-        # marks are checked on every call
+        # the hash and the marks are checked on every call, the same log
+        # having passed before
         log = util.make_log([1.0, 2.0, 3.0], [1, 2, 1], spec=biv_cross)
-        residual_transform(biv_cross, log, component=1)
-        with pytest.raises(ValueError, match="component must be in 1..2"):
-            residual_transform(biv_cross, log, component=3)
+        residual_transform(biv_cross, log)
         with pytest.raises(SpecLogMismatch, match="hash mismatch"):
             residual_transform(hawkes, log)
         plain = util.make_log([1.0, 2.0, 3.0], [1, 2, 1])
@@ -224,7 +224,7 @@ class TestSharedScan:
 
 class TestResidualSeriesArray:
     def test_taus_are_one_read_only_array(self, biv_cross):
-        series = residual_transform(biv_cross, simulate(biv_cross, 50.0, rng=2), component=2)
+        series = residual_transform(biv_cross, simulate(biv_cross, 50.0, rng=2))[1]
         hand = ResidualSeries(taus=series.taus.tolist(), component=2)
         for s in (series, hand):
             assert s.taus.dtype == np.float64 and s.taus.shape == (len(s),)
@@ -238,8 +238,11 @@ class TestResidualSeriesArray:
 
     def test_empty_series(self, biv_cross):
         log = util.make_log([1.0, 2.0], [1, 1], spec=biv_cross)
-        series = residual_transform(biv_cross, log, component=2)
+        series = residual_transform(biv_cross, log)[1]
         assert series.taus.shape == (0,) and math.isnan(series.mean)
+        # an empty log gives one empty series per component
+        empty = residual_transform(biv_cross, util.make_log([], spec=biv_cross))
+        assert [(s.component, s.taus.shape) for s in empty] == [(1, (0,)), (2, (0,))]
         assert ResidualSeries(taus=(), component=1).taus.shape == (0,)
 
 
@@ -474,7 +477,7 @@ class TestKsTest:
 
     def test_accepts_residual_series(self, hawkes):
         log = util.make_log([1.0, 2.0], spec=hawkes)
-        series = residual_transform(hawkes, log)
+        (series,) = residual_transform(hawkes, log)
         assert ks_exp1(series).n == 2
 
 
@@ -529,7 +532,7 @@ class TestSummarize:
         # the chunked writer gives the bytes of one f-string per row, across
         # chunk boundaries and a last chunk that is not full
         monkeypatch.setattr(thinning, "CSV_CHUNK_ROWS", 7)
-        series = residual_transform(biv_cross, simulate(biv_cross, 40.0, rng=1), component=1)
+        series = residual_transform(biv_cross, simulate(biv_cross, 40.0, rng=1))[0]
         taus = series.taus.tolist() + [1e-300, 123456.789012345678, math.pi]
         assert len(taus) > 14 and len(taus) % 7 != 0
         path = tmp_path / "residuals.csv"

@@ -110,6 +110,37 @@ class TestSpecConstruction:
             with pytest.raises(ValueError):
                 Spec(**bad)
 
+    def test_coefficients_must_be_real_numbers(self):
+        # a string would be read character by character ("32" as (3, 2)), a
+        # bool as 0 or 1, and an integer past a double's range would end in
+        # an OverflowError: each is a ValueError
+        ar = ((2.0,), (3.0, 1.0))
+        ma = (((0.5,), (0.1,)), ((0.1,), (0.5,)))
+        for bad, message in (
+            (dict(mu="0.5", a=(3.0, 2.0), b=(1.0,)), "mu must be a sequence of numbers"),
+            (dict(mu=0.5, a="32", b=(1.0,)), r"ar\[0\] must be a sequence of numbers"),
+            (dict(mu=True, a=(3.0, 2.0), b=(1.0,)), "mu must be a sequence of numbers"),
+            (dict(mu=0.5, a=(3.0, np.bool_(True)), b=(1.0,)), r"ar\[0\] must be a sequence"),
+            (dict(mu=10**400, a=(3.0, 2.0), b=(1.0,)), "mu must contain only finite values"),
+            (dict(mu=0.5, a=(10**400, 2.0), b=(1.0,)), r"ar\[0\] must contain only finite"),
+            (dict(mu=0.5, a=(3.0, 2.0), b=(-(10**400),)), r"ma\[0\]\[0\] must contain only finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                UnivariateSpec(**bad)
+        for bad in (
+            dict(mu=(0.3, False), ar=ar, ma=ma),
+            dict(mu=(0.3, 0.3), ar=(ar[0], "31"), ma=ma),
+            dict(mu=(0.3, 0.3), ar=ar, ma=(ma[0], (("0.1",), (0.5,)))),
+        ):
+            with pytest.raises(ValueError, match="must be a sequence of numbers"):
+                Spec(**bad)
+        # numpy's numbers are real numbers, and Python ints become floats
+        spec = UnivariateSpec(
+            mu=np.float64(0.5), a=np.array([3.0, 2.0]), b=(np.int64(1), np.float32(0.5))
+        )
+        assert spec == UnivariateSpec(mu=0.5, a=(3, 2), b=(1.0, 0.5))
+        assert all(type(v) is float for v in (*spec.mu, *spec.ar[0], *spec.ma[0][0]))
+
     def test_positive_lead_only_for_one_component(self):
         with pytest.raises(ValueError, match="must be > 0"):
             Spec(mu=(0.3,), ar=((2.0,),), ma=(((-1.0,),),))
@@ -730,12 +761,12 @@ class TestRatesAndIO:
         assert spec_hash(minus) == spec_hash(plus)
 
     def test_one_digest_per_spec(self, biv_cross):
-        # simulate's sidecar and every component's spec check in summarize
-        # share one json.dumps and SHA-256
+        # simulate's sidecar and summarize's one spec check, for both
+        # components, share one json.dumps and SHA-256
         spec_hash.cache_clear()
         summarize(biv_cross, simulate(biv_cross, 50.0, rng=1))
         info = spec_hash.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_bundled_model_files(self):
         import pathlib

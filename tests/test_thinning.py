@@ -190,9 +190,19 @@ class TestHandTraces:
 
 class TestSimulationGuards:
     def test_horizon_validation(self, hawkes):
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(HorizonNonPositive):
+        for bad in (0.0, -1.0, math.inf, math.nan, 10**400):
+            with pytest.raises(HorizonNonPositive, match="finite and > 0"):
                 simulate(hawkes, bad, rng=1)
+
+    def test_horizon_must_be_a_number(self, hawkes):
+        # a bool or a string is no horizon, the rule seeds keep: True would
+        # run to 1.0 and " 7 " to 7.0
+        for bad in (True, False, np.bool_(True), " 7 ", "7", b"7", None, [7.0]):
+            with pytest.raises(HorizonNonPositive, match="horizon must be a number"):
+                simulate(hawkes, bad, rng=1)
+        want = simulate(hawkes, 7.0, rng=1)
+        for good in (7, np.float64(7.0), np.int64(7)):
+            assert simulate(hawkes, good, rng=1).times == want.times
 
     def test_nonstationary_refused_without_override(self):
         spec = UnivariateSpec(mu=0.3, a=(2.0,), b=(3.0,))
@@ -620,8 +630,8 @@ class TestEventLogContainer:
                 assert not got.flags.writeable and not want.flags.writeable
 
     def test_residuals_and_paths_share_one_copy(self, biv_cross, monkeypatch):
-        # summarize runs one residual transform per component, and the
-        # paths scan the log again: all read the arrays the constructor
+        # summarize runs one residual transform for every component, and
+        # the paths scan the log again: all read the arrays the constructor
         # built, and none converts the log's tuples
         log = simulate(biv_cross, 50.0, rng=3)
         seen = []

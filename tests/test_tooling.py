@@ -8,8 +8,9 @@ The package's imports are lazy.  A fresh import of the package loads no
 submodule, numpy or worker machinery; the benchmark's set-up code, which
 setup_s times, loads errors, spectral and model alone; a CLI simulate and
 diagnose load neither OpenSSL nor the per-event oracles.  Every public name
-resolves to its own module's object.  summarize is checked for the
-per-component calls the tracer times and for one modal scan per mode group.
+resolves to its own module's object.  summarize is checked for the one
+residual_transform call per log that the tracer times, and for one modal
+scan per mode group.
 The benchmark's own correctness check of an in-process replication
 (perfbench/checks.py) must pass on every benchmark model, so a change to the
 record types cannot fail its operations."""
@@ -110,12 +111,12 @@ def test_tracer_targets_resolve():
         )
 
 
-def test_traced_runs_record_every_layer(tmp_path):
-    # the tracer installed on a fresh package, as perfbench/worker.py does,
-    # then a CLI simulate and diagnose and a library simulate -> summarize:
-    # the spans the per-layer metrics read must all be there
+def _traced_run(*lines: str) -> str:
+    """Code that installs the tracer on a fresh package, as
+    perfbench/worker.py does, runs a CLI simulate and diagnose and a library
+    simulate -> summarize of bivariate_cross, then the given lines."""
     model = util.MODELS / "bivariate_cross.json"
-    code = "\n".join((
+    return "\n".join((
         "import importlib.util",
         "import carma_hawkes",
         f"spec = importlib.util.spec_from_file_location('tracer', {str(PERFBENCH / 'tracer.py')!r})",
@@ -129,13 +130,34 @@ def test_traced_runs_record_every_layer(tmp_path):
         "assert carma_hawkes.cli.main(['diagnose', '--model', model, '--events', 'runs/events_0.csv']) == 0",
         "spec = carma_hawkes.load_spec(model)",
         "carma_hawkes.summarize(spec, carma_hawkes.simulate(spec, 100.0, rng=2))",
-        "print(sorted({span[1] for span in tracer.spans if not span[8]}))",
+        *lines,
     ))
+
+
+def test_traced_runs_record_every_layer(tmp_path):
+    # the spans the per-layer metrics read must all be there
+    code = _traced_run("print(sorted({span[1] for span in tracer.spans if not span[8]}))")
     names = set(ast.literal_eval(_run_fresh(code, cwd=tmp_path).splitlines()[-1]))
     assert {
         "thinning.simulate", "model.validate", "diagnostics.summarize",
         "diagnostics.residual_transform", "cli.cmd_diagnose",
     } <= names
+
+
+def test_traced_runs_time_residuals_once_per_log(tmp_path):
+    # summarize makes one residual_transform call per log, whatever its
+    # number of components, inside its own span: the tracer's
+    # diagnostics.residual_us_per_event times the whole residual layer
+    code = _traced_run(
+        "spans = {span[0]: span for span in tracer.spans}",
+        "residual = [span for span in tracer.spans if span[1] == 'diagnostics.residual_transform']",
+        "summaries = [span for span in tracer.spans if span[1] == 'diagnostics.summarize']",
+        "metrics = tracer_module.layer_metrics(tracer.spans, [], [])",
+        "print(len(residual), len(summaries),"
+        " sorted(spans[span[2]][1] for span in residual) == ['diagnostics.summarize'] * len(residual),"
+        " metrics['diagnostics.residual_us_per_event'] > 0)",
+    )
+    assert _run_fresh(code, cwd=tmp_path).splitlines()[-1] == "2 2 True True"
 
 
 def test_import_loads_no_worker_machinery():
@@ -239,23 +261,6 @@ def test_runs_load_no_openssl(tmp_path):
     ))
     _run_fresh(code, cwd=tmp_path)
     assert (tmp_path / "runs" / "events_1.report.json").exists()
-
-
-def test_summarize_calls_residual_transform_per_component(monkeypatch):
-    # the tracer's diagnostics.residual_us_per_event times summarize's calls
-    # to residual_transform, which it replaces as a module global; the first
-    # call does the scan that every component's residuals share
-    calls = []
-    scan = diagnostics.residual_transform
-
-    def counting(spec, log, component=1):
-        calls.append(component)
-        return scan(spec, log, component=component)
-
-    monkeypatch.setattr(diagnostics, "residual_transform", counting)
-    spec = util.biv_cross()
-    diagnostics.summarize(spec, simulate(spec, 50.0, rng=1))
-    assert calls == [1, 2]
 
 
 def test_summarize_scans_once_per_mode_group(monkeypatch):
