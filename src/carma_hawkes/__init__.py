@@ -97,6 +97,7 @@ _EXPORTS = {
         "bound_path",
         "read_events_csv",
         "simulate",
+        "simulate_into",
         "write_events_csv",
         "write_meta_json",
     ),

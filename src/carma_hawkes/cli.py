@@ -18,6 +18,13 @@ Replication k is seeded seed + k wherever it runs, so every file is the
 same byte for byte whatever P is.  The error of the lowest failing k gives
 the exit code and the one `error:` line, as a one-process loop would.
 Where the platform has no fork or no affinity mask, P is 1.
+
+A `simulate` replication streams its events file slice by slice as
+thinning.simulate_into hands the slices over, so a process holds one slice
+of events, not its log, whatever the horizon; the file is written under a
+temporary name and renamed once the run is done, so a replication that
+fails leaves no events file.  Only --trace-intensity reads the whole log,
+back from that file.  `bench` drops each slice.
 """
 
 from __future__ import annotations
@@ -42,11 +49,16 @@ import numpy as np
 from .diagnostics import summarize, write_report_json, write_residuals_csv
 from .errors import BoundViolation, CarmaHawkesError, NonStationarySpec
 from .model import intensity_path, load_spec, validate
-from .thinning import (
+# simulate and write_events_csv are not called here, but perfbench's tracer
+# wraps them in this module's namespace
+from .thinning import (  # noqa: F401
+    EVENT_ROW,
+    EVENTS_HEADER,
     _check_horizon,
     bound_path,
     read_events_csv,
     simulate,
+    simulate_into,
     write_csv_rows,
     write_events_csv,
     write_meta_json,
@@ -118,14 +130,13 @@ def _processes(reps: int) -> int:
     return min(reps, _usable_cpus())
 
 
-def _share(spec, args, each, ks):
-    """Replications ks in order: ({k: each(k, log)}, None), or the results
+def _share(each, ks):
+    """Replications ks in order: ({k: each(k)}, None), or the results
     before the first error and (k, that error)."""
     results = {}
     for k in ks:
         try:
-            log = simulate(spec, args.horizon, rng=args.seed + k, override_validation=True)
-            results[k] = each(k, log)
+            results[k] = each(k)
         except Exception as exc:
             return results, (k, exc)
     return results, None
@@ -144,11 +155,11 @@ def _failure(exc):
     return None, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
 
 
-def _worker(spec, args, each, ks, parent: int, fd: int) -> None:
+def _worker(each, ks, parent: int, fd: int) -> None:
     """A forked worker's share: replications ks while `parent` is alive,
     then (results, failure or None) pickled into the pipe fd."""
     alive = itertools.takewhile(lambda k: os.getppid() == parent, ks)
-    results, failed = _share(spec, args, each, alive)
+    results, failed = _share(each, alive)
     with os.fdopen(fd, "wb") as pipe:
         pickle.dump((results, failed and (failed[0], *_failure(failed[1]))), pipe)
 
@@ -166,11 +177,10 @@ def _collect(pid: int, fd: int, first: int):
         return {}, (first, None, f"the worker exited with status {code} and sent no results")
 
 
-def _replicate(spec, args, each):
-    """Replications k = 0..reps-1 with seed+k over _processes(reps) processes
-    (see the module docstring): each(k, log)'s results in order of k, and
-    the exit code."""
-    procs = _processes(args.reps)
+def _replicate(reps: int, each):
+    """Replications k = 0..reps-1 over _processes(reps) processes (see the
+    module docstring): each(k)'s results in order of k, and the exit code."""
+    procs = _processes(reps)
     parent = os.getpid()
     workers = {}  # pid -> (read end of its pipe, its first replication)
     sys.stdout.flush()
@@ -187,13 +197,13 @@ def _replicate(spec, args, each):
                 status = 1
                 try:
                     os.close(r)
-                    _worker(spec, args, each, range(i, args.reps, procs), parent, w)
+                    _worker(each, range(i, reps, procs), parent, w)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(w)
             workers[pid] = (r, i)
-        results, failed = _share(spec, args, each, range(0, args.reps, procs))
+        results, failed = _share(each, range(0, reps, procs))
         failures = [] if failed is None else [(failed[0], *_failure(failed[1]), failed[1])]
         while workers:
             pid = next(iter(workers))
@@ -212,13 +222,34 @@ def _replicate(spec, args, each):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     if not failures:
-        return [results[k] for k in range(args.reps)], EXIT_OK
+        return [results[k] for k in range(reps)], EXIT_OK
     k, code, message, exc = min(failures, key=lambda f: f[0])
     if code is not None:
         return [], _fail(message, code)
     if exc is not None:
         raise exc
     raise RuntimeError(f"replication {k} failed in a worker process:\n{message}")
+
+
+def _stream_events(spec, args, k: int, path: Path):
+    """Replication k's events file, written slice by slice as simulate_into
+    hands the slices over, under a temporary name that replaces path once
+    the run is done and is removed if it fails: the run's SimulationMeta."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(EVENTS_HEADER)
+
+            def write_slice(times, marks):
+                write_csv_rows(fh, EVENT_ROW, (times, marks))
+
+            meta = simulate_into(spec, args.horizon, write_slice, rng=args.seed + k,
+                                 override_validation=True)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    return meta
 
 
 def cmd_simulate(args) -> int:
@@ -234,14 +265,16 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write(k, log):
-        write_events_csv(log, out_dir / f"events_{k}.csv")
-        write_meta_json(log, out_dir / f"events_{k}.meta.json")
+    def write(k):
+        path = out_dir / f"events_{k}.csv"
+        meta = _stream_events(spec, args, k, path)
+        write_meta_json(meta, out_dir / f"events_{k}.meta.json")
         if step is not None:
+            log = read_events_csv(path)
             _write_trace(spec, log, args.horizon, step, out_dir / f"trace_{k}.csv")
-        return len(log), log.meta.acceptance_ratio
+        return meta.accepted, meta.acceptance_ratio
 
-    results, code = _replicate(spec, args, write)
+    results, code = _replicate(args.reps, write)
     if code != EXIT_OK:
         return code
     summary = {
@@ -286,14 +319,14 @@ def cmd_diagnose(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = _checked_run(args)
+
+    def run(k):
+        meta = simulate_into(spec, args.horizon, lambda times, marks: None, rng=args.seed + k,
+                             override_validation=True)
+        return meta.accepted, meta.proposed, meta.squeezed, meta.wall_time_seconds
+
     t0 = time.perf_counter()
-    results, code = _replicate(
-        spec,
-        args,
-        lambda k, log: (
-            len(log), log.meta.proposed, log.meta.squeezed, log.meta.wall_time_seconds
-        ),
-    )
+    results, code = _replicate(args.reps, run)
     wall = time.perf_counter() - t0
     if code != EXIT_OK:
         return code

@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -72,6 +72,12 @@ BLOCK_EXPONENT = 600.0
 _SPLITTER = 134217729.0
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number, numpy's included; a bool or a string
+    is not (the rule thinning._check_horizon keeps for horizons)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _finite_tuple(vals, name: str) -> tuple[float, ...]:
     """The values as Python floats, each -0.0 read as 0.0: equal specs then
     hold the same floats, and so the same canonical JSON (spec_hash).  Each
@@ -82,7 +88,7 @@ def _finite_tuple(vals, name: str) -> tuple[float, ...]:
         items = tuple(vals)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of numbers") from None
-    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in items):
+    if not all(map(_is_real, items)):
         raise ValueError(f"{name} must be a sequence of numbers")
     try:
         out = tuple(float(v) + 0.0 for v in items)
@@ -271,11 +277,14 @@ def channel_kernel(spec: Spec, target: int, source: int, t: float) -> float:
     intensity of a source-component event t time units ago, the sum over
     the source block's modes of (b(lam_j)/a'(lam_j)) exp(lam_j t).  A
     one-component spec's kernel h is channel_kernel(spec, 1, 1, t)."""
-    if t < 0:
-        raise ValueError("kernel defined for t >= 0")
     n = spec.n_components
-    if not (1 <= target <= n and 1 <= source <= n):
-        raise ValueError(f"target and source must be in 1..{n}")
+    for index in (target, source):
+        if not (isinstance(index, Integral) and not isinstance(index, bool) and 1 <= index <= n):
+            raise ValueError(f"target and source must be in 1..{n}, got {index!r}")
+    if not _is_real(t):
+        raise ValueError(f"kernel time must be a real number, got {t!r}")
+    if not t >= 0:  # NaN too
+        raise ValueError(f"kernel defined for t >= 0, got {t!r}")
     return _mode_kernel(dynamics(spec), target - 1, source - 1, t)
 
 
@@ -641,9 +650,16 @@ def modal_path(dyn: Dynamics, log, times: Sequence[float]) -> np.ndarray:
     one row per sample, z(t) being modal_scan's state after the last event
     before t decayed to t (0 before the first event), summed over dyn's mode
     groups, BLOCK_EVENTS samples at a time.  Raises ValueError for sample
-    times that are unsorted, negative or not finite, and for a log mark
-    outside 1..len(dyn.jumps)."""
-    samples = np.asarray(times, dtype=float)
+    times that are not real numbers (a bool or a string), unsorted,
+    negative or not finite, and for a log mark outside 1..len(dyn.jumps)."""
+    if not (isinstance(times, np.ndarray) and times.dtype.kind in "iuf"):
+        for t in times:
+            if not _is_real(t):
+                raise ValueError(f"sample times must be real numbers, got {t!r}")
+    try:
+        samples = np.asarray(times, dtype=float)
+    except OverflowError:  # an integer too large for a double
+        raise ValueError("sample times must be finite") from None
     if not np.isfinite(samples).all():
         raise ValueError("sample times must be finite")
     if (np.diff(samples) < 0).any():

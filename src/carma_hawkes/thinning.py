@@ -74,14 +74,25 @@ The loop's counters stay off the squeeze path, which most candidates take.
 proposed is the index of an itertools.count that starts after the first
 arrivals' n draws, so the last candidate, the one past the horizon, is
 counted too; only the candidates that pass the squeeze bump a counter,
-evaluated, and the squeezed count is derived on return as
-proposed - (n + 1) - evaluated.  The time step is written t -= log(u) /
+evaluated, and the squeezed count is derived as proposed - (n + 1) -
+evaluated when the loop yields.  The time step is written t -= log(u) /
 lam_bar, the same double as t += -log(u) / lam_bar in IEEE arithmetic.
 
 An accepted event appends its time to a list, and with more than one
 component its mark to another; a one-component kernel appends no marks, as
 they are all 1.  simulate builds its EventLog once from those lists
 (_finish_log), without a second set of float objects.
+
+Slices.  The compiled loop is a generator over slices of time.  Its horizon
+is the current slice's end: a candidate past it, the first arrival
+included, makes the loop yield (proposed, squeezed), and the next end sent
+in resumes it on that same candidate, with every other state (t_last, the
+modal states, s, excess, lam_bar and the counters) in its locals.  Which
+ends are sent changes no uniform, decision or event, so the events of the
+slices, concatenated, are those of one slice over the whole horizon.  The
+slice test is the loop's one horizon test, so the squeeze and accept paths
+do no more work.  simulate sends one end, the horizon; simulate_into hands
+each slice's events to its sink and keeps none.
 
 The envelope one event at a time (BoundTracker, bound_after_event,
 bound_value), which tests fold to check the kernel's envelope, is in
@@ -127,9 +138,13 @@ _BOUND_RTOL = 1e-10
 _SQUEEZE_MARGIN = 1.0 + 1e-12
 # Rows formatted per % operation by write_csv_rows, which bounds the string
 # held in memory: 4,096 rows write as fast as 16,384 and hold a quarter.
+# simulate_into's slices aim at as many events.
 CSV_CHUNK_ROWS = 1 << 12
-# One events-file row, and a line of whitespace alone, which the events
-# reader skips as it does an empty line.
+# An events file's header and row format; one row as the reader parses it,
+# and a line of whitespace alone, which the reader skips as it does an empty
+# line.
+EVENTS_HEADER = "time,mark\n"
+EVENT_ROW = "%.17g,%d\n"
 _ROW_DTYPE = np.dtype([("time", np.float64), ("mark", np.int64)])
 _BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 
@@ -319,13 +334,16 @@ def write_events_csv(log: EventLog, path) -> None:
     """Write time,mark rows; 17 significant digits read back as the same
     doubles."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time,mark\n")
-        write_csv_rows(fh, "%.17g,%d\n", (log.times, log.marks))
+        fh.write(EVENTS_HEADER)
+        write_csv_rows(fh, EVENT_ROW, (log.times, log.marks))
 
 
-def write_meta_json(log: EventLog, path) -> None:
+def write_meta_json(source: EventLog | SimulationMeta, path) -> None:
+    """Write the sidecar of a log, or of the SimulationMeta of a run
+    (simulate_into's)."""
+    meta = source.meta if isinstance(source, EventLog) else source
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(log.meta), fh, indent=2)
+        json.dump(asdict(meta), fh, indent=2)
         fh.write("\n")
 
 
@@ -404,7 +422,7 @@ def read_events_csv(path, meta_path=None) -> EventLog:
     or not > 0, a mark below 1) raises ValueError naming its file line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "time,mark":
+        if header != EVENTS_HEADER.strip():
             raise ValueError(f"unexpected events header: {header!r}")
         body = fh.read()
     if not body or body.isspace():
@@ -508,24 +526,13 @@ def _require_admissible(spec: Spec, override: bool) -> Dynamics:
     return dyn
 
 
-def _finish_log(times: list, marks: list | None, stream, horizon, proposed, squeezed, spec,
-                t_start) -> EventLog:
+def _finish_log(times: list, marks: list | None, meta: SimulationMeta) -> EventLog:
     """The log of one run, built once from the kernel's lists: the fields are
     tuples of the kernel's own float and int objects, the arrays are built
     from the lists with their dtypes given, and EventLog._seal checks them.
     marks is None for a one-component run, whose kernel appends no marks:
     they are all 1, so the marks come from the event count."""
     accepted = len(times)
-    meta = SimulationMeta(
-        seed=getattr(stream, "seed", None),
-        horizon=horizon,
-        proposed=proposed,
-        accepted=accepted,
-        acceptance_ratio=accepted / proposed if proposed else 0.0,
-        wall_time_seconds=time.perf_counter() - t_start,
-        spec_hash=spec_hash(spec),
-        squeezed=squeezed,
-    )
     if marks is None:
         mark_array, mark_items = np.ones(accepted, dtype=np.int64), (1,) * accepted
     else:
@@ -625,7 +632,9 @@ def _kernel(dyn: Dynamics):
     def block(lines, depth):
         return ["    " * depth + line for line in lines]
 
-    body = []
+    # a candidate past the slice's end waits, its state kept, for the next
+    # end sent in (module docstring, "Slices")
+    body = ["while t > horizon:", f"    horizon = yield {n_comp}, 0"]
     for m in range(1, n_comp + 1):
         body += [f"{'if' if m == 1 else 'elif'} mark == {m}:", *block(event(m, True), 1)]
     propagate = []
@@ -650,8 +659,8 @@ def _kernel(dyn: Dynamics):
         "evaluated = 0",
         f"for proposed in count({n_comp + 1}):",
         "    t -= mlog(rand() or draw()) / lam_bar",
-        "    if t > horizon:",
-        f"        return proposed, proposed - {n_comp + 1} - evaluated",
+        "    while t > horizon:",
+        f"        horizon = yield proposed, proposed - {n_comp + 1} - evaluated",
         # D times the rate this candidate was drawn at
         "    threshold = (rand() or draw()) * lam_bar",
         "    dt = t - t_last",
@@ -684,26 +693,55 @@ def _kernel(dyn: Dynamics):
     return namespace["loop"]
 
 
-def _run(dyn: Dynamics, horizon: float, stream) -> tuple[list, list | None, int, int]:
-    """One thinning run over dyn: times, marks, proposed and squeezed.
-    marks is None for a one-component dyn, whose kernel appends none.
-
-    The first arrival is drawn here; the compiled kernel does the rest.
-    """
+def _run(dyn: Dynamics, horizon: float, stream, sink, slice_rows: int | None = None
+         ) -> tuple[int, int, int]:
+    """One thinning run over dyn on [0, horizon]: (proposed, squeezed,
+    accepted).  The first arrival is drawn here; the compiled kernel does
+    the rest, one slice of time at a time, and each slice's lists of times
+    and marks go to sink(times, marks), marks None for a one-component dyn,
+    whose kernel appends none.  Without slice_rows the one slice is the
+    whole horizon.  With it, each slice's end is taken so that the slice
+    holds about slice_rows events at the mean gap between events so far,
+    the first slice's at the baseline rate, and the lists are cleared after
+    each slice but the last."""
     loop = _kernel(dyn)
     draw = stream.draw
     times: list[float] = []
     marks: list[int] | None = [] if len(dyn.mus) > 1 else None
     firsts = [-math.log(draw()) / mu_c for mu_c in dyn.mus]
     t = min(firsts)
-    if t > horizon:
-        return times, marks, len(firsts), 0
     rand = stream._rng.random if type(stream) is UniformStream else draw
-    proposed, squeezed = loop(
-        rand, draw, horizon, t, firsts.index(t) + 1, times.append,
+    end = horizon if slice_rows is None else min(horizon, slice_rows / dyn.base)
+    run = loop(
+        rand, draw, end, t, firsts.index(t) + 1, times.append,
         None if marks is None else marks.append,
     )
-    return times, marks, proposed, squeezed
+    proposed, squeezed = next(run)
+    accepted = len(times)
+    while end < horizon:
+        sink(times, marks)
+        times.clear()
+        if marks is not None:
+            marks.clear()
+        end = min(horizon, end + end / max(accepted, 1) * slice_rows)
+        proposed, squeezed = run.send(end)
+        accepted += len(times)
+    sink(times, marks)
+    return proposed, squeezed, accepted
+
+
+def _meta(stream, horizon, proposed, squeezed, accepted, spec, t_start) -> SimulationMeta:
+    """The SimulationMeta of one run, its wall time up to now."""
+    return SimulationMeta(
+        seed=getattr(stream, "seed", None),
+        horizon=horizon,
+        proposed=proposed,
+        accepted=accepted,
+        acceptance_ratio=accepted / proposed if proposed else 0.0,
+        wall_time_seconds=time.perf_counter() - t_start,
+        spec_hash=spec_hash(spec),
+        squeezed=squeezed,
+    )
 
 
 def simulate(spec: Spec, horizon: float, rng=None, override_validation: bool = False) -> EventLog:
@@ -716,5 +754,28 @@ def simulate(spec: Spec, horizon: float, rng=None, override_validation: bool = F
     dyn = _require_admissible(spec, override_validation)
     stream = as_uniform_stream(rng)
     t_start = time.perf_counter()
-    times, marks, proposed, squeezed = _run(dyn, horizon, stream)
-    return _finish_log(times, marks, stream, horizon, proposed, squeezed, spec, t_start)
+    held = []
+    proposed, squeezed, accepted = _run(dyn, horizon, stream, lambda *lists: held.extend(lists))
+    meta = _meta(stream, horizon, proposed, squeezed, accepted, spec, t_start)
+    return _finish_log(*held, meta)
+
+
+def simulate_into(spec: Spec, horizon: float, sink, rng=None,
+                  override_validation: bool = False) -> SimulationMeta:
+    """simulate's run, with simulate's checks, handed over in slices and
+    kept nowhere: sink(times, marks) receives each slice's events, lists of
+    floats and ints in time order, about CSV_CHUNK_ROWS of them a slice,
+    and the lists are cleared after it returns, so a sink that keeps them
+    copies them.  The slices, concatenated, are simulate's times and marks
+    for the same spec, horizon and rng, and the SimulationMeta returned is
+    its log's meta (wall_time_seconds covers the sink's calls too)."""
+    horizon = _check_horizon(horizon)
+    dyn = _require_admissible(spec, override_validation)
+    stream = as_uniform_stream(rng)
+    t_start = time.perf_counter()
+
+    def hand_over(times, marks):
+        sink(times, [1] * len(times) if marks is None else marks)
+
+    proposed, squeezed, accepted = _run(dyn, horizon, stream, hand_over, CSV_CHUNK_ROWS)
+    return _meta(stream, horizon, proposed, squeezed, accepted, spec, t_start)

@@ -162,11 +162,12 @@ class TestSimulateCommand:
         def boom(*args, **kwargs):
             raise BoundViolation("synthetic")
 
-        monkeypatch.setattr(cli_mod, "simulate", boom)
+        monkeypatch.setattr(cli_mod, "simulate_into", boom)
         model = write_spec(tmp_path, carma21)
         code = main(["simulate", "--model", model, "--horizon", "10", "--seed", "1",
                      "--out", str(tmp_path / "x")])
         assert code == 4
+        assert list((tmp_path / "x").iterdir()) == []
 
     def test_trace_grid(self, tmp_path, carma21, biv_cross, capsys):
         # one intensity column per component; their sum stays under the bound
@@ -700,15 +701,21 @@ class TestWorkers:
 
     @staticmethod
     def failing_simulate(monkeypatch, errors):
-        # errors: seed -> exception; forked workers inherit the patch
-        real = cli.simulate
+        # errors: seed -> exception, raised once the run has handed over
+        # its first slice; forked workers inherit the patch
+        real = cli.simulate_into
 
-        def patched(spec, horizon, rng, **kwargs):
-            if rng in errors:
+        def patched(spec, horizon, sink, rng, **kwargs):
+            if rng not in errors:
+                return real(spec, horizon, sink, rng=rng, **kwargs)
+
+            def failing_sink(times, marks):
+                sink(times, marks)
                 raise errors[rng]
-            return real(spec, horizon, rng=rng, **kwargs)
 
-        monkeypatch.setattr(cli, "simulate", patched)
+            return real(spec, horizon, failing_sink, rng=rng, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_into", patched)
 
     def test_success_prints_one_json_document(self, tmp_path, carma21, monkeypatch, capfd):
         code, out = self.run(tmp_path, carma21, monkeypatch)
@@ -729,6 +736,8 @@ class TestWorkers:
         assert captured.out == ""
         assert captured.err == "error: envelope violation during simulation: synthetic\n"
         assert (out / "events_0.csv").exists()
+        # the failing replication leaves no events file, partial or whole
+        assert sorted(p.name for p in out.iterdir() if p.name.startswith("events_1")) == []
 
     def test_lowest_failing_replication_wins(self, tmp_path, carma21, monkeypatch, capfd):
         # with two processes the caller runs replications 0 and 2 and a worker
@@ -741,20 +750,24 @@ class TestWorkers:
         assert capfd.readouterr().err == "error: envelope violation during simulation: first\n"
 
     def test_write_error_in_a_worker_exits_2(self, tmp_path, carma21, monkeypatch, capfd):
-        real = cli.write_events_csv
+        # the disk fills after replication 1 has written some rows; slices
+        # of about 3 events make that its second write of rows
+        real = cli.write_csv_rows
 
-        def full_disk(log, path):
-            if Path(path).name == "events_1.csv":
-                raise OSError(28, "No space left on device", str(path))
-            return real(log, path)
+        def full_disk(fh, row, columns):
+            if Path(fh.name).name.startswith("events_1.") and fh.tell() > len("time,mark\n"):
+                raise OSError(28, "No space left on device", fh.name)
+            return real(fh, row, columns)
 
-        monkeypatch.setattr(cli, "write_events_csv", full_disk)
+        monkeypatch.setattr(thinning, "CSV_CHUNK_ROWS", 3)
+        monkeypatch.setattr(cli, "write_csv_rows", full_disk)
         errors = []
         for cpus in (1, 3):
-            code, _ = self.run(tmp_path, carma21, monkeypatch, cpus)
+            code, out = self.run(tmp_path, carma21, monkeypatch, cpus)
             assert code == 2
             captured = capfd.readouterr()
             assert captured.out == ""
+            assert [p.name for p in out.iterdir() if p.name.startswith("events_1")] == []
             errors.append(captured.err.replace(f"runs{cpus}", "runs"))
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
@@ -767,16 +780,19 @@ class TestWorkers:
 
     def test_worker_that_dies_is_reported(self, tmp_path, carma21, monkeypatch, capfd):
         test_pid = os.getpid()
-        real = cli.simulate
+        real = cli.simulate_into
 
-        def dies(spec, horizon, rng, **kwargs):
+        def dies(spec, horizon, sink, rng, **kwargs):
             if rng == 2 and os.getpid() != test_pid:
                 os._exit(9)
-            return real(spec, horizon, rng=rng, **kwargs)
+            return real(spec, horizon, sink, rng=rng, **kwargs)
 
-        monkeypatch.setattr(cli, "simulate", dies)
+        monkeypatch.setattr(cli, "simulate_into", dies)
         with pytest.raises(RuntimeError, match="(?s)replication 1 .*status 9"):
             self.run(tmp_path, carma21, monkeypatch)
+        # a process that dies mid-run leaves at most its temporary file,
+        # never an events file that looks whole
+        assert not (tmp_path / "runs3" / "events_1.csv").exists()
 
     def test_caller_interrupted_kills_its_workers(self, tmp_path, carma21, monkeypatch,
                                                   capfd):
@@ -787,12 +803,12 @@ class TestWorkers:
 
         test_pid = os.getpid()
 
-        def slow(spec, horizon, rng, **kwargs):
+        def slow(spec, horizon, sink, rng, **kwargs):
             if os.getpid() == test_pid:
                 raise Interrupt
             time.sleep(60)
 
-        monkeypatch.setattr(cli, "simulate", slow)
+        monkeypatch.setattr(cli, "simulate_into", slow)
         started = time.perf_counter()
         with pytest.raises(Interrupt):
             self.run(tmp_path, carma21, monkeypatch)
@@ -810,12 +826,11 @@ class TestWorkers:
             thread.join()
         assert cli._usable_cpus() == len(os.sched_getaffinity(0))
 
-    def test_worker_stops_once_its_parent_is_gone(self, carma21):
+    def test_worker_stops_once_its_parent_is_gone(self):
         # a worker whose parent pid has changed runs no further replication
-        args = argparse.Namespace(horizon=20.0, seed=1)
         for parent, ran in ((os.getppid(), [0, 1, 2]), (os.getpid(), [])):
             r, w = os.pipe()
-            cli._worker(carma21, args, lambda k, log: len(log), range(3), parent, w)
+            cli._worker(lambda k: k, range(3), parent, w)
             with os.fdopen(r, "rb") as pipe:
                 results, failure = pickle.load(pipe)
             assert sorted(results) == ran

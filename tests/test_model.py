@@ -364,6 +364,8 @@ class TestKernel:
     def test_negative_time_rejected(self, hawkes):
         with pytest.raises(ValueError):
             channel_kernel(hawkes, 1, 1, -0.1)
+        with pytest.raises(ValueError, match="t >= 0, got nan"):
+            channel_kernel(hawkes, 1, 1, math.nan)
 
     def test_channel_kernels_at_zero(self, biv_cross):
         # h_{i,j}(0) = last padded entry of b_{i,j}
@@ -374,6 +376,20 @@ class TestKernel:
         for target, source in ((0, 1), (1, 3), (3, 2)):
             with pytest.raises(ValueError, match="must be in 1..2"):
                 channel_kernel(biv_cross, target, source, 0.0)
+
+    def test_non_numbers_rejected(self, biv_cross):
+        # a bool is no component index and no time, and neither is a float
+        # index or a string time: ValueError, not a kernel value or a bare
+        # TypeError
+        for target, source in ((True, True), (1, False), (1.0, 1)):
+            with pytest.raises(ValueError, match="must be in 1..2"):
+                channel_kernel(biv_cross, target, source, 1.0)
+        for t in ("1.0", True, None):
+            with pytest.raises(ValueError, match="real number"):
+                channel_kernel(biv_cross, 1, 1, t)
+        assert channel_kernel(biv_cross, np.int64(2), 1, np.float64(0.5)) == channel_kernel(
+            biv_cross, 2, 1, 0.5
+        )
 
 
 class TestStateEvolution:
@@ -672,6 +688,26 @@ class TestSampledPaths:
         for path in (intensity_path, thinning.bound_path):
             with pytest.raises(ValueError, match="sample times"):
                 path(carma21, log, samples)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [["5", "9"], [True, 9.0], [1.0, None], np.array([False, True]), np.array(["1", "2"]),
+         [1, 10**400]],
+    )
+    def test_non_real_sample_times_rejected(self, carma21, samples):
+        # numpy's float conversion would read a string or a bool as a time;
+        # they are refused as horizons are (an int past a double's range is
+        # not finite)
+        log = util.make_log([0.5, 1.5])
+        for path in (intensity_path, thinning.bound_path):
+            with pytest.raises(ValueError, match="sample times must be"):
+                path(carma21, log, samples)
+
+    def test_numpy_and_int_sample_times_accepted(self, carma21):
+        log = util.make_log([0.5, 1.5])
+        want = intensity_path(carma21, log, [1.0, 2.0])
+        for samples in ([1, 2], [np.float32(1.0), np.int64(2)], np.array([1, 2])):
+            assert intensity_path(carma21, log, samples).tolist() == want.tolist()
 
     def test_mark_outside_spec_rejected(self, carma21):
         log = util.make_log([0.5, 1.5], [1, 2])  # a bivariate log

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -517,6 +518,90 @@ class TestLongRunRates:
         r1, r2 = stationary_rates(biv_cross)
         assert log.marks.count(1) / 5000.0 == pytest.approx(r1, rel=0.07)
         assert log.marks.count(2) / 5000.0 == pytest.approx(r2, rel=0.07)
+
+
+class TestSlices:
+    """simulate_into hands a run over in slices of about CSV_CHUNK_ROWS
+    events; which slices it takes must change no event and no count."""
+
+    # as in TestSqueeze: forced draws whose reference run passes this many
+    # events are skipped (some explode)
+    EVENT_CAP = 2000
+    BUNDLED = sorted(util.MODELS.glob("*.json"))
+
+    @staticmethod
+    def sliced(spec, horizon, seed, forced=False):
+        """(times, marks, slice sizes, meta) of simulate_into."""
+        times, marks, sizes = [], [], []
+
+        def sink(t, m):
+            assert type(t) is list and type(m) is list and len(t) == len(m)
+            times.extend(t)
+            marks.extend(m)
+            sizes.append(len(t))
+
+        meta = thinning.simulate_into(spec, horizon, sink, rng=seed, override_validation=forced)
+        return tuple(times), tuple(marks), sizes, meta
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 50),
+        source=st.sampled_from(["bundled", "univariate", "bivariate"]),
+        forced=st.booleans(),
+    )
+    def test_slices_concatenate_to_simulate(self, seed, rows, source, forced):
+        # bundled models at horizon 100 (forced where they need it), random
+        # admissible specs at 50 and forced ones at 5, as TestSqueeze draws them
+        rng = np.random.default_rng(seed)
+        if source == "bundled":
+            spec = load_spec(self.BUNDLED[seed % len(self.BUNDLED)])
+            forced, horizon = util.needs_override(spec), 100.0
+        else:
+            make = util.random_bivariate_spec if source == "bivariate" else util.random_univariate_spec
+            spec = make(rng, p_max=3)
+            while validate(spec).admissible == forced:
+                spec = make(rng, p_max=3)
+            horizon = 5.0 if forced else 50.0
+            if forced:
+                assume(util.thin_reference(spec, horizon, seed, max_events=self.EVENT_CAP) is not None)
+        with mock.patch.object(thinning, "CSV_CHUNK_ROWS", rows):
+            times, marks, sizes, meta = self.sliced(spec, horizon, seed, forced)
+        log = simulate(spec, horizon, rng=seed, override_validation=forced)
+        assert (times, marks) == (log.times, log.marks)
+        assert sum(sizes) == meta.accepted == len(log)
+        assert dataclasses.replace(meta, wall_time_seconds=0.0) == dataclasses.replace(
+            log.meta, wall_time_seconds=0.0
+        )
+
+    def test_slices_hold_about_a_chunk(self, biv_cross):
+        # after the first slice, taken at the baseline rate (the intensity
+        # runs above it), each full slice holds about CSV_CHUNK_ROWS events
+        _, _, sizes, meta = self.sliced(biv_cross, 20_000.0, 3)
+        assert meta.accepted > 8 * thinning.CSV_CHUNK_ROWS
+        assert all(0.75 < n / thinning.CSV_CHUNK_ROWS < 1.25 for n in sizes[1:-1])
+        assert sizes[0] < 4 * thinning.CSV_CHUNK_ROWS
+
+    def test_one_component_marks_are_ones(self, carma21):
+        with mock.patch.object(thinning, "CSV_CHUNK_ROWS", 16):
+            times, marks, sizes, _ = self.sliced(carma21, 300.0, 5)
+        assert len(sizes) > 2
+        assert marks == (1,) * len(times)
+        assert times == simulate(carma21, 300.0, rng=5).times
+
+    def test_no_event_before_the_horizon(self, hawkes):
+        # the first arrival falls past the horizon: one empty slice, and the
+        # n first-arrival draws counted as proposals
+        _, _, sizes, meta = self.sliced(hawkes, 1e-9, 1)
+        log = simulate(hawkes, 1e-9, rng=1)
+        assert (sizes, meta.proposed, len(log), log.meta.proposed) == ([0], 1, 0, 1)
+
+    def test_checks_are_simulate_s(self, carma21, biv_lagged):
+        for spec, horizon, rng, error in ((carma21, True, None, HorizonNonPositive),
+                                          (biv_lagged, 10.0, None, NonStationarySpec),
+                                          (carma21, 10.0, -1, ValueError)):
+            with pytest.raises(error):
+                thinning.simulate_into(spec, horizon, print, rng=rng)
 
 
 @st.composite

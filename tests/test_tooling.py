@@ -7,7 +7,8 @@ spans the per-layer metrics read.  It reads perfbench/ only.
 The package's imports are lazy.  A fresh import of the package loads no
 submodule, numpy or worker machinery; the benchmark's set-up code, which
 setup_s times, loads errors, spectral and model alone; a CLI simulate and
-diagnose load neither OpenSSL nor the per-event oracles.  Every public name
+diagnose load neither OpenSSL nor the per-event oracles, and a CLI
+simulate's peak memory does not grow with its horizon.  Every public name
 resolves to its own module's object.  summarize is checked for the one
 residual_transform call per log that the tracer times, and for one modal
 scan per mode group.
@@ -32,8 +33,9 @@ from carma_hawkes.model import mode_groups
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The package's public names before its imports became lazy, each with the
-# module that defines it; the oracles moved out of model and thinning.
+# The package's public names before its imports became lazy, and
+# simulate_into since, each with the module that defines it; the oracles
+# moved out of model and thinning.
 PUBLIC_NAMES = {
     **dict.fromkeys(
         ("ComponentDiagnostics", "DiagnosticsReport", "KsResult", "ResidualSeries",
@@ -66,7 +68,7 @@ PUBLIC_NAMES = {
     ),
     **dict.fromkeys(
         ("EventLog", "ScriptedUniforms", "SimulationMeta", "UniformStream", "bound_path",
-         "read_events_csv", "simulate", "write_events_csv", "write_meta_json"),
+         "read_events_csv", "simulate", "simulate_into", "write_events_csv", "write_meta_json"),
         "thinning",
     ),
 }
@@ -261,6 +263,33 @@ def test_runs_load_no_openssl(tmp_path):
     ))
     _run_fresh(code, cwd=tmp_path)
     assert (tmp_path / "runs" / "events_1.report.json").exists()
+
+
+# Spawns its arguments as a child process and prints the child's exit code
+# and peak RSS in KiB.  A fork+exec child's ru_maxrss starts from its
+# parent's RSS, so the child is spawned from this small interpreter, not
+# from the test process, whose RSS would be the reading.
+LAUNCHER = "\n".join((
+    "import os, sys",
+    "pid = os.spawnv(os.P_NOWAIT, sys.executable, [sys.executable, *sys.argv[1:]])",
+    "_, status, usage = os.wait4(pid, 0)",
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)",
+))
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
+    # about 7.7k and 77k bivariate_cross events: simulate streams them to
+    # the events file slice by slice, so its peak grows by less than 10%
+    # when the horizon grows ×10 (a whole log held adds about 6 MB)
+    model = util.MODELS / "bivariate_cross.json"
+    peaks = []
+    for horizon in ("4e3", "4e4"):
+        out = _run_fresh(LAUNCHER, "-m", "carma_hawkes", "simulate", "--model", str(model),
+                         "--horizon", horizon, "--seed", "1", "--out", str(tmp_path / horizon))
+        code, kib = out.split()[-2:]
+        assert code == "0"
+        peaks.append(int(kib) / 1024)
+    assert peaks[1] < 1.1 * peaks[0], f"peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB"
 
 
 def test_summarize_scans_once_per_mode_group(monkeypatch):
