@@ -23,8 +23,15 @@ A `simulate` replication streams its events file slice by slice as
 thinning.simulate_into hands the slices over, so a process holds one slice
 of events, not its log, whatever the horizon; the file is written under a
 temporary name and renamed once the run is done, so a replication that
-fails leaves no events file.  Only --trace-intensity reads the whole log,
-back from that file.  `bench` drops each slice.
+fails leaves no events file.  A worker killed by its caller (interrupted,
+say) or dying on its own cannot remove its temporary file, so the caller
+removes every replication's once its workers are reaped.  Only
+--trace-intensity reads the whole log, back from that file.  `bench` drops
+each slice.
+
+main() leaves CPython's cyclic collector as it finds it, and importing this
+module does not touch it: the process entry point, __main__.run, keeps the
+collector off while this module loads and freezes what the imports built.
 """
 
 from __future__ import annotations
@@ -231,11 +238,16 @@ def _replicate(reps: int, each):
     raise RuntimeError(f"replication {k} failed in a worker process:\n{message}")
 
 
+def _part(path: Path) -> Path:
+    """The temporary name an events file is written under."""
+    return path.with_name(path.name + ".part")
+
+
 def _stream_events(spec, args, k: int, path: Path):
     """Replication k's events file, written slice by slice as simulate_into
     hands the slices over, under a temporary name that replaces path once
     the run is done and is removed if it fails: the run's SimulationMeta."""
-    part = path.with_name(path.name + ".part")
+    part = _part(path)
     try:
         with open(part, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(EVENTS_HEADER)
@@ -274,7 +286,14 @@ def cmd_simulate(args) -> int:
             _write_trace(spec, log, args.horizon, step, out_dir / f"trace_{k}.csv")
         return meta.accepted, meta.acceptance_ratio
 
-    results, code = _replicate(args.reps, write)
+    try:
+        results, code = _replicate(args.reps, write)
+    except BaseException:
+        # the workers _replicate killed, or that died, never ran their own
+        # clean-up; all of them are reaped by now
+        for k in range(args.reps):
+            _part(out_dir / f"events_{k}.csv").unlink(missing_ok=True)
+        raise
     if code != EXIT_OK:
         return code
     summary = {

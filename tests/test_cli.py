@@ -790,14 +790,16 @@ class TestWorkers:
         monkeypatch.setattr(cli, "simulate_into", dies)
         with pytest.raises(RuntimeError, match="(?s)replication 1 .*status 9"):
             self.run(tmp_path, carma21, monkeypatch)
-        # a process that dies mid-run leaves at most its temporary file,
-        # never an events file that looks whole
+        # a process that dies mid-run leaves neither an events file that
+        # looks whole nor its temporary file, which the caller removes
         assert not (tmp_path / "runs3" / "events_1.csv").exists()
+        assert list((tmp_path / "runs3").glob("*.part")) == []
 
     def test_caller_interrupted_kills_its_workers(self, tmp_path, carma21, monkeypatch,
                                                   capfd):
         # an exception in the caller (Ctrl-C, say) ends the workers that are
-        # still running and reaps them
+        # still running and reaps them, then removes the temporary files
+        # they could not
         class Interrupt(BaseException):
             pass
 
@@ -813,6 +815,7 @@ class TestWorkers:
         with pytest.raises(Interrupt):
             self.run(tmp_path, carma21, monkeypatch)
         assert time.perf_counter() - started < 30
+        assert list((tmp_path / "runs3").glob("*.part")) == []
 
     def test_other_threads_keep_one_process(self):
         # a fork could catch another Python thread holding a lock

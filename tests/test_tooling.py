@@ -8,7 +8,10 @@ The package's imports are lazy.  A fresh import of the package loads no
 submodule, numpy or worker machinery; the benchmark's set-up code, which
 setup_s times, loads errors, spectral and model alone; a CLI simulate and
 diagnose load neither OpenSSL nor the per-event oracles, and a CLI
-simulate's peak memory does not grow with its horizon.  Every public name
+simulate's peak memory does not grow with its horizon.  The process entry
+point loads the CLI with the cyclic collector off and freezes what it
+loaded, the script in pyproject.toml runs that same entry point, and an
+in-process main() leaves the collector alone.  Every public name
 resolves to its own module's object.  summarize is checked for the one
 residual_transform call per log that the tracer times, and for one modal
 scan per mode group.
@@ -17,6 +20,7 @@ The benchmark's own correctness check of an in-process replication
 record types cannot fail its operations."""
 
 import ast
+import gc
 import importlib
 import importlib.util
 import os
@@ -27,7 +31,7 @@ from pathlib import Path
 import carma_hawkes
 import pytest
 import util
-from carma_hawkes import diagnostics, dynamics, load_spec, simulate, summarize, validate
+from carma_hawkes import cli, diagnostics, dynamics, load_spec, simulate, summarize, validate
 from carma_hawkes.model import mode_groups
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -290,6 +294,65 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
         assert code == "0"
         peaks.append(int(kib) / 1024)
     assert peaks[1] < 1.1 * peaks[0], f"peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB"
+
+
+# Runs `python -m carma_hawkes` with its arguments in this interpreter, then
+# prints the number of collections that started before main was entered,
+# and gc.isenabled() and gc.get_freeze_count() as it was entered.  The first
+# gc.collect() empties generation 0, so none of the launcher's own
+# allocations can start a collection before the entry point runs.
+ENTRY_LAUNCHER = "\n".join((
+    "import gc, runpy, sys",
+    "gc.collect()",
+    "collections, at_main = [], []",
+    "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append(1))",
+    "def profile(frame, event, arg):",
+    "    if (event == 'call' and frame.f_code.co_name == 'main'",
+    "            and frame.f_globals.get('__name__') == 'carma_hawkes.cli'):",
+    "        at_main.extend((len(collections), gc.isenabled(), gc.get_freeze_count()))",
+    "        sys.setprofile(None)",
+    "sys.setprofile(profile)",
+    "try:",
+    "    runpy.run_module('carma_hawkes', run_name='__main__', alter_sys=True)",
+    "except SystemExit as exc:",
+    "    assert exc.code == 0, exc.code",
+    "print(*at_main)",
+))
+
+
+def test_entry_point_loads_without_collections():
+    # the objects cli and numpy build at import are never scanned: no
+    # collection runs while they load, and they are frozen by the time
+    # main runs, with the collector back on
+    out = _run_fresh(ENTRY_LAUNCHER, "validate", "--model", str(util.MODELS / "carma21.json"))
+    collections, enabled, frozen = out.splitlines()[-1].split()
+    assert (collections, enabled) == ("0", "True")
+    assert int(frozen) > 0
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path):
+    # tests, the benchmark's worker and library users call main directly;
+    # only the entry point sets the collector, and no import does
+    code = ("import gc, carma_hawkes.cli, carma_hawkes.__main__; "
+            "print(gc.isenabled(), gc.get_freeze_count())")
+    assert _run_fresh(code) == "True 0\n"
+    model = str(util.MODELS / "bivariate_cross.json")
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(["validate", "--model", model]) == 0
+    assert cli.main(["simulate", "--model", model, "--horizon", "50", "--seed", "1",
+                     "--reps", "2", "--out", str(tmp_path)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_console_script_runs_what_python_m_runs():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = pyproject["project"]["scripts"]["carma-hawkes"].partition(":")
+    assert module == "carma_hawkes.__main__"
+    assert callable(getattr(importlib.import_module(module), name, None))
+    tree = ast.parse((SRC / "carma_hawkes" / "__main__.py").read_text(encoding="utf-8"))
+    guard = tree.body[-1]
+    assert ast.unparse(guard) == f"if __name__ == '__main__':\n    sys.exit({name}())"
 
 
 def test_summarize_scans_once_per_mode_group(monkeypatch):
