@@ -23,9 +23,10 @@ A `simulate` replication streams its events file slice by slice as
 thinning.simulate_into hands the slices over, so a process holds one slice
 of events, not its log, whatever the horizon; the file is written under a
 temporary name and renamed once the run is done, so a replication that
-fails leaves no events file.  A worker killed by its caller (interrupted,
-say) or dying on its own cannot remove its temporary file, so the caller
-removes every replication's once its workers are reaped.  Only
+fails leaves no events file.  The calling process removes every
+replication's temporary file in one place, once its workers are reaped,
+as a worker killed by its caller (interrupted, say) or dying on its own
+cannot remove its own; a run that succeeded has renamed its file.  Only
 --trace-intensity reads the whole log, back from that file.  `bench` drops
 each slice.
 
@@ -245,22 +246,19 @@ def _part(path: Path) -> Path:
 
 def _stream_events(spec, args, k: int, path: Path):
     """Replication k's events file, written slice by slice as simulate_into
-    hands the slices over, under a temporary name that replaces path once
-    the run is done and is removed if it fails: the run's SimulationMeta."""
+    hands the slices over, under a temporary name (_part) that replaces path
+    once the run is done: the run's SimulationMeta.  A run that fails leaves
+    its temporary file for cmd_simulate to remove."""
     part = _part(path)
-    try:
-        with open(part, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(EVENTS_HEADER)
+    with open(part, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(EVENTS_HEADER)
 
-            def write_slice(times, marks):
-                write_csv_rows(fh, EVENT_ROW, (times, marks))
+        def write_slice(times, marks):
+            write_csv_rows(fh, EVENT_ROW, (times, marks))
 
-            meta = simulate_into(spec, args.horizon, write_slice, rng=args.seed + k,
-                                 override_validation=True)
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
+        meta = simulate_into(spec, args.horizon, write_slice, rng=args.seed + k,
+                             override_validation=True)
+    os.replace(part, path)
     return meta
 
 
@@ -288,12 +286,11 @@ def cmd_simulate(args) -> int:
 
     try:
         results, code = _replicate(args.reps, write)
-    except BaseException:
-        # the workers _replicate killed, or that died, never ran their own
-        # clean-up; all of them are reaped by now
+    finally:
+        # a failed run's temporary file, wherever it ran: every worker is
+        # reaped by now, and a run that succeeded renamed its own
         for k in range(args.reps):
             _part(out_dir / f"events_{k}.csv").unlink(missing_ok=True)
-        raise
     if code != EXIT_OK:
         return code
     summary = {
@@ -427,4 +424,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # the process entry point is __main__.run, which this launch would bypass
+    sys.exit(_fail("run the command line as `python -m carma_hawkes` or `carma-hawkes`",
+                   EXIT_BAD_CONFIG))

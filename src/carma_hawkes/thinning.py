@@ -80,8 +80,9 @@ lam_bar, the same double as t += -log(u) / lam_bar in IEEE arithmetic.
 
 An accepted event appends its time to a list, and with more than one
 component its mark to another; a one-component kernel appends no marks, as
-they are all 1.  simulate builds its EventLog once from those lists
-(_finish_log), without a second set of float objects.
+they are all 1, and _run gives its slices their marks.  simulate gathers the
+slices into two lists and builds its EventLog once from them (_finish_log),
+without a second set of float objects.
 
 Slices.  The compiled loop is a generator over slices of time.  Its horizon
 is the current slice's end: a candidate past it, the first arrival
@@ -91,8 +92,9 @@ modal states, s, excess, lam_bar and the counters) in its locals.  Which
 ends are sent changes no uniform, decision or event, so the events of the
 slices, concatenated, are those of one slice over the whole horizon.  The
 slice test is the loop's one horizon test, so the squeeze and accept paths
-do no more work.  simulate sends one end, the horizon; simulate_into hands
-each slice's events to its sink and keeps none.
+do no more work.  Every run is driven in slices of about CSV_CHUNK_ROWS
+events: simulate_into hands each slice's events to its sink and keeps none,
+and simulate is simulate_into with a sink that keeps them.
 
 The envelope one event at a time (BoundTracker, bound_after_event,
 bound_value), which tests fold to check the kernel's envelope, is in
@@ -138,7 +140,7 @@ _BOUND_RTOL = 1e-10
 _SQUEEZE_MARGIN = 1.0 + 1e-12
 # Rows formatted per % operation by write_csv_rows, which bounds the string
 # held in memory: 4,096 rows write as fast as 16,384 and hold a quarter.
-# simulate_into's slices aim at as many events.
+# Every thinning run's slices aim at as many events.
 CSV_CHUNK_ROWS = 1 << 12
 # An events file's header and row format; one row as the reader parses it,
 # and a line of whitespace alone, which the reader skips as it does an empty
@@ -255,10 +257,10 @@ class EventLog:
     tuples of Python numbers, taken from the arrays; `arrays` is not a field.
     A time that is not a real number within float range (a string, say), or
     a mark that is not an integer in int64, is refused first.  simulate
-    builds its log without the constructor (_finish_log): the tuples hold
-    the thinning kernel's own float and int objects, the arrays are built
-    from its lists with their dtypes given, and the same _first_bad_row
-    check runs."""
+    builds its log without the constructor (_finish_log), from the lists
+    its slices were gathered into: the tuples hold the thinning kernel's own
+    float and int objects, the arrays are read from the lists in one pass
+    with their dtypes given, and the same _first_bad_row check runs."""
 
     times: tuple[float, ...]
     marks: tuple[int, ...]
@@ -526,20 +528,15 @@ def _require_admissible(spec: Spec, override: bool) -> Dynamics:
     return dyn
 
 
-def _finish_log(times: list, marks: list | None, meta: SimulationMeta) -> EventLog:
-    """The log of one run, built once from the kernel's lists: the fields are
-    tuples of the kernel's own float and int objects, the arrays are built
-    from the lists with their dtypes given, and EventLog._seal checks them.
-    marks is None for a one-component run, whose kernel appends no marks:
-    they are all 1, so the marks come from the event count."""
-    accepted = len(times)
-    if marks is None:
-        mark_array, mark_items = np.ones(accepted, dtype=np.int64), (1,) * accepted
-    else:
-        mark_array, mark_items = np.array(marks, dtype=np.int64), tuple(marks)
+def _finish_log(times: list, marks: list, meta: SimulationMeta) -> EventLog:
+    """The log of one run, built once from the lists simulate gathered its
+    slices into: the fields are tuples of the kernel's own float and int
+    objects, the arrays are read from the lists in one pass each (fromiter,
+    with the dtype and count given), and EventLog._seal checks them."""
     log = object.__new__(EventLog)
     object.__setattr__(log, "meta", meta)
-    log._seal(np.array(times, dtype=np.float64), mark_array, tuple(times), mark_items)
+    time_array = np.fromiter(times, np.float64, len(times))
+    log._seal(time_array, np.fromiter(marks, np.int64, len(marks)), tuple(times), tuple(marks))
     return log
 
 
@@ -693,45 +690,71 @@ def _kernel(dyn: Dynamics):
     return namespace["loop"]
 
 
-def _run(dyn: Dynamics, horizon: float, stream, sink, slice_rows: int | None = None
-         ) -> tuple[int, int, int]:
+def _run(dyn: Dynamics, horizon: float, stream, sink) -> tuple[int, int, int]:
     """One thinning run over dyn on [0, horizon]: (proposed, squeezed,
     accepted).  The first arrival is drawn here; the compiled kernel does
-    the rest, one slice of time at a time, and each slice's lists of times
-    and marks go to sink(times, marks), marks None for a one-component dyn,
-    whose kernel appends none.  Without slice_rows the one slice is the
-    whole horizon.  With it, each slice's end is taken so that the slice
-    holds about slice_rows events at the mean gap between events so far,
-    the first slice's at the baseline rate, and the lists are cleared after
-    each slice but the last."""
+    the rest, one slice of time at a time.  Each slice's end is taken so
+    that it holds about CSV_CHUNK_ROWS events at the mean gap between events
+    so far, the first slice's at the baseline rate.  Each slice's lists of
+    times and marks go to sink(times, marks), and are cleared once it
+    returns.  A one-component kernel appends no marks; this is the one
+    place that gives its slices their marks, all 1."""
     loop = _kernel(dyn)
     draw = stream.draw
     times: list[float] = []
-    marks: list[int] | None = [] if len(dyn.mus) > 1 else None
+    marks: list[int] = []
+    one_component = len(dyn.mus) == 1
     firsts = [-math.log(draw()) / mu_c for mu_c in dyn.mus]
     t = min(firsts)
     rand = stream._rng.random if type(stream) is UniformStream else draw
-    end = horizon if slice_rows is None else min(horizon, slice_rows / dyn.base)
-    run = loop(
-        rand, draw, end, t, firsts.index(t) + 1, times.append,
-        None if marks is None else marks.append,
-    )
+    end = min(horizon, CSV_CHUNK_ROWS / dyn.base)
+    run = loop(rand, draw, end, t, firsts.index(t) + 1, times.append, marks.append)
     proposed, squeezed = next(run)
     accepted = len(times)
-    while end < horizon:
-        sink(times, marks)
+    while True:
+        sink(times, [1] * len(times) if one_component else marks)
         times.clear()
-        if marks is not None:
-            marks.clear()
-        end = min(horizon, end + end / max(accepted, 1) * slice_rows)
+        marks.clear()
+        if end >= horizon:
+            return proposed, squeezed, accepted
+        end = min(horizon, end + end / max(accepted, 1) * CSV_CHUNK_ROWS)
         proposed, squeezed = run.send(end)
         accepted += len(times)
-    sink(times, marks)
-    return proposed, squeezed, accepted
 
 
-def _meta(stream, horizon, proposed, squeezed, accepted, spec, t_start) -> SimulationMeta:
-    """The SimulationMeta of one run, its wall time up to now."""
+def simulate(spec: Spec, horizon: float, rng=None, override_validation: bool = False) -> EventLog:
+    """Simulate the model on [0, horizon] by thinning, as the module
+    docstring sets out, for any number of components.  The first arrival is
+    accepted outright (the envelope and the intensity coincide before any
+    event); every later candidate that the squeeze does not reject is
+    checked against the envelope, and a breach raises BoundViolation.  This
+    is simulate_into with a sink that gathers the slices into two lists,
+    from which the log is built once (_finish_log)."""
+    times: list[float] = []
+    marks: list[int] = []
+
+    def keep(slice_times, slice_marks):
+        times.extend(slice_times)
+        marks.extend(slice_marks)
+
+    meta = simulate_into(spec, horizon, keep, rng, override_validation)
+    return _finish_log(times, marks, meta)
+
+
+def simulate_into(spec: Spec, horizon: float, sink, rng=None,
+                  override_validation: bool = False) -> SimulationMeta:
+    """The run behind simulate, handed over in slices and kept nowhere:
+    sink(times, marks) receives each slice's events, lists of floats and
+    ints in time order, about CSV_CHUNK_ROWS of them a slice, and the lists
+    are cleared after it returns, so a sink that keeps them copies them.
+    The slices, concatenated, are simulate's times and marks for the same
+    spec, horizon and rng, and the SimulationMeta returned is its log's
+    (wall_time_seconds covers the sink's calls too)."""
+    horizon = _check_horizon(horizon)
+    dyn = _require_admissible(spec, override_validation)
+    stream = as_uniform_stream(rng)
+    t_start = time.perf_counter()
+    proposed, squeezed, accepted = _run(dyn, horizon, stream, sink)
     return SimulationMeta(
         seed=getattr(stream, "seed", None),
         horizon=horizon,
@@ -742,40 +765,3 @@ def _meta(stream, horizon, proposed, squeezed, accepted, spec, t_start) -> Simul
         spec_hash=spec_hash(spec),
         squeezed=squeezed,
     )
-
-
-def simulate(spec: Spec, horizon: float, rng=None, override_validation: bool = False) -> EventLog:
-    """Simulate the model on [0, horizon] by thinning, as the module
-    docstring sets out, for any number of components.  The first arrival is
-    accepted outright (the envelope and the intensity coincide before any
-    event); every later candidate that the squeeze does not reject is
-    checked against the envelope, and a breach raises BoundViolation."""
-    horizon = _check_horizon(horizon)
-    dyn = _require_admissible(spec, override_validation)
-    stream = as_uniform_stream(rng)
-    t_start = time.perf_counter()
-    held = []
-    proposed, squeezed, accepted = _run(dyn, horizon, stream, lambda *lists: held.extend(lists))
-    meta = _meta(stream, horizon, proposed, squeezed, accepted, spec, t_start)
-    return _finish_log(*held, meta)
-
-
-def simulate_into(spec: Spec, horizon: float, sink, rng=None,
-                  override_validation: bool = False) -> SimulationMeta:
-    """simulate's run, with simulate's checks, handed over in slices and
-    kept nowhere: sink(times, marks) receives each slice's events, lists of
-    floats and ints in time order, about CSV_CHUNK_ROWS of them a slice,
-    and the lists are cleared after it returns, so a sink that keeps them
-    copies them.  The slices, concatenated, are simulate's times and marks
-    for the same spec, horizon and rng, and the SimulationMeta returned is
-    its log's meta (wall_time_seconds covers the sink's calls too)."""
-    horizon = _check_horizon(horizon)
-    dyn = _require_admissible(spec, override_validation)
-    stream = as_uniform_stream(rng)
-    t_start = time.perf_counter()
-
-    def hand_over(times, marks):
-        sink(times, [1] * len(times) if marks is None else marks)
-
-    proposed, squeezed, accepted = _run(dyn, horizon, stream, hand_over, CSV_CHUNK_ROWS)
-    return _meta(stream, horizon, proposed, squeezed, accepted, spec, t_start)

@@ -563,10 +563,16 @@ class TestSlices:
             while validate(spec).admissible == forced:
                 spec = make(rng, p_max=3)
             horizon = 5.0 if forced else 50.0
-            if forced:
-                assume(util.thin_reference(spec, horizon, seed, max_events=self.EVENT_CAP) is not None)
+        # the generic loop, which shares no code with thinning._run
+        reference = util.thin_reference(spec, horizon, seed,
+                                         max_events=self.EVENT_CAP if forced else None)
+        assume(reference is not None)
         with mock.patch.object(thinning, "CSV_CHUNK_ROWS", rows):
             times, marks, sizes, meta = self.sliced(spec, horizon, seed, forced)
+        assert (times, marks, meta.proposed) == reference
+        # unpatched, simulate's first slice ends at the horizon (every base
+        # here is at most 2), so the two runs are sliced differently
+        assert thinning.CSV_CHUNK_ROWS / dynamics(spec).base >= horizon
         log = simulate(spec, horizon, rng=seed, override_validation=forced)
         assert (times, marks) == (log.times, log.marks)
         assert sum(sizes) == meta.accepted == len(log)

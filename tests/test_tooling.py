@@ -10,8 +10,9 @@ setup_s times, loads errors, spectral and model alone; a CLI simulate and
 diagnose load neither OpenSSL nor the per-event oracles, and a CLI
 simulate's peak memory does not grow with its horizon.  The process entry
 point loads the CLI with the cyclic collector off and freezes what it
-loaded, the script in pyproject.toml runs that same entry point, and an
-in-process main() leaves the collector alone.  Every public name
+loaded, the script in pyproject.toml runs that same entry point, `python
+-m carma_hawkes.cli` refuses to bypass it, and an in-process main() leaves
+the collector alone.  Every public name
 resolves to its own module's object.  summarize is checked for the one
 residual_transform call per log that the tracer times, and for one modal
 scan per mode group.
@@ -91,13 +92,19 @@ def _load(name: str):
     return module
 
 
-def _run_fresh(code: str, *args: str, cwd=None) -> str:
-    """What a fresh interpreter running code (with args) prints, the
-    package's src first on its path; it must exit 0."""
+def _fresh(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with args, the package's src first on its
+    path, its output captured as text."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, cwd=cwd, timeout=120)
+
+
+def _run_fresh(code: str, *args: str, cwd=None) -> str:
+    """What a fresh interpreter running code (with args) prints; it must
+    exit 0."""
+    done = _fresh("-c", code, *args, cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -353,6 +360,12 @@ def test_console_script_runs_what_python_m_runs():
     tree = ast.parse((SRC / "carma_hawkes" / "__main__.py").read_text(encoding="utf-8"))
     guard = tree.body[-1]
     assert ast.unparse(guard) == f"if __name__ == '__main__':\n    sys.exit({name}())"
+    # the CLI module run alone would bypass the entry point: it refuses,
+    # naming the two launches, before any command runs
+    done = _fresh("-m", "carma_hawkes.cli", "validate", "--model",
+                  str(util.MODELS / "carma21.json"))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: run the command line as `python -m carma_hawkes` or `carma-hawkes`\n"
 
 
 def test_summarize_scans_once_per_mode_group(monkeypatch):
