@@ -4,21 +4,20 @@ excitation kernel is the impulse response of a continuous-time state-space
 
 Core pieces:
 
-* spectral  -- companion-matrix spectra, exact matrix-exponential action,
-               and the constants behind the dominating intensity envelope
+* spectral  -- companion-matrix spectra and the constants behind the
+               dominating intensity envelope
 * model     -- model specs, admissibility validation, modal states along a
                recorded log
 * thinning  -- rejection sampling against the recursive envelope
 * diagnostics -- residual analysis and a KS test against Exp(1)
-* oracles   -- per-event state, intensity, compensator and envelope steps,
-               the reference the fast paths are tested against
 * cli       -- the `carma-hawkes` command-line front end
 
 Imports are lazy (PEP 562): `import carma_hawkes` loads no submodule, and
 a public name imports its submodule on first use and is then kept here, so
 a call loads only the modules it runs: load_spec, dynamics and validate load
 errors, spectral and model alone.  The submodules resolve as attributes too
-(carma_hawkes.model, ...), and the package's public API is unchanged.
+(carma_hawkes.model, ...).  The per-event references that the fast paths
+are tested against are not part of the package: they live with the tests.
 """
 
 from importlib import import_module
@@ -46,7 +45,6 @@ _EXPORTS = {
         "EmptySample",
         "HorizonNonPositive",
         "NanSample",
-        "NegativeIntensity",
         "NonStationarySpec",
         "NumericalOverflow",
         "RootFindingFailure",
@@ -70,23 +68,10 @@ _EXPORTS = {
         "stationary_rates",
         "validate",
     ),
-    "oracles": (
-        "BoundTracker",
-        "ProcessState",
-        "apply_event",
-        "bound_after_event",
-        "bound_value",
-        "compensator_increment",
-        "initial_bound",
-        "initial_state",
-        "intensity_at",
-        "state_vector",
-    ),
     "spectral": (
         "SpectralData",
         "bound_constant",
         "build_companion",
-        "exp_action",
         "spectral_decompose",
     ),
     "thinning": (

@@ -17,11 +17,6 @@ class NumericalOverflow(CarmaHawkesError):
     """A matrix-exponential factor would overflow (positive decay and large dt)."""
 
 
-class NegativeIntensity(CarmaHawkesError):
-    """Intensity fell below the baseline for a spec whose kernels validated as
-    non-negative.  Indicates an internal consistency failure."""
-
-
 class NonStationarySpec(CarmaHawkesError):
     """Simulation refused: the spec failed validation and no override was given."""
 

@@ -15,9 +15,8 @@ compensators are then closed-form sums over modes, with no quadrature and
 no time discretisation anywhere.  Along a recorded log one blocked prefix
 scan (modal_scan), run once per mode group (mode_groups: the real modes in
 float, the rest in complex with exact conjugate pairs folded), gives the
-states to the residuals and both sampled paths.  The same evolution one
-event at a time (apply_event, intensity_at, compensator_increment, ...) is
-in oracles.py, which only tests and the acceptance gate use.
+states to the residuals and both sampled paths.  The tests state the same
+evolution one event at a time (tests/oracles.py) to check that scan.
 """
 
 from __future__ import annotations
@@ -246,7 +245,7 @@ def dynamics(spec: Spec) -> Dynamics:
 
 
 # ---------------------------------------------------------------------------
-# helpers shared with the per-event oracles (oracles.py)
+# block slicing and the guards of the closed forms
 
 
 def _by_block(dyn: Dynamics, per_mode: Sequence) -> list:

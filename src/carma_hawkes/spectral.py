@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateEigenvalues, NumericalOverflow, RootFindingFailure
+from .errors import DegenerateEigenvalues, RootFindingFailure
 
 # Residual tolerance for |a(root)|, relative to max(1, max |a_i|).
 ROOT_RESIDUAL_RTOL = 1e-9
@@ -169,34 +169,6 @@ def spectral_decompose(a: Sequence[float]) -> SpectralData:
 def vandermonde(s: SpectralData) -> np.ndarray:
     """The eigenvector matrix S, column j = (1, lam_j, ..., lam_j^{p-1})."""
     return np.vander(np.array(s.eigenvalues), N=s.p, increasing=True).T
-
-
-def exp_action(s: SpectralData, v: Sequence[complex], dt: float):
-    """exp(A dt) v through the eigendecomposition; exact in dt.
-
-    The coefficients of v in the eigenbasis come from a direct solve of the
-    Vandermonde system (the explicit inverse is never formed).  For real
-    input the imaginary residue of the result is discarded.
-    """
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    vec = np.asarray(v)
-    if vec.shape != (s.p,):
-        raise ValueError(f"expected vector of length {s.p}, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("input vector must be finite")
-    real_input = not np.iscomplexobj(vec)
-    if dt == 0.0:
-        return vec.astype(float).copy() if real_input else vec.astype(complex).copy()
-    if s.decay * dt > _EXP_OVERFLOW:
-        raise NumericalOverflow(
-            f"exp({s.decay:.6g} * {dt:.6g}) overflows a double"
-        )
-    mat = vandermonde(s)
-    y = np.linalg.solve(mat, vec.astype(complex))
-    lams = np.array(s.eigenvalues)
-    out = mat @ (np.exp(lams * dt) * y)
-    return out.real if real_input else out
 
 
 def _pad(b: Sequence[float], p: int) -> tuple[float, ...]:

@@ -96,9 +96,8 @@ do no more work.  Every run is driven in slices of about CSV_CHUNK_ROWS
 events: simulate_into hands each slice's events to its sink and keeps none,
 and simulate is simulate_into with a sink that keeps them.
 
-The envelope one event at a time (BoundTracker, bound_after_event,
-bound_value), which tests fold to check the kernel's envelope, is in
-oracles.py; bound_path samples it along a whole log.
+bound_path samples the envelope along a whole log; the tests fold it one
+event at a time (tests/oracles.py) to check the kernel's envelope.
 """
 
 from __future__ import annotations
@@ -531,12 +530,15 @@ def _require_admissible(spec: Spec, override: bool) -> Dynamics:
 def _finish_log(times: list, marks: list, meta: SimulationMeta) -> EventLog:
     """The log of one run, built once from the lists simulate gathered its
     slices into: the fields are tuples of the kernel's own float and int
-    objects, the arrays are read from the lists in one pass each (fromiter,
-    with the dtype and count given), and EventLog._seal checks them."""
+    objects, the arrays are read from the lists in one pass each (fromiter
+    for the times; bytes for the marks, which a Spec's at most 9 components
+    keep within a byte, so a mark above 255 raises rather than wraps), and
+    EventLog._seal checks them."""
     log = object.__new__(EventLog)
     object.__setattr__(log, "meta", meta)
     time_array = np.fromiter(times, np.float64, len(times))
-    log._seal(time_array, np.fromiter(marks, np.int64, len(marks)), tuple(times), tuple(marks))
+    mark_array = np.frombuffer(bytes(marks), np.uint8).astype(np.int64)
+    log._seal(time_array, mark_array, tuple(times), tuple(marks))
     return log
 
 

@@ -1,12 +1,13 @@
 """Per-event oracles: the model's state, intensity, compensator and envelope
-advanced one event at a time, in plain Python over complex modes.
+advanced one event at a time, in plain Python over complex modes, and the
+matrix exponential's action through a direct Vandermonde solve.
 
 Nothing in the simulator or the diagnostics calls these.  The thinning
 kernel (thinning._kernel) and the blocked modal scan (model.modal_scan) do
 the same arithmetic over whole logs; the functions here state it once per
 event, so that tests and the acceptance gate can check those fast paths
 against a direct fold, and hand traces against closed forms.  They read the
-same Dynamics as every other routine and are exported by the package.
+same Dynamics, and the same guards, as every routine in the package.
 
 * ProcessState, initial_state, apply_event, state_vector -- the modal state
   just after an event, and the physical state vector it stands for
@@ -14,6 +15,7 @@ same Dynamics as every other routine and are exported by the package.
   time, and its integral over an event-free interval, in closed form
 * BoundTracker, initial_bound, bound_value, bound_after_event -- the
   dominating envelope that thinning samples against, anchored at an event
+* exp_action -- exp(A dt) v for one companion matrix A
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NegativeIntensity
-from .model import (
+from carma_hawkes.errors import CarmaHawkesError, NumericalOverflow
+from carma_hawkes.model import (
     KERNEL_NEG_TOL,
     Spec,
     _by_block,
@@ -34,8 +37,46 @@ from .model import (
     dynamics,
     validate,
 )
+from carma_hawkes.spectral import _EXP_OVERFLOW, SpectralData, vandermonde
 
 _INTENSITY_SLACK = 1e-9
+
+
+class NegativeIntensity(CarmaHawkesError):
+    """Intensity fell below the baseline for a spec whose kernels validated as
+    non-negative.  Indicates an internal consistency failure."""
+
+
+# ---------------------------------------------------------------------------
+# matrix-exponential action
+
+
+def exp_action(s: SpectralData, v: Sequence[complex], dt: float):
+    """exp(A dt) v through the eigendecomposition; exact in dt.
+
+    The coefficients of v in the eigenbasis come from a direct solve of the
+    Vandermonde system (the explicit inverse is never formed).  For real
+    input the imaginary residue of the result is discarded.
+    """
+    if dt < 0:
+        raise ValueError("dt must be >= 0")
+    vec = np.asarray(v)
+    if vec.shape != (s.p,):
+        raise ValueError(f"expected vector of length {s.p}, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("input vector must be finite")
+    real_input = not np.iscomplexobj(vec)
+    if dt == 0.0:
+        return vec.astype(float).copy() if real_input else vec.astype(complex).copy()
+    if s.decay * dt > _EXP_OVERFLOW:
+        raise NumericalOverflow(
+            f"exp({s.decay:.6g} * {dt:.6g}) overflows a double"
+        )
+    mat = vandermonde(s)
+    y = np.linalg.solve(mat, vec.astype(complex))
+    lams = np.array(s.eigenvalues)
+    out = mat @ (np.exp(lams * dt) * y)
+    return out.real if real_input else out
 
 
 # ---------------------------------------------------------------------------

@@ -19,26 +19,28 @@ import util
 from test_cli import run_cli, write_spec
 
 from carma_hawkes import (
-    BoundTracker,
     UnivariateSpec,
-    apply_event,
-    bound_after_event,
     bound_path,
-    bound_value,
-    compensator_increment,
     dynamics,
-    exp_action,
-    initial_state,
-    intensity_at,
     intensity_path,
     kolmogorov_survival,
     ks_exp1,
     simulate,
     spectral_decompose,
-    state_vector,
     summarize,
 )
 from carma_hawkes.spectral import _bound_constant_dense, _l2, ma_value
+from oracles import (
+    BoundTracker,
+    apply_event,
+    bound_after_event,
+    bound_value,
+    compensator_increment,
+    exp_action,
+    initial_state,
+    intensity_at,
+    state_vector,
+)
 
 SEED_BASE = 3000
 PROTOCOL_HORIZON = 10000.0

@@ -11,7 +11,6 @@ from carma_hawkes import (
     RootFindingFailure,
     bound_constant,
     build_companion,
-    exp_action,
     spectral_decompose,
 )
 from carma_hawkes.spectral import (
@@ -21,6 +20,7 @@ from carma_hawkes.spectral import (
     char_value,
     ma_value,
 )
+from oracles import exp_action
 
 
 class TestCompanion:

@@ -24,11 +24,8 @@ from carma_hawkes import (
     Spec,
     UniformStream,
     UnivariateSpec,
-    bound_after_event,
     bound_path,
-    bound_value,
     dynamics,
-    initial_bound,
     intensity_path,
     load_spec,
     read_events_csv,
@@ -42,6 +39,7 @@ from carma_hawkes import (
 )
 from carma_hawkes import thinning
 from carma_hawkes.model import mode_kinds
+from oracles import bound_after_event, bound_value, initial_bound
 
 
 class TestStreams:
@@ -129,7 +127,7 @@ class TestBoundTracker:
             n = int(rng.integers(1, 51))
             times = np.sort(rng.uniform(0.0, 30.0, size=n))
             marks = rng.integers(1, 3, size=n)
-            from carma_hawkes import BoundTracker
+            from oracles import BoundTracker
 
             tr = BoundTracker(
                 base=base, decay=decay, jump_size_for_mark=jumps,

@@ -7,15 +7,15 @@ spans the per-layer metrics read.  It reads perfbench/ only.
 The package's imports are lazy.  A fresh import of the package loads no
 submodule, numpy or worker machinery; the benchmark's set-up code, which
 setup_s times, loads errors, spectral and model alone; a CLI simulate and
-diagnose load neither OpenSSL nor the per-event oracles, and a CLI
+diagnose load the package's six run modules and not OpenSSL, and a CLI
 simulate's peak memory does not grow with its horizon.  The process entry
 point loads the CLI with the cyclic collector off and freezes what it
 loaded, the script in pyproject.toml runs that same entry point, `python
 -m carma_hawkes.cli` refuses to bypass it, and an in-process main() leaves
-the collector alone.  Every public name
-resolves to its own module's object.  summarize is checked for the one
-residual_transform call per log that the tracer times, and for one modal
-scan per mode group.
+the collector alone.  Every public name resolves to its own module's
+object, and the per-event oracles, which live in tests/oracles.py, are not
+in the package.  summarize is checked for the one residual_transform call
+per log that the tracer times, and for one modal scan per mode group.
 The benchmark's own correctness check of an in-process replication
 (perfbench/checks.py) must pass on every benchmark model, so a change to the
 record types cannot fail its operations."""
@@ -39,8 +39,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The package's public names before its imports became lazy, and
-# simulate_into since, each with the module that defines it; the oracles
-# moved out of model and thinning.
+# simulate_into since, each with the module that defines it; the per-event
+# oracles, exp_action and NegativeIntensity left for tests/oracles.py.
 PUBLIC_NAMES = {
     **dict.fromkeys(
         ("ComponentDiagnostics", "DiagnosticsReport", "KsResult", "ResidualSeries",
@@ -50,7 +50,7 @@ PUBLIC_NAMES = {
     ),
     **dict.fromkeys(
         ("BoundViolation", "CarmaHawkesError", "DegenerateEigenvalues", "EmptySample",
-         "HorizonNonPositive", "NanSample", "NegativeIntensity", "NonStationarySpec",
+         "HorizonNonPositive", "NanSample", "NonStationarySpec",
          "NumericalOverflow", "RootFindingFailure", "SpecLogMismatch", "ZeroEigenvalue"),
         "errors",
     ),
@@ -61,14 +61,7 @@ PUBLIC_NAMES = {
         "model",
     ),
     **dict.fromkeys(
-        ("BoundTracker", "ProcessState", "apply_event", "bound_after_event", "bound_value",
-         "compensator_increment", "initial_bound", "initial_state", "intensity_at",
-         "state_vector"),
-        "oracles",
-    ),
-    **dict.fromkeys(
-        ("SpectralData", "bound_constant", "build_companion", "exp_action",
-         "spectral_decompose"),
+        ("SpectralData", "bound_constant", "build_companion", "spectral_decompose"),
         "spectral",
     ),
     **dict.fromkeys(
@@ -77,7 +70,13 @@ PUBLIC_NAMES = {
         "thinning",
     ),
 }
-SUBMODULES = ("cli", "diagnostics", "errors", "model", "oracles", "spectral", "thinning")
+SUBMODULES = ("cli", "diagnostics", "errors", "model", "spectral", "thinning")
+# The names that moved to tests/oracles.py; no run loads them.
+MOVED_NAMES = (
+    "BoundTracker", "NegativeIntensity", "ProcessState", "apply_event", "bound_after_event",
+    "bound_value", "compensator_increment", "exp_action", "initial_bound", "initial_state",
+    "intensity_at", "state_vector",
+)
 # Code that prints the package's loaded submodules, by name.
 PRINT_SUBMODULES = ("print(sorted(m.split('.', 1)[1] for m in __import__('sys').modules "
                     "if m.startswith('carma_hawkes.')))")
@@ -199,7 +198,7 @@ def _setup_code() -> str:
 
 def test_setup_code_loads_model_layers_only():
     # load_spec, dynamics and validate of every bundled model load errors,
-    # spectral and model: no thinning, diagnostics, cli or oracles
+    # spectral and model: no thinning, diagnostics or cli
     models = sorted(str(path) for path in util.MODELS.glob("*.json"))
     out = _run_fresh(_setup_code() + "\n" + PRINT_SUBMODULES, *models)
     assert out == "['errors', 'model', 'spectral']\n"
@@ -224,7 +223,7 @@ def test_submodules_resolve_as_attributes():
         PRINT_SUBMODULES,
         f"for name in {SUBMODULES!r}:",
         "    assert getattr(carma_hawkes, name) is sys.modules['carma_hawkes.' + name], name",
-        "print(carma_hawkes.oracles.apply_event is carma_hawkes.apply_event)",
+        "print(carma_hawkes.thinning.simulate is carma_hawkes.simulate)",
     ))
     assert _run_fresh(code) == "['errors', 'model', 'spectral']\nTrue\n"
 
@@ -237,8 +236,19 @@ def test_unknown_name_raises_attribute_error():
         exec("from carma_hawkes import no_such_name", {})
 
 
+def test_oracles_are_not_in_the_package():
+    # the per-event references live with the tests, not in src
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("carma_hawkes.oracles")
+    assert not hasattr(carma_hawkes, "oracles")
+    for name in MOVED_NAMES:
+        with pytest.raises(AttributeError):
+            getattr(carma_hawkes, name)
+        assert name not in carma_hawkes.__all__
+
+
 def test_cli_runs_load_no_oracles(tmp_path):
-    # the oracles are for tests: a CLI simulate and diagnose never need them
+    # a CLI simulate and diagnose load the modules a run executes, no more
     model = util.MODELS / "carma21.json"
     code = "\n".join((
         "from carma_hawkes.cli import main",

@@ -17,18 +17,20 @@ from carma_hawkes import (
     Spec,
     UniformStream,
     UnivariateSpec,
-    apply_event,
-    bound_after_event,
-    bound_value,
-    compensator_increment,
     dynamics,
-    initial_bound,
-    initial_state,
-    intensity_at,
     kolmogorov_survival,
     spec_hash,
 )
 from carma_hawkes.model import modal_scan, mode_groups, mode_sum
+from oracles import (
+    apply_event,
+    bound_after_event,
+    bound_value,
+    compensator_increment,
+    initial_bound,
+    initial_state,
+    intensity_at,
+)
 
 # The bundled model files.
 MODELS = Path(__file__).resolve().parents[1] / "models"
