@@ -41,6 +41,7 @@ from .model import (  # the scan's block limits are re-exported
     stationary_rates,
     strict_json_values,
 )
+from .spectral import _real_array
 from .thinning import EventLog, write_csv_rows
 
 # Terms of the asymptotic p-value series are dropped below this size, so the
@@ -60,7 +61,8 @@ _KS_WINDOW = 1e-12
 class ResidualSeries:
     """One component's compensator-transformed inter-event gaps as a
     read-only float64 array: such an array (residual_transform's) is taken
-    as it is, any other sequence converted once.  Compares by identity."""
+    as it is, any other sequence converted once (_real_array: a bool or a
+    string raises ValueError; inf and NaN pass).  Compares by identity."""
 
     taus: np.ndarray
     component: int
@@ -68,7 +70,7 @@ class ResidualSeries:
     def __post_init__(self):
         taus = self.taus
         if not (isinstance(taus, np.ndarray) and taus.dtype == float and not taus.flags.writeable):
-            taus = np.array(taus, dtype=np.float64)
+            taus = _real_array(taus, "residuals must be real numbers")
             taus.flags.writeable = False
             object.__setattr__(self, "taus", taus)
 
@@ -180,12 +182,12 @@ def ks_exp1(residuals) -> KsResult:
     there are.
 
     A ResidualSeries' taus are sorted as they are; any other sequence is
-    converted once.
+    converted once, as a ResidualSeries, which raises ValueError for a value
+    that is not a real number (a bool or a string).
     """
-    if isinstance(residuals, ResidualSeries):
-        xs = residuals.taus
-    else:
-        xs = np.array(tuple(residuals), dtype=float)
+    if not isinstance(residuals, ResidualSeries):
+        residuals = ResidualSeries(taus=residuals, component=0)
+    xs = residuals.taus
     n = len(xs)
     if n == 0:
         raise EmptySample("cannot run a KS test on an empty sample")

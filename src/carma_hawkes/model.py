@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +39,7 @@ from .errors import (
     RootFindingFailure,
     ZeroEigenvalue,
 )
+from .spectral import _finite_tuple, _is_real, _real_array
 
 # CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before), as the
 # random module takes its sha512: hashlib would load OpenSSL's libcrypto
@@ -69,33 +70,6 @@ BLOCK_EVENTS = 2048
 BLOCK_EXPONENT = 600.0
 # Veltkamp's splitting constant, 2**27 + 1.
 _SPLITTER = 134217729.0
-
-
-def _is_real(value) -> bool:
-    """Whether value is a real number, numpy's included; a bool or a string
-    is not (the rule thinning._check_horizon keeps for horizons)."""
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def _finite_tuple(vals, name: str) -> tuple[float, ...]:
-    """The values as Python floats, each -0.0 read as 0.0: equal specs then
-    hold the same floats, and so the same canonical JSON (spec_hash).  Each
-    value must be a real number (numpy's included): a bool or a string,
-    which would be read character by character, is refused, and so is one
-    past a double's range."""
-    try:
-        items = tuple(vals)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence of numbers") from None
-    if not all(map(_is_real, items)):
-        raise ValueError(f"{name} must be a sequence of numbers")
-    try:
-        out = tuple(float(v) + 0.0 for v in items)
-    except OverflowError:  # an integer too large for a double
-        out = (math.inf,)
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{name} must contain only finite values")
-    return out
 
 
 def _checked_ma(b, p: int, name: str, positive_lead: bool) -> tuple[tuple[float, ...], int]:
@@ -651,14 +625,7 @@ def modal_path(dyn: Dynamics, log, times: Sequence[float]) -> np.ndarray:
     groups, BLOCK_EVENTS samples at a time.  Raises ValueError for sample
     times that are not real numbers (a bool or a string), unsorted,
     negative or not finite, and for a log mark outside 1..len(dyn.jumps)."""
-    if not (isinstance(times, np.ndarray) and times.dtype.kind in "iuf"):
-        for t in times:
-            if not _is_real(t):
-                raise ValueError(f"sample times must be real numbers, got {t!r}")
-    try:
-        samples = np.asarray(times, dtype=float)
-    except OverflowError:  # an integer too large for a double
-        raise ValueError("sample times must be finite") from None
+    samples = _real_array(times, "sample times must be finite real numbers")
     if not np.isfinite(samples).all():
         raise ValueError("sample times must be finite")
     if (np.diff(samples) < 0).any():

@@ -21,6 +21,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Rational, Real
 from typing import Sequence
 
 import numpy as np
@@ -59,13 +60,45 @@ class SpectralData:
     p: int
 
 
-def _as_real_coeffs(a: Sequence[float]) -> tuple[float, ...]:
-    coeffs = tuple(float(c) for c in a)
-    if len(coeffs) < 1:
-        raise ValueError("need at least one polynomial coefficient")
-    if not all(math.isfinite(c) for c in coeffs):
-        raise ValueError("polynomial coefficients must be finite")
-    return coeffs
+def _is_real(value) -> bool:
+    """Whether value is a real number, numpy's included; a bool or a string
+    is not.  The package's one number rule for every outside input."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _finite_tuple(vals, name: str) -> tuple[float, ...]:
+    """The values as Python floats, each -0.0 read as 0.0: equal specs then
+    hold the same floats, and so the same canonical JSON (spec_hash).  Each
+    value must be a real number (_is_real): a bool or a string, which would
+    be read character by character, is refused, and so is one that is not
+    finite or is past a double's range; each raises ValueError."""
+    try:
+        items = tuple(vals)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of numbers") from None
+    if not all(map(_is_real, items)):
+        raise ValueError(f"{name} must be a sequence of numbers")
+    try:
+        out = tuple(float(v) + 0.0 for v in items)
+    except OverflowError:  # an integer too large for a double
+        out = (math.inf,)
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{name} must contain only finite values")
+    return out
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """The values as a new float64 array.  Unless they are an integer or
+    float array, or Python floats alone, each is checked one by one, as
+    np.array((0.5, True)) reads the bool as 1.0: one that is not a real
+    number (_is_real), or is an integer or a fraction past a double's range
+    (a float cannot be), raises ValueError "index i: what, got v"."""
+    numeric_array = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    if not (numeric_array or set(map(type, values)) <= {float}):
+        for row, v in enumerate(values):
+            if not _is_real(v) or isinstance(v, Rational) and abs(v) > sys.float_info.max:
+                raise ValueError(f"index {row}: {what}, got {v!r}")
+    return np.array(values, dtype=np.float64)
 
 
 def char_value(a: Sequence[float], z: complex) -> complex:
@@ -97,10 +130,13 @@ def build_companion(a: Sequence[float]) -> np.ndarray:
     """Companion matrix of z^p + a1 z^{p-1} + ... + ap.
 
     Ones on the superdiagonal, last row (-ap, ..., -a1), zeros elsewhere.
-    For p = 1 this is the scalar matrix (-a1).
+    For p = 1 this is the scalar matrix (-a1).  Coefficients that are not
+    finite real numbers (_finite_tuple), or none at all, raise ValueError.
     """
-    coeffs = _as_real_coeffs(a)
+    coeffs = _finite_tuple(a, "polynomial coefficients")
     p = len(coeffs)
+    if not p:
+        raise ValueError("need at least one polynomial coefficient")
     mat = np.zeros((p, p), dtype=float)
     for i in range(p - 1):
         mat[i, i + 1] = 1.0
@@ -135,9 +171,11 @@ def spectral_decompose(a: Sequence[float]) -> SpectralData:
     polish step (kept only when it reduces the residual).  Raises
     DegenerateEigenvalues if any two roots fall within the distinctness
     tolerance, RootFindingFailure if a residual |a(root)| stays above
-    tolerance.
+    tolerance, and ValueError for coefficients that are not finite real
+    numbers (_finite_tuple: a bool, a string, NaN or 10**400), or none (the
+    check build_companion makes).
     """
-    coeffs = _as_real_coeffs(a)
+    coeffs = _finite_tuple(a, "polynomial coefficients")
     p = len(coeffs)
     if p == 1:
         roots = [complex(-coeffs[0])]
@@ -172,7 +210,7 @@ def vandermonde(s: SpectralData) -> np.ndarray:
 
 
 def _pad(b: Sequence[float], p: int) -> tuple[float, ...]:
-    bt = tuple(float(c) for c in b)
+    bt = _finite_tuple(b, "moving-average vector")
     if len(bt) > p:
         raise ValueError(f"moving-average vector longer than order {p}")
     return bt + (0.0,) * (p - len(bt))
@@ -217,7 +255,9 @@ def bound_constant(s: SpectralData, b: Sequence[float]) -> float:
 
     Computed as sqrt(sum_j |b(lam_j)|^2) * sqrt(sum_j |1/a'(lam_j)|^2); the
     equivalent norm-product form through the materialised Vandermonde matrix
-    is evaluated as a cross-check and the two must agree.
+    is evaluated as a cross-check and the two must agree.  An MA vector
+    longer than s.p, or holding a value that is not a finite real number
+    (_finite_tuple), raises ValueError.
     """
     bp = _pad(b, s.p)
     k_spec = _l2(ma_value(bp, lam) for lam in s.eigenvalues) * _l2(s.sinv_e)

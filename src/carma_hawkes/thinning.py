@@ -113,7 +113,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Integral
 from operator import add
 from typing import Sequence
 
@@ -130,6 +130,7 @@ from .model import (
     spec_hash,
     validate,
 )
+from .spectral import _is_real, _real_array
 
 _BOUND_SLACK = 1e-9
 _BOUND_RTOL = 1e-10
@@ -254,12 +255,13 @@ class EventLog:
     read-only float64 and int64 copies, checks them (_first_bad_row: a
     ValueError names the first bad event's index) and sets the fields to
     tuples of Python numbers, taken from the arrays; `arrays` is not a field.
-    A time that is not a real number within float range (a string, say), or
-    a mark that is not an integer in int64, is refused first.  simulate
-    builds its log without the constructor (_finish_log), from the lists
-    its slices were gathered into: the tuples hold the thinning kernel's own
-    float and int objects, the arrays are read from the lists in one pass
-    with their dtypes given, and the same _first_bad_row check runs."""
+    A time that is not a real number within a double's range (_real_array:
+    not a bool or a string, even among floats), or a mark that is not an
+    integer in int64, is refused first.  simulate builds its log without
+    the constructor (_finish_log), from the lists its slices were gathered
+    into: the tuples hold the thinning kernel's own float and int objects,
+    the arrays are read from the lists in one pass with their dtypes given,
+    and the same _first_bad_row check runs."""
 
     times: tuple[float, ...]
     marks: tuple[int, ...]
@@ -274,12 +276,7 @@ class EventLog:
                 if not (isinstance(mark, Integral) and -(2**63) <= mark < 2**63):
                     raise ValueError(f"index {row}: marks must be integers >= 1 in int64, got {mark}")
         marks = marks.astype(np.int64, copy=False)
-        times = np.array(self.times)
-        if times.dtype.kind not in "biuf":
-            for row, t in enumerate(self.times):
-                if not (isinstance(t, Real) and abs(t) <= sys.float_info.max):
-                    raise ValueError(f"index {row}: event times must be finite real numbers, got {t!r}")
-        times = times.astype(np.float64, copy=False)
+        times = _real_array(self.times, "event times must be finite real numbers")
         self._seal(times, marks, tuple(times.tolist()), tuple(marks.tolist()))
 
     def _seal(self, times: np.ndarray, marks: np.ndarray, time_items: tuple, mark_items: tuple) -> None:
@@ -341,11 +338,12 @@ def write_events_csv(log: EventLog, path) -> None:
 
 def write_meta_json(source: EventLog | SimulationMeta, path) -> None:
     """Write the sidecar of a log, or of the SimulationMeta of a run
-    (simulate_into's)."""
+    (simulate_into's), as strict JSON, the way read_events_csv reads it: a
+    non-finite number raises ValueError before the file is opened."""
     meta = source.meta if isinstance(source, EventLog) else source
+    text = json.dumps(asdict(meta), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(meta), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _parse_rows(body: str) -> np.ndarray:
@@ -397,11 +395,11 @@ def _parse_error(body: str, exc: ValueError) -> ValueError:
 
 
 def _sidecar_number(data: dict, name: str, default: float) -> float:
-    """A sidecar's float field as a float, default where it is absent: a
-    finite JSON number, an int or a float, and not a bool or a string, the
-    way a count must be an int (_non_negative_int)."""
+    """A sidecar's float field as a float, default (unchecked) where it is
+    absent: a finite JSON number (_is_real: not a bool or a string), the way
+    a count must be an int (_non_negative_int)."""
     value = data.get(name, default)
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+    if name not in data or _is_real(value) and abs(value) <= sys.float_info.max:
         return float(value)
     raise ValueError(f"metadata {name} must be a finite number, got {value!r}")
 
@@ -410,13 +408,16 @@ def read_events_csv(path, meta_path=None) -> EventLog:
     """The log of an events file: the header time,mark, then one row per
     event, a finite time and an integer mark, parsed by numpy's C reader.
     Blank and whitespace-only lines are skipped; any other malformed row
-    raises ValueError naming its file line (the header is line 1).  With
-    meta_path, the sidecar's fields are read too: its counts (proposed,
-    accepted, squeezed) must be non-negative ints, its seed null or one, its
-    horizon, acceptance_ratio and wall_time_seconds finite JSON numbers (no
-    bools or strings) and its spec_hash null or a string, and its accepted
-    count must equal the rows read, so a file cut short beside its sidecar
-    is refused; each of these raises a `metadata ...` ValueError.  The
+    raises ValueError naming its file line (the header is line 1).  One
+    SimulationMeta is built, from the sidecar at meta_path if given: a
+    field it lacks (every field, without one) takes the no-sidecar value,
+    unchecked, so the horizon is the last time read.  The sidecar's counts
+    (proposed, accepted, squeezed) must be non-negative ints, its seed null
+    or one, its horizon, acceptance_ratio and wall_time_seconds finite JSON
+    numbers (_is_real: no bools or strings) and its spec_hash null or a
+    string, and its accepted count must equal the rows read, so a file cut
+    short beside its sidecar is refused; each of these raises a
+    `metadata ...` ValueError.  The
     parsed columns go to EventLog, which copies them once into its arrays
     and checks the log's rules on them; the first row that breaks one
     (_first_bad_row: a non-finite time, a time not above the one before it
@@ -441,44 +442,34 @@ def read_events_csv(path, meta_path=None) -> EventLog:
                 raise _parse_error(body, exc) from None
     n = len(rows)
     last = float(rows["time"][-1]) if n else 0.0
-    meta = SimulationMeta(
-        seed=None,
-        horizon=last,
-        proposed=0,
-        accepted=n,
-        acceptance_ratio=0.0,
-        wall_time_seconds=0.0,
-        spec_hash=None,
-    )
+    data = {}
     if meta_path is not None:
         with open(meta_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"metadata must be a JSON object, got {type(data).__name__}")
-        meta = SimulationMeta(
-            seed=data.get("seed"),
-            horizon=_sidecar_number(data, "horizon", meta.horizon),
-            proposed=data.get("proposed", 0),
-            accepted=data.get("accepted", n),
-            acceptance_ratio=_sidecar_number(data, "acceptance_ratio", 0.0),
-            wall_time_seconds=_sidecar_number(data, "wall_time_seconds", 0.0),
-            spec_hash=data.get("spec_hash"),
-            squeezed=data.get("squeezed", 0),
-        )
-        for name in ("proposed", "accepted", "squeezed"):
-            value = getattr(meta, name)
-            if not _non_negative_int(value):
-                raise ValueError(f"metadata {name} must be a non-negative integer, got {value!r}")
-        if not (meta.seed is None or _non_negative_int(meta.seed)):
-            raise ValueError(f"metadata seed must be null or a non-negative integer, got {meta.seed!r}")
-        if not (meta.spec_hash is None or isinstance(meta.spec_hash, str)):
-            raise ValueError(f"metadata spec_hash must be null or a string, got {meta.spec_hash!r}")
-        if n and meta.horizon < last:
-            raise ValueError(
-                f"metadata horizon {meta.horizon!r} precedes the last event time {last!r}"
-            )
-        if meta.accepted != n:
-            raise ValueError(f"metadata accepted {meta.accepted} events, the file holds {n}")
+    meta = SimulationMeta(
+        seed=data.get("seed"),
+        horizon=_sidecar_number(data, "horizon", last),
+        proposed=data.get("proposed", 0),
+        accepted=data.get("accepted", n),
+        acceptance_ratio=_sidecar_number(data, "acceptance_ratio", 0.0),
+        wall_time_seconds=_sidecar_number(data, "wall_time_seconds", 0.0),
+        spec_hash=data.get("spec_hash"),
+        squeezed=data.get("squeezed", 0),
+    )
+    for name in ("proposed", "accepted", "squeezed"):
+        value = getattr(meta, name)
+        if not _non_negative_int(value):
+            raise ValueError(f"metadata {name} must be a non-negative integer, got {value!r}")
+    if not (meta.seed is None or _non_negative_int(meta.seed)):
+        raise ValueError(f"metadata seed must be null or a non-negative integer, got {meta.seed!r}")
+    if not (meta.spec_hash is None or isinstance(meta.spec_hash, str)):
+        raise ValueError(f"metadata spec_hash must be null or a string, got {meta.spec_hash!r}")
+    if n and meta.horizon < last:
+        raise ValueError(f"metadata horizon {meta.horizon!r} precedes the last event time {last!r}")
+    if meta.accepted != n:
+        raise ValueError(f"metadata accepted {meta.accepted} events, the file holds {n}")
     try:
         return EventLog(times=rows["time"], marks=rows["mark"], meta=meta)
     except ValueError:
@@ -492,9 +483,9 @@ def read_events_csv(path, meta_path=None) -> EventLog:
 
 
 def _check_horizon(horizon) -> float:
-    """The horizon as a float: a real number (a bool or a string is not one,
-    the rule seeds keep) that is finite and > 0."""
-    if not isinstance(horizon, Real) or isinstance(horizon, bool):
+    """The horizon as a float: a real number (_is_real: a bool or a string
+    is not one) that is finite and > 0."""
+    if not _is_real(horizon):
         raise HorizonNonPositive(f"horizon must be a number, got {horizon!r}")
     try:
         h = float(horizon)

@@ -457,6 +457,14 @@ class TestKsTest:
             assert isinstance(info.value, ValueError)
             assert isinstance(info.value, CarmaHawkesError)
 
+    def test_values_that_are_not_numbers_are_refused(self):
+        # a sequence is converted once, as a ResidualSeries, by the rule a
+        # Spec keeps: a string or a bool is no residual
+        for taus in (["0.5"], [0.5, True], ("0.5", "1.5")):
+            for make in (ks_exp1, lambda xs: ResidualSeries(taus=xs, component=1)):
+                with pytest.raises(ValueError, match="residuals must be real numbers"):
+                    make(taus)
+
     def test_statistic_matches_brute_force_grid(self):
         # oracle: max |F_emp - F| over a dense grid augmented with both
         # one-sided empirical CDF values at every sample point

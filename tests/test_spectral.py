@@ -43,6 +43,14 @@ class TestCompanion:
             build_companion([])
         with pytest.raises(ValueError):
             build_companion([math.nan])
+        # the rule a Spec keeps: a bool or a string is no coefficient, and
+        # 10**400 none within a double's range (no bare OverflowError)
+        for bad in ("3", True, np.True_, math.nan, 10**400):
+            for call in (build_companion, spectral_decompose):
+                with pytest.raises(ValueError):
+                    call([bad, 2.0])
+                with pytest.raises(ValueError):
+                    call([bad])
 
 
 class TestDecompose:
@@ -190,6 +198,15 @@ class TestBoundConstant:
     def test_pads_short_vectors(self):
         sd = spectral_decompose([3.0, 2.0])
         assert bound_constant(sd, [1.0]) == bound_constant(sd, [1.0, 0.0])
+
+    def test_refuses_values_that_are_not_finite_numbers(self):
+        # refused before any norm is taken, so with no RuntimeWarning
+        # (which the suite turns into an error)
+        sd = spectral_decompose([3.0, 2.0])
+        for bad in ("0.4", True, math.inf, math.nan):
+            for b in ([bad], [1.0, bad]):
+                with pytest.raises(ValueError, match="moving-average vector must"):
+                    bound_constant(sd, b)
 
     def test_forms_agree(self):
         rng = np.random.default_rng(17)

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import tempfile
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -644,11 +645,16 @@ class TestEventLogContainer:
 
     def test_rejects_times_that_are_not_numbers(self):
         meta = util.make_log([]).meta
-        for bad in ("2.0", 10**400, None, 1j, b"2"):
+        for bad in ("2.0", 10**400, Fraction(10**400), None, 1j, b"2"):
             with pytest.raises(ValueError, match="index 1: event times must be finite real numbers"):
                 EventLog(times=(1.0, bad), marks=(1, 1), meta=meta)
         # an integer within float range is the float it rounds to
         assert EventLog(times=(1, 2**70), marks=(1, 1), meta=meta).times == (1.0, 2.0**70)
+        # a bool is no time, alone, in a bool array, or among floats (which
+        # numpy would turn it into)
+        for times, row in (((True,), 0), (np.array([True]), 0), ((0.5, True), 1)):
+            with pytest.raises(ValueError, match=f"index {row}: event times must be finite real numbers"):
+                EventLog(times=times, marks=(1,) * len(times), meta=meta)
 
     def test_rejects_bad_marks(self):
         for bad in (0, -1, 1.5, 2**70, 2**63, -(2**63) - 1, np.uint64(2**63), "1"):
@@ -768,6 +774,16 @@ class TestEventLogContainer:
             read_events_csv(csv_path, meta_path)
         assert len(read_events_csv(csv_path)) == len(log) - 1
 
+    def test_refused_sidecar_leaves_no_file(self, tmp_path, carma21):
+        # a sidecar is strict JSON, as read_events_csv reads it: a
+        # non-finite number raises before the file is opened
+        meta = simulate(carma21, 50.0, rng=5).meta
+        meta_path = tmp_path / "events.meta.json"
+        for bad in ({"horizon": math.inf}, {"acceptance_ratio": math.nan}):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write_meta_json(dataclasses.replace(meta, **bad), meta_path)
+            assert not meta_path.exists()
+
     def test_parse_errors_name_the_file_line(self, tmp_path):
         # the header is line 1; blank and whitespace-only lines count as
         # lines but not as rows
@@ -793,6 +809,14 @@ class TestEventLogContainer:
                 read_events_csv(path)
             assert str(info.value).startswith(message)
             assert "usecols" not in str(info.value) and "row 1" not in str(info.value)
+        # a sidecar without a horizon gives the no-sidecar one, unchecked:
+        # a last time that is not finite is named by its line
+        meta_path = tmp_path / "events.meta.json"
+        meta_path.write_text('{"accepted": 2}')
+        for last in ("inf", "nan", "1e400"):
+            path.write_bytes(f"time,mark\n1.0,1\n{last},1\n".encode())
+            with pytest.raises(ValueError, match="^line 3: event time must be finite"):
+                read_events_csv(path, meta_path)
 
     def test_read_fills_arrays_from_the_columns(self, tmp_path, biv_cross):
         # the parsed columns become the log's arrays, as the constructor
