@@ -32,6 +32,7 @@ from .model import (  # the scan's block limits are re-exported
     BLOCK_EVENTS,
     BLOCK_EXPONENT,
     Spec,
+    check_log_marks,
     check_nonzero_roots,
     dynamics,
     modal_scan,
@@ -105,8 +106,8 @@ def residual_transform(spec: Spec, log: EventLog) -> tuple[ResidualSeries, ...]:
     same order, as a scan for one component alone.  The trailing censored
     gap is discarded.  Raises SpecLogMismatch when the log carries a spec
     hash that differs from the given spec's, or a mark the spec does not
-    have.  A spec with a root at 0 raises ZeroEigenvalue on a non-empty log.
-    The log is only read.
+    have (check_log_marks).  A spec with a root at 0 raises ZeroEigenvalue
+    on a non-empty log.  The log is only read.
     """
     n_comp = spec.n_components
     if log.meta.spec_hash is not None and log.meta.spec_hash != spec_hash(spec):
@@ -115,9 +116,8 @@ def residual_transform(spec: Spec, log: EventLog) -> tuple[ResidualSeries, ...]:
         )
     if not log.times:
         return tuple(ResidualSeries(taus=(), component=c) for c in range(1, n_comp + 1))
+    check_log_marks(log, n_comp)
     times, marks = log.arrays
-    if marks.max() > n_comp:
-        raise SpecLogMismatch(f"event log holds a mark outside 1..{n_comp}")
     dyn = dynamics(spec)
     check_nonzero_roots(dyn)
     gaps = np.diff(times, prepend=0.0)

@@ -43,5 +43,6 @@ class NanSample(CarmaHawkesError, ValueError):
     """A statistic was requested on a sample that holds NaN values."""
 
 
-class SpecLogMismatch(CarmaHawkesError):
-    """Event-log metadata does not match the model spec it was paired with."""
+class SpecLogMismatch(CarmaHawkesError, ValueError):
+    """Event-log metadata, or a mark, does not match the model spec it was
+    paired with."""

@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,9 +36,10 @@ from .errors import (
     DegenerateEigenvalues,
     NumericalOverflow,
     RootFindingFailure,
+    SpecLogMismatch,
     ZeroEigenvalue,
 )
-from .spectral import _finite_tuple, _is_real, _real_array
+from .spectral import _as_float, _finite_tuple, _is_int, _is_real, _real_array
 
 # CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before), as the
 # random module takes its sha512: hashlib would load OpenSSL's libcrypto
@@ -228,6 +228,14 @@ def _by_block(dyn: Dynamics, per_mode: Sequence) -> list:
     return [per_mode[start:end] for start, end in zip(ends, ends[1:])]
 
 
+def check_log_marks(log, n: int) -> None:
+    """Refuse a log holding a mark outside 1..n, the components of the spec
+    it is read against, with SpecLogMismatch (a ValueError)."""
+    marks = log.arrays[1]
+    if len(marks) and not 1 <= marks.min() <= marks.max() <= n:
+        raise SpecLogMismatch(f"event log holds a mark outside 1..{n}")
+
+
 def check_nonzero_roots(dyn: Dynamics) -> None:
     """Refuse dyn for a compensator, whose closed form divides by every root."""
     if 0 in dyn.lams:
@@ -249,15 +257,20 @@ def channel_kernel(spec: Spec, target: int, source: int, t: float) -> float:
     """Kernel h_{target,source}(t): effect on the target component's
     intensity of a source-component event t time units ago, the sum over
     the source block's modes of (b(lam_j)/a'(lam_j)) exp(lam_j t).  A
-    one-component spec's kernel h is channel_kernel(spec, 1, 1, t)."""
+    one-component spec's kernel h is channel_kernel(spec, 1, 1, t).  The
+    indices must be integers (_is_int: numpy's included, not a bool or
+    1.0) in 1..d, and t a real number (_is_real) that is finite and >= 0,
+    by the horizon's rule (_as_float: 10**400 is not); each refusal is a
+    ValueError."""
     n = spec.n_components
     for index in (target, source):
-        if not (isinstance(index, Integral) and not isinstance(index, bool) and 1 <= index <= n):
+        if not (_is_int(index) and 1 <= index <= n):
             raise ValueError(f"target and source must be in 1..{n}, got {index!r}")
     if not _is_real(t):
         raise ValueError(f"kernel time must be a real number, got {t!r}")
-    if not t >= 0:  # NaN too
-        raise ValueError(f"kernel defined for t >= 0, got {t!r}")
+    t = _as_float(t)
+    if not 0 <= t < math.inf:  # NaN too
+        raise ValueError(f"kernel defined for finite t >= 0, got {t!r}")
     return _mode_kernel(dynamics(spec), target - 1, source - 1, t)
 
 
@@ -624,7 +637,8 @@ def modal_path(dyn: Dynamics, log, times: Sequence[float]) -> np.ndarray:
     before t decayed to t (0 before the first event), summed over dyn's mode
     groups, BLOCK_EVENTS samples at a time.  Raises ValueError for sample
     times that are not real numbers (a bool or a string), unsorted,
-    negative or not finite, and for a log mark outside 1..len(dyn.jumps)."""
+    negative or not finite, and SpecLogMismatch (a ValueError) for a log
+    mark outside 1..len(dyn.jumps) (check_log_marks)."""
     samples = _real_array(times, "sample times must be finite real numbers")
     if not np.isfinite(samples).all():
         raise ValueError("sample times must be finite")
@@ -632,9 +646,8 @@ def modal_path(dyn: Dynamics, log, times: Sequence[float]) -> np.ndarray:
         raise ValueError("sample times must be sorted")
     if len(samples) and samples[0] < 0:
         raise ValueError("sample times must be >= 0")
+    check_log_marks(log, len(dyn.jumps))
     ev_times, marks = log.arrays
-    if len(marks) and not 1 <= marks.min() <= marks.max() <= len(dyn.jumps):
-        raise ValueError(f"event log holds a mark outside 1..{len(dyn.jumps)}")
     owner = np.searchsorted(ev_times, samples) - 1  # last event strictly before
     rel = samples - np.concatenate(([0.0], ev_times))[owner + 1]
     _guard_exponent(dyn.decay, float(rel.max(initial=0.0)))

@@ -21,7 +21,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Rational, Real
+from numbers import Integral, Rational, Real
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +66,22 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer, numpy's included; a bool, a float such
+    as 2.0 or a string is not.  The package's one integer rule for every
+    outside input: seeds, sidecar counts, marks and component indices."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _as_float(value) -> float:
+    """A real number (_is_real) as a float, inf for an integer or a
+    fraction past a double's range, which float() refuses."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _finite_tuple(vals, name: str) -> tuple[float, ...]:
     """The values as Python floats, each -0.0 read as 0.0: equal specs then
     hold the same floats, and so the same canonical JSON (spec_hash).  Each
@@ -78,27 +94,34 @@ def _finite_tuple(vals, name: str) -> tuple[float, ...]:
         raise ValueError(f"{name} must be a sequence of numbers") from None
     if not all(map(_is_real, items)):
         raise ValueError(f"{name} must be a sequence of numbers")
-    try:
-        out = tuple(float(v) + 0.0 for v in items)
-    except OverflowError:  # an integer too large for a double
-        out = (math.inf,)
+    out = tuple(_as_float(v) + 0.0 for v in items)
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{name} must contain only finite values")
     return out
 
 
-def _real_array(values, what: str) -> np.ndarray:
-    """The values as a new float64 array.  Unless they are an integer or
-    float array, or Python floats alone, each is checked one by one, as
+def _real_array(values, what: str, dtype=np.float64) -> np.ndarray:
+    """The values as a new float64 array, or as an int64 one with dtype
+    np.int64.  Unless they are an array numpy converts exactly (integer or
+    float for float64, signed integer for int64), or Python floats (ints for
+    int64) alone within range, each is checked one by one, as
     np.array((0.5, True)) reads the bool as 1.0: one that is not a real
-    number (_is_real), or is an integer or a fraction past a double's range
-    (a float cannot be), raises ValueError "index i: what, got v"."""
-    numeric_array = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
-    if not (numeric_array or set(map(type, values)) <= {float}):
-        for row, v in enumerate(values):
-            if not _is_real(v) or isinstance(v, Rational) and abs(v) > sys.float_info.max:
-                raise ValueError(f"index {row}: {what}, got {v!r}")
-    return np.array(values, dtype=np.float64)
+    number (_is_real; for int64 an integer, _is_int), or is an integer or a
+    fraction beyond +-limit, the dtype's largest value (a float cannot be
+    past a double's), raises ValueError "index i: what, got v"."""
+    if dtype == np.int64:
+        is_number, kinds, plain, limit = _is_int, "i", int, 2**63 - 1
+    else:
+        is_number, kinds, plain, limit = _is_real, "iuf", float, sys.float_info.max
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds or set(map(type, values)) <= {plain}:
+        try:
+            return np.array(values, dtype=dtype)
+        except OverflowError:  # a Python int past int64, named below
+            pass
+    for row, v in enumerate(values):
+        if not is_number(v) or isinstance(v, Rational) and not -limit <= v <= limit:
+            raise ValueError(f"index {row}: {what}, got {v!r}")
+    return np.array(values, dtype=dtype)
 
 
 def char_value(a: Sequence[float], z: complex) -> complex:

@@ -113,7 +113,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from numbers import Integral
 from operator import add
 from typing import Sequence
 
@@ -130,7 +129,7 @@ from .model import (
     spec_hash,
     validate,
 )
-from .spectral import _is_real, _real_array
+from .spectral import _as_float, _is_int, _is_real, _real_array
 
 _BOUND_SLACK = 1e-9
 _BOUND_RTOL = 1e-10
@@ -160,12 +159,20 @@ class UniformStream:
 
     Backed by the stdlib Mersenne Twister; the same seed always reproduces
     the same sequence, and exact zeros are redrawn so log(u) is always
-    finite.
+    finite.  A seed is None or a non-negative integer (_is_int: numpy's
+    included, np.int64(5) giving the stream of 5), kept as a Python int, so
+    every seeded stream's sidecar is one read_events_csv accepts.  A
+    negative seed raises ValueError (the Mersenne Twister would read -5 as
+    5), and anything else, a bool, 5.0 or a string, TypeError.
     """
 
     def __init__(self, seed: int | None = None):
-        self.seed = seed
-        self._rng = random.Random(seed)
+        if not (seed is None or _is_int(seed)):
+            raise TypeError("rng must be None, a non-negative int seed, or an object with .draw()")
+        if seed is not None and seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        self.seed = None if seed is None else int(seed)
+        self._rng = random.Random(self.seed)
 
     def draw(self) -> float:
         u = self._rng.random()
@@ -193,22 +200,11 @@ class ScriptedUniforms:
         return v
 
 
-def _non_negative_int(value) -> bool:
-    """Whether value is a seed or a count: an int >= 0, not a bool or 2.0."""
-    return type(value) is int and value >= 0
-
-
 def as_uniform_stream(rng) -> UniformStream | ScriptedUniforms:
-    """The stream of rng: None, a seed or an object with .draw().  A seed is
-    a non-negative int, the rule the CLI and the sidecar reader keep (the
-    Mersenne Twister would read -5 as 5, and a bool is no seed)."""
-    if rng is None or _non_negative_int(rng):
-        return UniformStream(rng)
-    if type(rng) is int:
-        raise ValueError(f"seed must be a non-negative integer, got {rng}")
-    if hasattr(rng, "draw"):
-        return rng
-    raise TypeError("rng must be None, a non-negative int seed, or an object with .draw()")
+    """The stream of rng: an object with .draw() as it is, else the
+    UniformStream of rng as a seed (None or a non-negative integer, the rule
+    UniformStream keeps)."""
+    return rng if hasattr(rng, "draw") else UniformStream(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +247,19 @@ class SimulationMeta:
 class EventLog:
     """Finite, strictly increasing times > 0 and integer marks >= 1 in int64
     (whether a mark is a spec's component is checked where the spec is
-    known), as lists, tuples or arrays.  The constructor builds `arrays`,
-    read-only float64 and int64 copies, checks them (_first_bad_row: a
-    ValueError names the first bad event's index) and sets the fields to
-    tuples of Python numbers, taken from the arrays; `arrays` is not a field.
-    A time that is not a real number within a double's range (_real_array:
-    not a bool or a string, even among floats), or a mark that is not an
-    integer in int64, is refused first.  simulate builds its log without
-    the constructor (_finish_log), from the lists its slices were gathered
-    into: the tuples hold the thinning kernel's own float and int objects,
-    the arrays are read from the lists in one pass with their dtypes given,
-    and the same _first_bad_row check runs."""
+    known: model.check_log_marks), as lists, tuples or arrays.  The
+    constructor builds `arrays`, read-only float64 and int64 copies, checks
+    them (_first_bad_row: a ValueError names the first bad event's index)
+    and sets the fields to tuples of Python numbers, taken from the arrays;
+    `arrays` is not a field.  A mark that is not an integer in int64, or a
+    time that is not a real number within a double's range, is refused first
+    (_real_array, which converts both: a bool or a string is neither, even
+    among ints or floats, so (True,) and [True, 2] are refused as marks).
+    simulate builds its log without the constructor (_finish_log), from the
+    lists its slices were gathered into: the tuples hold the thinning
+    kernel's own float and int objects, the arrays are read from the lists
+    in one pass with their dtypes given, and the same _first_bad_row check
+    runs."""
 
     times: tuple[float, ...]
     marks: tuple[int, ...]
@@ -270,12 +268,7 @@ class EventLog:
     def __post_init__(self):
         if len(self.times) != len(self.marks):
             raise ValueError("times and marks must have equal length")
-        marks = np.array(self.marks)
-        if marks.dtype.kind not in "bi":  # a bool is the integer it is
-            for row, mark in enumerate(self.marks):
-                if not (isinstance(mark, Integral) and -(2**63) <= mark < 2**63):
-                    raise ValueError(f"index {row}: marks must be integers >= 1 in int64, got {mark}")
-        marks = marks.astype(np.int64, copy=False)
+        marks = _real_array(self.marks, "marks must be integers >= 1 in int64", np.int64)
         times = _real_array(self.times, "event times must be finite real numbers")
         self._seal(times, marks, tuple(times.tolist()), tuple(marks.tolist()))
 
@@ -386,18 +379,27 @@ def _row_problem(line: str) -> str | None:
 
 def _parse_error(body: str, exc: ValueError) -> ValueError:
     """The reader's error named by the file line of the first row that does
-    not parse alone; exc itself if every row does."""
-    for lineno, line in _row_lines(body):
-        problem = _row_problem(line)
-        if problem:
-            return ValueError(f"line {lineno}: {problem}")
+    not parse alone; exc itself if every row does.  The rows are parsed
+    CSV_CHUNK_ROWS at a time, and only those of a chunk numpy's reader
+    refuses are parsed one by one, so a bad last row costs one reader call
+    per chunk, not two per row."""
+    rows = list(_row_lines(body))
+    for start in range(0, len(rows), CSV_CHUNK_ROWS):
+        chunk = rows[start : start + CSV_CHUNK_ROWS]
+        try:
+            _parse_rows("\n".join(line for _, line in chunk))
+        except ValueError:
+            for lineno, line in chunk:
+                problem = _row_problem(line)
+                if problem:
+                    return ValueError(f"line {lineno}: {problem}")
     return exc
 
 
 def _sidecar_number(data: dict, name: str, default: float) -> float:
     """A sidecar's float field as a float, default (unchecked) where it is
     absent: a finite JSON number (_is_real: not a bool or a string), the way
-    a count must be an int (_non_negative_int)."""
+    a count or a seed must be an integer (_is_int)."""
     value = data.get(name, default)
     if name not in data or _is_real(value) and abs(value) <= sys.float_info.max:
         return float(value)
@@ -409,15 +411,16 @@ def read_events_csv(path, meta_path=None) -> EventLog:
     event, a finite time and an integer mark, parsed by numpy's C reader.
     Blank and whitespace-only lines are skipped; any other malformed row
     raises ValueError naming its file line (the header is line 1).  One
-    SimulationMeta is built, from the sidecar at meta_path if given: a
-    field it lacks (every field, without one) takes the no-sidecar value,
+    SimulationMeta is built, from the sidecar at meta_path if given: a field
+    it lacks (every field, without one) takes the no-sidecar value,
     unchecked, so the horizon is the last time read.  The sidecar's counts
-    (proposed, accepted, squeezed) must be non-negative ints, its seed null
-    or one, its horizon, acceptance_ratio and wall_time_seconds finite JSON
-    numbers (_is_real: no bools or strings) and its spec_hash null or a
-    string, and its accepted count must equal the rows read, so a file cut
-    short beside its sidecar is refused; each of these raises a
-    `metadata ...` ValueError.  The
+    (proposed, accepted, squeezed) must be non-negative integers (_is_int:
+    no bools, 2.0 or strings), its seed null or one, as UniformStream
+    requires, so every seeded run's sidecar reads back; its horizon,
+    acceptance_ratio and wall_time_seconds finite JSON numbers (_is_real: no
+    bools or strings) and its spec_hash null or a string, and its accepted
+    count must equal the rows read, so a file cut short beside its sidecar
+    is refused; each of these raises a `metadata ...` ValueError.  The
     parsed columns go to EventLog, which copies them once into its arrays
     and checks the log's rules on them; the first row that breaks one
     (_first_bad_row: a non-finite time, a time not above the one before it
@@ -460,9 +463,9 @@ def read_events_csv(path, meta_path=None) -> EventLog:
     )
     for name in ("proposed", "accepted", "squeezed"):
         value = getattr(meta, name)
-        if not _non_negative_int(value):
+        if not (_is_int(value) and value >= 0):
             raise ValueError(f"metadata {name} must be a non-negative integer, got {value!r}")
-    if not (meta.seed is None or _non_negative_int(meta.seed)):
+    if not (meta.seed is None or _is_int(meta.seed) and meta.seed >= 0):
         raise ValueError(f"metadata seed must be null or a non-negative integer, got {meta.seed!r}")
     if not (meta.spec_hash is None or isinstance(meta.spec_hash, str)):
         raise ValueError(f"metadata spec_hash must be null or a string, got {meta.spec_hash!r}")
@@ -484,13 +487,10 @@ def read_events_csv(path, meta_path=None) -> EventLog:
 
 def _check_horizon(horizon) -> float:
     """The horizon as a float: a real number (_is_real: a bool or a string
-    is not one) that is finite and > 0."""
+    is not one) that is finite and > 0 (_as_float: 10**400 is not)."""
     if not _is_real(horizon):
         raise HorizonNonPositive(f"horizon must be a number, got {horizon!r}")
-    try:
-        h = float(horizon)
-    except OverflowError:  # an integer too large for a double
-        h = math.inf
+    h = _as_float(horizon)
     if not (math.isfinite(h) and h > 0):
         raise HorizonNonPositive(f"horizon must be finite and > 0, got {h!r}")
     return h

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from carma_hawkes import (
     NumericalOverflow,
     RootFindingFailure,
     Spec,
+    SpecLogMismatch,
     UnivariateSpec,
     channel_kernel,
     intensity_path,
@@ -368,6 +370,11 @@ class TestKernel:
             channel_kernel(hawkes, 1, 1, -0.1)
         with pytest.raises(ValueError, match="t >= 0, got nan"):
             channel_kernel(hawkes, 1, 1, math.nan)
+        # a time past a double's range is refused as the horizon is, not
+        # left to overflow inside the kernel's sum
+        for t in (math.inf, 10**400, Fraction(10**400)):
+            with pytest.raises(ValueError, match="finite t >= 0, got inf"):
+                channel_kernel(hawkes, 1, 1, t)
 
     def test_channel_kernels_at_zero(self, biv_cross):
         # h_{i,j}(0) = last padded entry of b_{i,j}
@@ -713,9 +720,12 @@ class TestSampledPaths:
             assert intensity_path(carma21, log, samples).tolist() == want.tolist()
 
     def test_mark_outside_spec_rejected(self, carma21):
+        # the residuals' check (model.check_log_marks), whose error is a
+        # ValueError too
         log = util.make_log([0.5, 1.5], [1, 2])  # a bivariate log
+        assert issubclass(SpecLogMismatch, ValueError)
         for path in (intensity_path, thinning.bound_path):
-            with pytest.raises(ValueError, match="mark outside 1..1"):
+            with pytest.raises(SpecLogMismatch, match="mark outside 1..1"):
                 path(carma21, log, [1.0])
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import os
 import random
@@ -26,6 +27,7 @@ from carma_hawkes import (
     UniformStream,
     UnivariateSpec,
     bound_path,
+    channel_kernel,
     dynamics,
     intensity_path,
     load_spec,
@@ -77,6 +79,74 @@ class TestStreams:
             ScriptedUniforms([0.0])
         with pytest.raises(ValueError):
             ScriptedUniforms([1.0])
+
+
+# The one integer rule (spectral._is_int) at every entry point that takes an
+# integer: Python's and numpy's are taken, while a bool, a float, a string
+# and a value outside the entry point's range are refused.
+INTEGERS = (2, np.int64(2), np.uint8(2))
+NOT_INTEGERS = (True, np.True_, 2.0, "2")
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("seed", INTEGERS)
+    def test_seed_gives_the_stream_and_log_of_its_int(self, hawkes, seed, tmp_path):
+        assert UniformStream(seed).draw() == UniformStream(2).draw()
+        log, ref = simulate(hawkes, 50.0, rng=seed), simulate(hawkes, 50.0, rng=2)
+        assert (log.times, log.marks) == (ref.times, ref.marks) and len(log)
+        assert type(log.meta.seed) is int
+        assert dataclasses.replace(log.meta, wall_time_seconds=0.0) == dataclasses.replace(
+            ref.meta, wall_time_seconds=0.0
+        )
+        write_events_csv(log, tmp_path / "e.csv")
+        write_meta_json(log, tmp_path / "e.meta.json")
+        assert read_events_csv(tmp_path / "e.csv", tmp_path / "e.meta.json").meta == log.meta
+
+    @pytest.mark.parametrize(
+        "seed, error", [(v, TypeError) for v in NOT_INTEGERS] + [(-1, ValueError), (np.int64(-1), ValueError)]
+    )
+    def test_seed_refusals(self, hawkes, seed, error):
+        with pytest.raises(error):
+            UniformStream(seed)
+        with pytest.raises(error):
+            simulate(hawkes, 10.0, rng=seed)
+
+    @pytest.mark.parametrize("name", ("seed", "proposed", "squeezed"))
+    @pytest.mark.parametrize("value", (True, 2.0, "2", -1))
+    def test_sidecar_refusals(self, tmp_path, name, value):
+        # JSON gives Python values alone: the good 2 reads, the rest not
+        path, meta_path = tmp_path / "e.csv", tmp_path / "e.meta.json"
+        write_events_csv(util.make_log([1.0]), path)
+        meta_path.write_text(json.dumps({"accepted": 1, name: 2}))
+        assert getattr(read_events_csv(path, meta_path).meta, name) == 2
+        meta_path.write_text(json.dumps({"accepted": 1, name: value}))
+        with pytest.raises(ValueError, match=f"metadata {name} must be"):
+            read_events_csv(path, meta_path)
+
+    @pytest.mark.parametrize("mark", INTEGERS)
+    def test_marks_taken(self, mark):
+        meta = util.make_log([1.0]).meta
+        for marks in ((mark,), [mark], np.array([mark])):
+            log = EventLog(times=(1.0,), marks=marks, meta=meta)
+            assert log.marks == (2,) and type(log.marks[0]) is int
+
+    @pytest.mark.parametrize("mark", NOT_INTEGERS + (0, 2**63))
+    def test_marks_refused(self, mark):
+        meta = util.make_log([1.0]).meta
+        for marks in ((mark,), np.array([mark])):
+            with pytest.raises(ValueError, match="index 0: marks must be integers >= 1"):
+                EventLog(times=(1.0,), marks=marks, meta=meta)
+
+    @pytest.mark.parametrize("index", INTEGERS)
+    def test_kernel_indices_taken(self, biv_cross, index):
+        assert channel_kernel(biv_cross, index, 1, 0.5) == channel_kernel(biv_cross, 2, 1, 0.5)
+        assert channel_kernel(biv_cross, 1, index, 0.5) == channel_kernel(biv_cross, 1, 2, 0.5)
+
+    @pytest.mark.parametrize("index", NOT_INTEGERS + (0, 3))
+    def test_kernel_indices_refused(self, biv_cross, index):
+        for target, source in ((index, 1), (1, index)):
+            with pytest.raises(ValueError, match="must be in 1..2"):
+                channel_kernel(biv_cross, target, source, 0.5)
 
 
 class TestBoundTracker:
@@ -661,10 +731,11 @@ class TestEventLogContainer:
             with pytest.raises(ValueError, match="index 1: marks must be integers >= 1"):
                 util.make_log([1.0, 2.0], [1, bad])
         assert util.make_log([1.0], [2**63 - 1]).marks == (2**63 - 1,)
-        # a bool is the integer it is: True is mark 1, False a mark of 0
-        assert util.make_log([1.0, 2.0], [True, 2]).marks == (1, 2)
-        with pytest.raises(ValueError, match="index 1: marks must be integers >= 1, got 0"):
-            util.make_log([1.0, 2.0], [True, False])
+        # a bool is no mark (_is_int), even where numpy would read a list
+        # or an array of them as integers
+        for marks in ([True, 2], [True, False], (True,), np.array([True]), [np.True_, 2]):
+            with pytest.raises(ValueError, match="index 0: marks must be integers >= 1 in int64, got"):
+                util.make_log([1.0, 2.0][: len(marks)], marks)
         # any integer mark >= 1 is a log's own business; whether the spec
         # has that component is checked where the spec is known
         assert util.make_log([1.0, 2.0], [3, 12]).marks == (3, 12)
@@ -817,6 +888,19 @@ class TestEventLogContainer:
             path.write_bytes(f"time,mark\n1.0,1\n{last},1\n".encode())
             with pytest.raises(ValueError, match="^line 3: event time must be finite"):
                 read_events_csv(path, meta_path)
+
+    def test_bad_last_row_is_found_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # rows are checked one by one only inside the chunk numpy refuses,
+        # not all the rows before the bad one
+        rows = 2 * thinning.CSV_CHUNK_ROWS + 5
+        path = tmp_path / "events.csv"
+        path.write_text("time,mark\n" + "".join(f"{k}.5,1\n" for k in range(rows - 1)) + "x,1\n")
+        calls = []
+        row_problem = thinning._row_problem
+        monkeypatch.setattr(thinning, "_row_problem", lambda line: calls.append(line) or row_problem(line))
+        with pytest.raises(ValueError, match=f"^line {rows + 1}: cannot read 'x' as a time"):
+            read_events_csv(path)
+        assert 0 < len(calls) <= thinning.CSV_CHUNK_ROWS
 
     def test_read_fills_arrays_from_the_columns(self, tmp_path, biv_cross):
         # the parsed columns become the log's arrays, as the constructor

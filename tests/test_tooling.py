@@ -247,6 +247,26 @@ def test_oracles_are_not_in_the_package():
         assert name not in carma_hawkes.__all__
 
 
+def test_number_rules_live_in_spectral_alone():
+    # spectral._is_real and spectral._is_int are the one number rule and the
+    # one integer rule: no other module imports numbers, tests type(v) is
+    # int or sets bools apart itself
+    for path in sorted((SRC / "carma_hawkes").glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}: {ast.unparse(node)[:60]}"
+            if isinstance(node, ast.Import):
+                assert all(alias.name != "numbers" for alias in node.names), where
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "numbers", where
+            elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+                type_test = ast.unparse(node.left.func) == "type"
+                assert not (type_test and "int" in map(ast.unparse, node.comparators)), where
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+                assert "bool" not in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}, where
+
+
 def test_cli_runs_load_no_oracles(tmp_path):
     # a CLI simulate and diagnose load the modules a run executes, no more
     model = util.MODELS / "carma21.json"
