@@ -109,7 +109,6 @@ import json
 import math
 import random
 import re
-import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
@@ -160,10 +159,12 @@ class UniformStream:
     Backed by the stdlib Mersenne Twister; the same seed always reproduces
     the same sequence, and exact zeros are redrawn so log(u) is always
     finite.  A seed is None or a non-negative integer (_is_int: numpy's
-    included, np.int64(5) giving the stream of 5), kept as a Python int, so
-    every seeded stream's sidecar is one read_events_csv accepts.  A
-    negative seed raises ValueError (the Mersenne Twister would read -5 as
-    5), and anything else, a bool, 5.0 or a string, TypeError.
+    included, np.int64(5) giving the stream of 5), kept as a Python int: the
+    rule SimulationMeta keeps for its seed.  A negative seed raises
+    ValueError (the Mersenne Twister would read -5 as 5), and anything else,
+    a bool, 5.0 or a string, TypeError.  simulate records the seed only of
+    the stream it builds from rng=seed; a stream passed in as rng records
+    null, as it may have been drawn from already.
     """
 
     def __init__(self, seed: int | None = None):
@@ -182,7 +183,9 @@ class UniformStream:
 
 
 class ScriptedUniforms:
-    """Fixed uniform sequence for hand-traced tests."""
+    """Fixed uniform sequence for hand-traced tests.  Like any stream
+    passed to simulate as rng, it has no seed: the run's meta.seed is
+    None."""
 
     def __init__(self, values: Sequence[float]):
         for v in values:
@@ -190,7 +193,6 @@ class ScriptedUniforms:
                 raise ValueError("scripted uniforms must lie strictly in (0, 1)")
         self._values = list(values)
         self._pos = 0
-        self.seed = None
 
     def draw(self) -> float:
         if self._pos >= len(self._values):
@@ -198,13 +200,6 @@ class ScriptedUniforms:
         v = self._values[self._pos]
         self._pos += 1
         return v
-
-
-def as_uniform_stream(rng) -> UniformStream | ScriptedUniforms:
-    """The stream of rng: an object with .draw() as it is, else the
-    UniformStream of rng as a seed (None or a non-negative integer, the rule
-    UniformStream keeps)."""
-    return rng if hasattr(rng, "draw") else UniformStream(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +227,16 @@ def bound_path(spec: Spec, log, times: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulationMeta:
+    """A run's sidecar, checked when it is built, so every meta that builds
+    is one write_meta_json writes and read_events_csv reads back equal.  The
+    rules, in the order they are checked: horizon, acceptance_ratio and
+    wall_time_seconds are finite real numbers (_is_real, _as_float: no
+    bools, strings, NaN, inf or 10**400), kept as Python floats; proposed,
+    accepted and squeezed are non-negative integers (_is_int: no bools, 2.0
+    or strings), kept as Python ints; seed is None or one; spec_hash is None
+    or a string.  A value that breaks one raises ValueError naming it
+    (`metadata <field> must be ...`)."""
+
     seed: int | None
     horizon: float
     proposed: int
@@ -241,6 +246,22 @@ class SimulationMeta:
     spec_hash: str | None = None
     # candidates rejected by the squeeze pretest, without evaluating lam
     squeezed: int = 0
+
+    def __post_init__(self):
+        for name in ("horizon", "acceptance_ratio", "wall_time_seconds"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(_as_float(value))):
+                raise ValueError(f"metadata {name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        # the seed's rule is the counts' with null allowed
+        counts = (("proposed", "a"), ("accepted", "a"), ("squeezed", "a"), ("seed", "null or a"))
+        for name, what in counts:
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 0 or value is None and name == "seed"):
+                raise ValueError(f"metadata {name} must be {what} non-negative integer, got {value!r}")
+            object.__setattr__(self, name, value if value is None else int(value))
+        if not (self.spec_hash is None or isinstance(self.spec_hash, str)):
+            raise ValueError(f"metadata spec_hash must be null or a string, got {self.spec_hash!r}")
 
 
 @dataclass(frozen=True)
@@ -255,17 +276,21 @@ class EventLog:
     time that is not a real number within a double's range, is refused first
     (_real_array, which converts both: a bool or a string is neither, even
     among ints or floats, so (True,) and [True, 2] are refused as marks).
-    simulate builds its log without the constructor (_finish_log), from the
-    lists its slices were gathered into: the tuples hold the thinning
-    kernel's own float and int objects, the arrays are read from the lists
-    in one pass with their dtypes given, and the same _first_bad_row check
-    runs."""
+    meta must be a SimulationMeta, which checks the sidecar's rules when it
+    is built; anything else (None, a dict) raises TypeError naming its type
+    before the times and marks are read.  simulate builds its log without
+    the constructor (_finish_log), from the lists its slices were gathered
+    into: the tuples hold the thinning kernel's own float and int objects,
+    the arrays are read from the lists in one pass with their dtypes given,
+    and the same _first_bad_row check runs."""
 
     times: tuple[float, ...]
     marks: tuple[int, ...]
     meta: SimulationMeta
 
     def __post_init__(self):
+        if not isinstance(self.meta, SimulationMeta):
+            raise TypeError(f"meta must be a SimulationMeta, got {type(self.meta).__name__}")
         if len(self.times) != len(self.marks):
             raise ValueError("times and marks must have equal length")
         marks = _real_array(self.marks, "marks must be integers >= 1 in int64", np.int64)
@@ -331,8 +356,10 @@ def write_events_csv(log: EventLog, path) -> None:
 
 def write_meta_json(source: EventLog | SimulationMeta, path) -> None:
     """Write the sidecar of a log, or of the SimulationMeta of a run
-    (simulate_into's), as strict JSON, the way read_events_csv reads it: a
-    non-finite number raises ValueError before the file is opened."""
+    (simulate_into's), as strict JSON, encoded before the file is opened.
+    A SimulationMeta checks its rules when it is built and holds only
+    Python ints, finite floats, strings and None, so every meta writes a
+    sidecar that read_events_csv reads back as an equal meta."""
     meta = source.meta if isinstance(source, EventLog) else source
     text = json.dumps(asdict(meta), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
@@ -396,35 +423,24 @@ def _parse_error(body: str, exc: ValueError) -> ValueError:
     return exc
 
 
-def _sidecar_number(data: dict, name: str, default: float) -> float:
-    """A sidecar's float field as a float, default (unchecked) where it is
-    absent: a finite JSON number (_is_real: not a bool or a string), the way
-    a count or a seed must be an integer (_is_int)."""
-    value = data.get(name, default)
-    if name not in data or _is_real(value) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ValueError(f"metadata {name} must be a finite number, got {value!r}")
-
-
 def read_events_csv(path, meta_path=None) -> EventLog:
     """The log of an events file: the header time,mark, then one row per
     event, a finite time and an integer mark, parsed by numpy's C reader.
     Blank and whitespace-only lines are skipped; any other malformed row
-    raises ValueError naming its file line (the header is line 1).  One
-    SimulationMeta is built, from the sidecar at meta_path if given: a field
-    it lacks (every field, without one) takes the no-sidecar value,
-    unchecked, so the horizon is the last time read.  The sidecar's counts
-    (proposed, accepted, squeezed) must be non-negative integers (_is_int:
-    no bools, 2.0 or strings), its seed null or one, as UniformStream
-    requires, so every seeded run's sidecar reads back; its horizon,
-    acceptance_ratio and wall_time_seconds finite JSON numbers (_is_real: no
-    bools or strings) and its spec_hash null or a string, and its accepted
-    count must equal the rows read, so a file cut short beside its sidecar
-    is refused; each of these raises a `metadata ...` ValueError.  The
-    parsed columns go to EventLog, which copies them once into its arrays
-    and checks the log's rules on them; the first row that breaks one
-    (_first_bad_row: a non-finite time, a time not above the one before it
-    or not > 0, a mark below 1) raises ValueError naming its file line."""
+    raises ValueError naming its file line (the header is line 1).  The
+    sidecar at meta_path, if given, must be a JSON object.  One
+    SimulationMeta is built from its fields, whose rules the meta checks
+    (each raises a `metadata <field> ...` ValueError); a field it lacks
+    (every field, without one) takes the no-sidecar value, so the horizon is
+    the last time read, and a last time that is not finite is left to the
+    log's rules below.  The reader checks only what needs the file: a
+    sidecar horizon may not precede the last time, and the accepted count
+    must equal the rows read, so a file cut short beside its sidecar is
+    refused.  The parsed columns go to EventLog, which copies them once
+    into its arrays and checks the log's rules on them; the first row that
+    breaks one (_first_bad_row: a non-finite time, a time not above the one
+    before it or not > 0, a mark below 1) raises ValueError naming its file
+    line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != EVENTS_HEADER.strip():
@@ -453,23 +469,17 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             raise ValueError(f"metadata must be a JSON object, got {type(data).__name__}")
     meta = SimulationMeta(
         seed=data.get("seed"),
-        horizon=_sidecar_number(data, "horizon", last),
+        # without a sidecar horizon, a last time that is not finite stands
+        # in as 0.0: EventLog names its file line below
+        horizon=data.get("horizon", last if math.isfinite(last) else 0.0),
         proposed=data.get("proposed", 0),
         accepted=data.get("accepted", n),
-        acceptance_ratio=_sidecar_number(data, "acceptance_ratio", 0.0),
-        wall_time_seconds=_sidecar_number(data, "wall_time_seconds", 0.0),
+        acceptance_ratio=data.get("acceptance_ratio", 0.0),
+        wall_time_seconds=data.get("wall_time_seconds", 0.0),
         spec_hash=data.get("spec_hash"),
         squeezed=data.get("squeezed", 0),
     )
-    for name in ("proposed", "accepted", "squeezed"):
-        value = getattr(meta, name)
-        if not (_is_int(value) and value >= 0):
-            raise ValueError(f"metadata {name} must be a non-negative integer, got {value!r}")
-    if not (meta.seed is None or _is_int(meta.seed) and meta.seed >= 0):
-        raise ValueError(f"metadata seed must be null or a non-negative integer, got {meta.seed!r}")
-    if not (meta.spec_hash is None or isinstance(meta.spec_hash, str)):
-        raise ValueError(f"metadata spec_hash must be null or a string, got {meta.spec_hash!r}")
-    if n and meta.horizon < last:
+    if n and "horizon" in data and meta.horizon < last:
         raise ValueError(f"metadata horizon {meta.horizon!r} precedes the last event time {last!r}")
     if meta.accepted != n:
         raise ValueError(f"metadata accepted {meta.accepted} events, the file holds {n}")
@@ -742,14 +752,20 @@ def simulate_into(spec: Spec, horizon: float, sink, rng=None,
     are cleared after it returns, so a sink that keeps them copies them.
     The slices, concatenated, are simulate's times and marks for the same
     spec, horizon and rng, and the SimulationMeta returned is its log's
-    (wall_time_seconds covers the sink's calls too)."""
+    (wall_time_seconds covers the sink's calls too).  rng is a seed (None or
+    a non-negative integer: UniformStream's rule), from which this call
+    builds the stream, or any object with .draw(); meta.seed is the seed,
+    and None for a stream passed in, which may have been drawn from
+    already, so a sidecar's seed always reproduces its run."""
     horizon = _check_horizon(horizon)
     dyn = _require_admissible(spec, override_validation)
-    stream = as_uniform_stream(rng)
+    stream = rng if hasattr(rng, "draw") else UniformStream(rng)
     t_start = time.perf_counter()
     proposed, squeezed, accepted = _run(dyn, horizon, stream, sink)
     return SimulationMeta(
-        seed=getattr(stream, "seed", None),
+        # a stream passed in may have been drawn from: only a seed given
+        # here is the seed of this run
+        seed=None if stream is rng else stream.seed,
         horizon=horizon,
         proposed=proposed,
         accepted=accepted,

@@ -149,6 +149,116 @@ class TestIntegerRule:
                 channel_kernel(biv_cross, target, source, 0.5)
 
 
+# The sidecar's rules live in SimulationMeta alone: every meta that builds
+# writes a sidecar that reads back equal, and a field that breaks a rule is
+# refused by the meta with the message the reader gives for it.
+def _integers(values):
+    """Each drawn integer as a Python, int64 or uint64 integer."""
+    return values.flatmap(lambda v: st.sampled_from((v, np.int64(v), np.uint64(v))))
+
+
+_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**308), 10**308),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+_VALID_META = dict(
+    seed=None, horizon=2.0, proposed=3, accepted=1, acceptance_ratio=0.5, wall_time_seconds=0.0
+)
+_FLOAT_REFUSALS = (True, "5", math.inf, -math.inf, math.nan, 10**400, None)
+_COUNT_REFUSALS = (True, -1, 2.0, "5", math.inf, math.nan)
+_SIDECAR_REFUSALS = (
+    [(name, v) for name in ("horizon", "acceptance_ratio", "wall_time_seconds") for v in _FLOAT_REFUSALS]
+    + [(name, v) for name in ("proposed", "accepted", "squeezed") for v in _COUNT_REFUSALS + (None,)]
+    + [("seed", v) for v in _COUNT_REFUSALS + (np.int64(-1),)]
+    + [("spec_hash", v) for v in (5, True, 2.0, ["ab"])]
+)
+
+
+class TestSidecarRules:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.none() | _integers(st.integers(0, 2**63 - 1)),
+        horizon=_REALS,
+        counts=st.tuples(_integers(st.integers(0, 2**63 - 1)), _integers(st.integers(0, 2**63 - 1))),
+        ratios=st.tuples(_REALS, _REALS),
+        spec_hash=st.none() | st.text(),
+        data=st.data(),
+    )
+    def test_every_meta_reads_back_equal(self, seed, horizon, counts, ratios, spec_hash, data):
+        # an events file of `accepted` rows, the last at the horizon
+        accepted = data.draw(_integers(st.integers(0, 4 if horizon > 0 else 0)))
+        times, t = [], float(horizon)
+        for _ in range(int(accepted)):
+            times.insert(0, t)
+            t = float(np.nextafter(t, 0.0))
+        assume(not times or times[0] > 0.0)
+        meta = thinning.SimulationMeta(
+            seed=seed,
+            horizon=horizon,
+            proposed=counts[0],
+            accepted=accepted,
+            acceptance_ratio=ratios[0],
+            wall_time_seconds=ratios[1],
+            spec_hash=spec_hash,
+            squeezed=counts[1],
+        )
+        for field in dataclasses.fields(meta):
+            assert type(getattr(meta, field.name)) in (int, float, str, type(None)), field.name
+        with tempfile.TemporaryDirectory() as tmp:
+            path, meta_path = os.path.join(tmp, "e.csv"), os.path.join(tmp, "e.meta.json")
+            write_events_csv(util.make_log(times), path)
+            write_meta_json(meta, meta_path)
+            again = read_events_csv(path, meta_path).meta
+        values, again_values = dataclasses.astuple(meta), dataclasses.astuple(again)
+        assert again_values == values
+        assert list(map(type, again_values)) == list(map(type, values))
+
+    @pytest.mark.parametrize("name, value", _SIDECAR_REFUSALS, ids=lambda v: repr(v)[:16])
+    def test_refusals_per_field(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=f"^metadata {name} must be"):
+            thinning.SimulationMeta(**{**_VALID_META, name: value})
+        # the reader refuses the same sidecar field with the same message
+        if isinstance(value, np.integer):
+            return
+        path, meta_path = tmp_path / "e.csv", tmp_path / "e.meta.json"
+        write_events_csv(util.make_log([1.0]), path)
+        meta_path.write_text(json.dumps({**_VALID_META, name: value}))
+        with pytest.raises(ValueError, match=f"^metadata {name} must be"):
+            read_events_csv(path, meta_path)
+
+    def test_a_stream_passed_in_records_no_seed(self, hawkes, tmp_path):
+        # one UniformStream(4) used twice: only its first run is the run of
+        # rng=4, so neither is labelled seed 4
+        stream = UniformStream(4)
+        first, second = simulate(hawkes, 50.0, rng=stream), simulate(hawkes, 50.0, rng=stream)
+        seeded = simulate(hawkes, 50.0, rng=4)
+        assert first.times == seeded.times != second.times
+        assert (first.meta.seed, second.meta.seed, seeded.meta.seed) == (None, None, 4)
+
+        class Custom:
+            seed = -3
+
+            def __init__(self):
+                self._rng = random.Random(3)
+
+            def draw(self):
+                return self._rng.random() or 0.5
+
+        log = simulate(hawkes, 50.0, rng=Custom())
+        assert log.meta.seed is None
+        assert not hasattr(ScriptedUniforms([0.5]), "seed")
+        write_events_csv(log, tmp_path / "e.csv")
+        write_meta_json(log, tmp_path / "e.meta.json")
+        assert read_events_csv(tmp_path / "e.csv", tmp_path / "e.meta.json").meta == log.meta
+
+    def test_event_log_takes_a_simulation_meta_alone(self):
+        meta = util.make_log([1.0, 2.0]).meta
+        for bad, kind in ((None, "NoneType"), (dataclasses.asdict(meta), "dict")):
+            with pytest.raises(TypeError, match=f"^meta must be a SimulationMeta, got {kind}$"):
+                EventLog(times=(1.0, 2.0), marks=(1, 1), meta=bad)
+
+
 class TestBoundTracker:
     def test_initial_values(self, hawkes, biv_independent):
         assert initial_bound(hawkes).lambda_bar == pytest.approx(0.3)
@@ -846,13 +956,14 @@ class TestEventLogContainer:
         assert len(read_events_csv(csv_path)) == len(log) - 1
 
     def test_refused_sidecar_leaves_no_file(self, tmp_path, carma21):
-        # a sidecar is strict JSON, as read_events_csv reads it: a
-        # non-finite number raises before the file is opened
+        # a sidecar is strict JSON, as read_events_csv reads it: a meta
+        # with a non-finite number is refused when it is built, so no file
+        # is written
         meta = simulate(carma21, 50.0, rng=5).meta
         meta_path = tmp_path / "events.meta.json"
-        for bad in ({"horizon": math.inf}, {"acceptance_ratio": math.nan}):
-            with pytest.raises(ValueError, match="not JSON compliant"):
-                write_meta_json(dataclasses.replace(meta, **bad), meta_path)
+        for name, bad in (("horizon", math.inf), ("acceptance_ratio", math.nan)):
+            with pytest.raises(ValueError, match=f"metadata {name} must be a finite number"):
+                write_meta_json(dataclasses.replace(meta, **{name: bad}), meta_path)
             assert not meta_path.exists()
 
     def test_parse_errors_name_the_file_line(self, tmp_path):

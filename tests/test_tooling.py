@@ -267,6 +267,17 @@ def test_number_rules_live_in_spectral_alone():
                 assert "bool" not in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}, where
 
 
+def test_sidecar_rules_live_in_simulation_meta_alone():
+    # SimulationMeta checks a sidecar's fields when it is built; the reader
+    # keeps only the checks that need the file
+    tree = ast.parse((SRC / "carma_hawkes" / "thinning.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_sidecar_number" not in functions
+    reader = ast.walk(functions["read_events_csv"])
+    calls = {ast.unparse(node.func) for node in reader if isinstance(node, ast.Call)}
+    assert not calls & {"_is_int", "_is_real"}, calls
+
+
 def test_cli_runs_load_no_oracles(tmp_path):
     # a CLI simulate and diagnose load the modules a run executes, no more
     model = util.MODELS / "carma21.json"

@@ -222,9 +222,13 @@ def make_log(times, marks=None, horizon=None, spec=None) -> EventLog:
     times = tuple(float(t) for t in times)
     if marks is None:
         marks = (1,) * len(times)
+    if horizon is None:
+        # a meta's horizon is finite: a last time that is not is left for
+        # EventLog to refuse, as read_events_csv leaves it
+        horizon = times[-1] if times and math.isfinite(times[-1]) else 0.0
     meta = SimulationMeta(
         seed=None,
-        horizon=float(horizon) if horizon is not None else (times[-1] if times else 0.0),
+        horizon=float(horizon),
         proposed=len(times),
         accepted=len(times),
         acceptance_ratio=1.0 if times else 0.0,
