@@ -19,16 +19,16 @@ same byte for byte whatever P is.  The error of the lowest failing k gives
 the exit code and the one `error:` line, as a one-process loop would.
 Where the platform has no fork or no affinity mask, P is 1.
 
-A `simulate` replication streams its events file slice by slice as
-thinning.simulate_into hands the slices over, so a process holds one slice
-of events, not its log, whatever the horizon; the file is written under a
-temporary name and renamed once the run is done, so a replication that
-fails leaves no events file.  The calling process removes every
-replication's temporary file in one place, once its workers are reaped,
-as a worker killed by its caller (interrupted, say) or dying on its own
-cannot remove its own; a run that succeeded has renamed its file.  Only
---trace-intensity reads the whole log, back from that file.  `bench` drops
-each slice.
+A `simulate` replication hands thinning.simulate_into the sink of
+thinning.events_csv, the one writer of events files, so its file is written
+slice by slice and a process holds one slice of events, not its log,
+whatever the horizon.  The writer writes under a temporary name
+(thinning.part_path), renames the file once the run is done and removes it
+if the run fails, so a replication that fails leaves no events file.  A
+worker killed by its caller (interrupted, say) or dying on its own cannot
+remove its own, so the calling process also removes every replication's
+temporary file, once its workers are reaped.  Only --trace-intensity reads
+the whole log, back from that file.  `bench` drops each slice.
 
 main() leaves CPython's cyclic collector as it finds it, and importing this
 module does not touch it: the process entry point, __main__.run, keeps the
@@ -60,10 +60,10 @@ from .model import intensity_path, load_spec, validate
 # simulate and write_events_csv are not called here, but perfbench's tracer
 # wraps them in this module's namespace
 from .thinning import (  # noqa: F401
-    EVENT_ROW,
-    EVENTS_HEADER,
     _check_horizon,
     bound_path,
+    events_csv,
+    part_path,
     read_events_csv,
     simulate,
     simulate_into,
@@ -239,29 +239,6 @@ def _replicate(reps: int, each):
     raise RuntimeError(f"replication {k} failed in a worker process:\n{message}")
 
 
-def _part(path: Path) -> Path:
-    """The temporary name an events file is written under."""
-    return path.with_name(path.name + ".part")
-
-
-def _stream_events(spec, args, k: int, path: Path):
-    """Replication k's events file, written slice by slice as simulate_into
-    hands the slices over, under a temporary name (_part) that replaces path
-    once the run is done: the run's SimulationMeta.  A run that fails leaves
-    its temporary file for cmd_simulate to remove."""
-    part = _part(path)
-    with open(part, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(EVENTS_HEADER)
-
-        def write_slice(times, marks):
-            write_csv_rows(fh, EVENT_ROW, (times, marks))
-
-        meta = simulate_into(spec, args.horizon, write_slice, rng=args.seed + k,
-                             override_validation=True)
-    os.replace(part, path)
-    return meta
-
-
 def cmd_simulate(args) -> int:
     step = args.trace_intensity
     if step is not None and not (math.isfinite(step) and step > 0):
@@ -277,7 +254,9 @@ def cmd_simulate(args) -> int:
 
     def write(k):
         path = out_dir / f"events_{k}.csv"
-        meta = _stream_events(spec, args, k, path)
+        with events_csv(path) as sink:
+            meta = simulate_into(spec, args.horizon, sink, rng=args.seed + k,
+                                 override_validation=True)
         write_meta_json(meta, out_dir / f"events_{k}.meta.json")
         if step is not None:
             log = read_events_csv(path)
@@ -287,10 +266,10 @@ def cmd_simulate(args) -> int:
     try:
         results, code = _replicate(args.reps, write)
     finally:
-        # a failed run's temporary file, wherever it ran: every worker is
-        # reaped by now, and a run that succeeded renamed its own
+        # the temporary file of a worker killed mid-run: every worker is
+        # reaped by now, and every other run renamed or removed its own
         for k in range(args.reps):
-            _part(out_dir / f"events_{k}.csv").unlink(missing_ok=True)
+            Path(part_path(out_dir / f"events_{k}.csv")).unlink(missing_ok=True)
     if code != EXIT_OK:
         return code
     summary = {

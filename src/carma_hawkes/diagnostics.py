@@ -42,7 +42,7 @@ from .model import (  # the scan's block limits are re-exported
     stationary_rates,
     strict_json_values,
 )
-from .spectral import _real_array
+from .spectral import _as_float, _is_real, _real_array
 from .thinning import EventLog, write_csv_rows
 
 # Terms of the asymptotic p-value series are dropped below this size, so the
@@ -144,8 +144,14 @@ def kolmogorov_survival(kappa: float) -> float:
     """P(sup-norm statistic > kappa) in the large-sample limit.
 
     Alternating series 2 * sum_{k>=1} (-1)^{k-1} exp(-2 k^2 kappa^2),
-    truncated when terms fall below 1e-12, clamped to [0, 1].
+    truncated when terms fall below 1e-12, clamped to [0, 1]; inf gives 0.
+    kappa must be a real number (_is_real, taken as a float by _as_float)
+    that is not NaN, whose terms would never fall below the cut: anything
+    else raises ValueError.
     """
+    if not _is_real(kappa) or math.isnan(_as_float(kappa)):
+        raise ValueError(f"kappa must be a real number, not NaN, got {kappa!r}")
+    kappa = _as_float(kappa)
     if kappa <= _KAPPA_FLOOR:
         return 1.0
     total = 0.0
@@ -261,9 +267,11 @@ class DiagnosticsReport:
 
 def summarize(spec: Spec, log: EventLog) -> DiagnosticsReport:
     """Per-component event counts, rates, and residual KS results, from one
-    residual_transform of the log."""
+    residual_transform of the log.  The rates are over meta.horizon, which
+    EventLog keeps at or past the last event; a horizon of 0 or below (an
+    empty log's alone) reads as 0.0, and its rates as 0.0."""
     rates = stationary_rates(spec)
-    horizon = log.meta.horizon if log.meta.horizon > 0 else (log.times[-1] if log.times else 0.0)
+    horizon = log.meta.horizon if log.meta.horizon > 0 else 0.0
     residuals = residual_transform(spec, log)
     comps = tuple(
         ComponentDiagnostics(

@@ -103,10 +103,12 @@ event at a time (tests/oracles.py) to check the kernel's envelope.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import io
 import itertools
 import json
 import math
+import os
 import random
 import re
 import time
@@ -183,15 +185,16 @@ class UniformStream:
 
 
 class ScriptedUniforms:
-    """Fixed uniform sequence for hand-traced tests.  Like any stream
-    passed to simulate as rng, it has no seed: the run's meta.seed is
-    None."""
+    """Fixed uniform sequence for hand-traced tests, from any iterable of
+    values in (0, 1), taken once.  Like any stream passed to simulate as
+    rng, it has no seed: the run's meta.seed is None."""
 
     def __init__(self, values: Sequence[float]):
-        for v in values:
+        # taken once, so an iterator is not used up by the check
+        self._values = list(values)
+        for v in self._values:
             if not 0.0 < v < 1.0:
                 raise ValueError("scripted uniforms must lie strictly in (0, 1)")
-        self._values = list(values)
         self._pos = 0
 
     def draw(self) -> float:
@@ -278,11 +281,16 @@ class EventLog:
     among ints or floats, so (True,) and [True, 2] are refused as marks).
     meta must be a SimulationMeta, which checks the sidecar's rules when it
     is built; anything else (None, a dict) raises TypeError naming its type
-    before the times and marks are read.  simulate builds its log without
-    the constructor (_finish_log), from the lists its slices were gathered
-    into: the tuples hold the thinning kernel's own float and int objects,
-    the arrays are read from the lists in one pass with their dtypes given,
-    and the same _first_bad_row check runs."""
+    before the times and marks are read.  After the rows, the meta is
+    checked against them, as one pair: a non-empty log's last time may not
+    follow meta.horizon, and meta.accepted must equal the number of events,
+    each a ValueError beginning `metadata`.  So every log that builds
+    writes an events file and a sidecar that read_events_csv reads back as
+    an equal log.  simulate builds its log without the constructor
+    (_finish_log), from the lists its slices were gathered into: the tuples
+    hold the thinning kernel's own float and int objects, the arrays are
+    read from the lists in one pass with their dtypes given, and _seal
+    checks them and the meta as the constructor does."""
 
     times: tuple[float, ...]
     marks: tuple[int, ...]
@@ -298,12 +306,18 @@ class EventLog:
         self._seal(times, marks, tuple(times.tolist()), tuple(marks.tolist()))
 
     def _seal(self, times: np.ndarray, marks: np.ndarray, time_items: tuple, mark_items: tuple) -> None:
-        """Check the float64 times and int64 marks by the log's rules, make
-        them read-only as `arrays`, and set the fields to the given tuples,
-        which hold the same numbers as Python floats and ints."""
+        """Check the float64 times and int64 marks by the log's rules, then
+        the meta against them (the horizon, then the count), make them
+        read-only as `arrays`, and set the fields to the given tuples, which
+        hold the same numbers as Python floats and ints."""
         bad = _first_bad_row(times, marks)
         if bad is not None:
             raise ValueError("index {}: {}".format(*bad))
+        meta, last = self.meta, float(times[-1]) if len(times) else None
+        if last is not None and meta.horizon < last:
+            raise ValueError(f"metadata horizon {meta.horizon!r} precedes the last event time {last!r}")
+        if meta.accepted != len(times):
+            raise ValueError(f"metadata accepted {meta.accepted} events, the log holds {len(times)}")
         times.flags.writeable = marks.flags.writeable = False
         object.__setattr__(self, "arrays", (times, marks))
         object.__setattr__(self, "times", time_items)
@@ -346,12 +360,36 @@ def write_csv_rows(fh, row: str, columns: Sequence) -> None:
         fh.write(row * len(parts[0]) % tuple(values))
 
 
+def part_path(path) -> str:
+    """The temporary name events_csv writes the events file `path` under."""
+    return f"{os.fspath(path)}.part"
+
+
+@contextlib.contextmanager
+def events_csv(path):
+    """The one writer of events files: yields sink(times, marks), which
+    writes time,mark rows (17 significant digits read back as the same
+    doubles) after the header, under part_path(path).  The file replaces
+    path once the block ends, and is removed if the block or the rename
+    raises, so path is left as it was."""
+    part = part_path(path)
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(EVENTS_HEADER)
+            yield lambda times, marks: write_csv_rows(fh, EVENT_ROW, (times, marks))
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+
+
 def write_events_csv(log: EventLog, path) -> None:
-    """Write time,mark rows; 17 significant digits read back as the same
-    doubles."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(EVENTS_HEADER)
-        write_csv_rows(fh, EVENT_ROW, (log.times, log.marks))
+    """Write the log's events file through events_csv: under a temporary
+    name, renamed to path once written, so a write that fails leaves path
+    as it was."""
+    with events_csv(path) as sink:
+        sink(log.times, log.marks)
 
 
 def write_meta_json(source: EventLog | SimulationMeta, path) -> None:
@@ -432,15 +470,15 @@ def read_events_csv(path, meta_path=None) -> EventLog:
     SimulationMeta is built from its fields, whose rules the meta checks
     (each raises a `metadata <field> ...` ValueError); a field it lacks
     (every field, without one) takes the no-sidecar value, so the horizon is
-    the last time read, and a last time that is not finite is left to the
-    log's rules below.  The reader checks only what needs the file: a
-    sidecar horizon may not precede the last time, and the accepted count
-    must equal the rows read, so a file cut short beside its sidecar is
-    refused.  The parsed columns go to EventLog, which copies them once
-    into its arrays and checks the log's rules on them; the first row that
-    breaks one (_first_bad_row: a non-finite time, a time not above the one
-    before it or not > 0, a mark below 1) raises ValueError naming its file
-    line."""
+    the last time read and the accepted count the rows read, and a last
+    time that is not finite is left to the log's rules below.  The parsed
+    columns and the meta go to EventLog, which copies the columns once into
+    its arrays and checks the log's rules on them, then the meta against
+    them.  The first row that breaks a rule (_first_bad_row: a non-finite
+    time, a time not above the one before it or not > 0, a mark below 1)
+    raises ValueError naming its file line; a sidecar whose horizon
+    precedes the last time, or whose count is not the rows read (a file
+    cut short beside its sidecar), raises the log's own ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != EVENTS_HEADER.strip():
@@ -459,8 +497,7 @@ def read_events_csv(path, meta_path=None) -> EventLog:
                 rows = _parse_rows(_BLANK_LINE.sub("", body))
             except ValueError as exc:
                 raise _parse_error(body, exc) from None
-    n = len(rows)
-    last = float(rows["time"][-1]) if n else 0.0
+    last = float(rows["time"][-1]) if len(rows) else 0.0
     data = {}
     if meta_path is not None:
         with open(meta_path, "r", encoding="utf-8") as fh:
@@ -473,22 +510,21 @@ def read_events_csv(path, meta_path=None) -> EventLog:
         # in as 0.0: EventLog names its file line below
         horizon=data.get("horizon", last if math.isfinite(last) else 0.0),
         proposed=data.get("proposed", 0),
-        accepted=data.get("accepted", n),
+        accepted=data.get("accepted", len(rows)),
         acceptance_ratio=data.get("acceptance_ratio", 0.0),
         wall_time_seconds=data.get("wall_time_seconds", 0.0),
         spec_hash=data.get("spec_hash"),
         squeezed=data.get("squeezed", 0),
     )
-    if n and "horizon" in data and meta.horizon < last:
-        raise ValueError(f"metadata horizon {meta.horizon!r} precedes the last event time {last!r}")
-    if meta.accepted != n:
-        raise ValueError(f"metadata accepted {meta.accepted} events, the file holds {n}")
     try:
         return EventLog(times=rows["time"], marks=rows["mark"], meta=meta)
     except ValueError:
-        # a row broke the log's rules: find it again to name its file line
-        row, problem = _first_bad_row(rows["time"], rows["mark"])
-        raise ValueError(f"line {_line_of(body, row)}: {problem}") from None
+        # a row that broke the log's rules is found again to name its file
+        # line; the sidecar against the rows is the log's error as it is
+        bad = _first_bad_row(rows["time"], rows["mark"])
+        if bad is None:
+            raise
+        raise ValueError(f"line {_line_of(body, bad[0])}: {bad[1]}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -493,7 +493,7 @@ class TestDiagnoseCommand:
         events.write_text("".join(lines[:-3]))
         assert main(["diagnose", "--model", model, "--events", str(events)]) == 2
         captured = capsys.readouterr()
-        assert f"metadata accepted {len(lines) - 1} events, the file holds {len(lines) - 4}" in captured.err
+        assert f"metadata accepted {len(lines) - 1} events, the log holds {len(lines) - 4}" in captured.err
         assert captured.out == ""
 
     def test_bad_row_names_its_line(self, tmp_path, hawkes, capsys):
@@ -752,7 +752,7 @@ class TestWorkers:
     def test_write_error_in_a_worker_exits_2(self, tmp_path, carma21, monkeypatch, capfd):
         # the disk fills after replication 1 has written some rows; slices
         # of about 3 events make that its second write of rows
-        real = cli.write_csv_rows
+        real = thinning.write_csv_rows
 
         def full_disk(fh, row, columns):
             if Path(fh.name).name.startswith("events_1.") and fh.tell() > len("time,mark\n"):
@@ -760,7 +760,7 @@ class TestWorkers:
             return real(fh, row, columns)
 
         monkeypatch.setattr(thinning, "CSV_CHUNK_ROWS", 3)
-        monkeypatch.setattr(cli, "write_csv_rows", full_disk)
+        monkeypatch.setattr(thinning, "write_csv_rows", full_disk)
         errors = []
         for cpus in (1, 3):
             code, out = self.run(tmp_path, carma21, monkeypatch, cpus)

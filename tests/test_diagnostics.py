@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -373,6 +374,17 @@ class TestKsTest:
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
         assert kolmogorov_survival(0.0) == 1.0
         assert kolmogorov_survival(3.0) < 1e-6
+
+    @pytest.mark.parametrize("bad", (math.nan, np.float64("nan"), "1", True, None, 1j))
+    def test_survival_refuses_what_is_not_a_number(self, bad):
+        # NaN never meets the series' cut, so it would loop for ever
+        with pytest.raises(ValueError, match=f"^kappa must be a real number, not NaN, got {re.escape(repr(bad))}$"):
+            kolmogorov_survival(bad)
+
+    def test_survival_at_infinity_is_zero(self):
+        for kappa in (math.inf, np.float64("inf"), 10**400):
+            assert kolmogorov_survival(kappa) == 0.0
+        assert kolmogorov_survival(-math.inf) == 1.0
 
     def test_truncation_error_below_1e10(self):
         # compare against a much deeper partial sum

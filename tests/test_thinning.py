@@ -79,6 +79,16 @@ class TestStreams:
             ScriptedUniforms([0.0])
         with pytest.raises(ValueError):
             ScriptedUniforms([1.0])
+        with pytest.raises(ValueError):
+            ScriptedUniforms(iter([0.5, 1.0]))
+
+    def test_scripted_takes_an_iterator_once(self):
+        # the range check must not use up the values it checks
+        for values in (iter([0.5, 0.25]), (v for v in (0.5, 0.25))):
+            s = ScriptedUniforms(values)
+            assert (s.draw(), s.draw()) == (0.5, 0.25)
+            with pytest.raises(RuntimeError, match="exhausted"):
+                s.draw()
 
 
 # The one integer rule (spectral._is_int) at every entry point that takes an
@@ -257,6 +267,115 @@ class TestSidecarRules:
         for bad, kind in ((None, "NoneType"), (dataclasses.asdict(meta), "dict")):
             with pytest.raises(TypeError, match=f"^meta must be a SimulationMeta, got {kind}$"):
                 EventLog(times=(1.0, 2.0), marks=(1, 1), meta=bad)
+
+
+# The events file and its sidecar are one pair: EventLog checks the meta
+# against the events (the accepted count, and a horizon not below the last
+# time), so every log that builds writes a pair that reads back equal, and
+# the reader refuses a pair with the log's own message.
+_PAIR_REFUSALS = (
+    ((1.0, 2.0), dict(accepted=3, horizon=2.0), "metadata accepted 3 events, the log holds 2"),
+    ((1.0, 2.0), dict(accepted=2, horizon=1.5), "metadata horizon 1.5 precedes the last event time 2.0"),
+    ((), dict(accepted=1, horizon=2.0), "metadata accepted 1 events, the log holds 0"),
+    # a horizon and a count that are both wrong: the horizon is named
+    ((1.0, 2.0), dict(accepted=0, horizon=1.0), "metadata horizon 1.0 precedes the last event time 2.0"),
+    ((1.0, 2.0), dict(accepted=0, horizon=2.0), "metadata accepted 0 events, the log holds 2"),
+)
+
+
+class TestEventsPair:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(1e-300, 1e4, allow_nan=False, allow_infinity=False), max_size=30),
+        seed=st.none() | st.integers(0, 2**63 - 1),
+        proposed=st.integers(0, 2**63 - 1),
+        ratios=st.tuples(_REALS, _REALS),
+        spec_hash=st.none() | st.text(),
+        data=st.data(),
+    )
+    def test_every_log_writes_a_pair_that_reads_back(self, gaps, seed, proposed, ratios, spec_hash, data):
+        times = sorted(set(itertools.accumulate(gaps)))
+        marks = data.draw(st.lists(st.integers(1, 2**63 - 1) | st.sampled_from([1, 2]),
+                                   min_size=len(times), max_size=len(times)))
+        last = times[-1] if times else -math.inf
+        horizon = data.draw(st.one_of(
+            st.just(last) if times else _REALS,
+            st.floats(min_value=last, allow_nan=False, allow_infinity=False),
+            _REALS,
+        ))
+        accepted = data.draw(st.sampled_from([len(times), len(times), len(times) + 1, 0]))
+        meta = thinning.SimulationMeta(
+            seed=seed, horizon=horizon, proposed=proposed, accepted=accepted,
+            acceptance_ratio=ratios[0], wall_time_seconds=ratios[1], spec_hash=spec_hash,
+        )
+        try:
+            log = EventLog(times=times, marks=marks, meta=meta)
+        except ValueError as exc:
+            # only the pair rule can refuse these rows
+            assert str(exc).startswith("metadata ")
+            assert accepted != len(times) or horizon < last
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path, meta_path = os.path.join(tmp, "e.csv"), os.path.join(tmp, "e.meta.json")
+            write_events_csv(log, path)
+            write_meta_json(log, meta_path)
+            again = read_events_csv(path, meta_path)
+            assert sorted(os.listdir(tmp)) == ["e.csv", "e.meta.json"]
+        assert [t.hex() for t in again.times] == [t.hex() for t in log.times]
+        assert again.marks == log.marks
+        assert again.meta == log.meta
+
+    @pytest.mark.parametrize("times, fields, message", _PAIR_REFUSALS)
+    def test_constructor_and_reader_refuse_a_pair_alike(self, tmp_path, times, fields, message):
+        meta = thinning.SimulationMeta(**{**_VALID_META, **fields})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EventLog(times=times, marks=(1,) * len(times), meta=meta)
+        path, meta_path = tmp_path / "e.csv", tmp_path / "e.meta.json"
+        path.write_text("time,mark\n" + "".join(f"{t!r},1\n" for t in times))
+        write_meta_json(meta, meta_path)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_events_csv(path, meta_path)
+
+    def test_pair_bounds_are_inclusive(self):
+        # a horizon at the last time builds, and an empty log takes any
+        meta = thinning.SimulationMeta(**{**_VALID_META, "accepted": 2, "horizon": 2.0})
+        assert len(EventLog(times=(1.0, 2.0), marks=(1, 1), meta=meta)) == 2
+        for horizon in (-1.0, 0.0, 5.0):
+            meta = thinning.SimulationMeta(**{**_VALID_META, "accepted": 0, "horizon": horizon})
+            assert len(EventLog(times=(), marks=(), meta=meta)) == 0
+
+    def test_a_bad_row_is_named_before_the_sidecar(self, tmp_path):
+        # the log's rules on its rows come first, by file line
+        path, meta_path = tmp_path / "e.csv", tmp_path / "e.meta.json"
+        path.write_text("time,mark\n1.0,1\n0.5,1\n")
+        meta_path.write_text(json.dumps({**_VALID_META, "accepted": 5, "horizon": 0.1}))
+        with pytest.raises(ValueError, match="^line 3: event times must be strictly increasing"):
+            read_events_csv(path, meta_path)
+
+    @pytest.mark.parametrize("before", (None, b"time,mark\n0.5,2\n"))
+    def test_failed_write_leaves_the_path_as_it_was(self, tmp_path, monkeypatch, before):
+        # the disk fills once the header is written
+        path = tmp_path / "e.csv"
+        if before is not None:
+            path.write_bytes(before)
+
+        def full_disk(fh, row, columns):
+            assert fh.tell() == len(thinning.EVENTS_HEADER)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(thinning, "write_csv_rows", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            write_events_csv(util.make_log([1.0, 2.0]), path)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["e.csv"])
+        assert before is None or path.read_bytes() == before
+
+    def test_failed_rename_leaves_no_part(self, tmp_path):
+        # a directory in the file's place: the rename fails, the file goes
+        path = tmp_path / "e.csv"
+        path.mkdir()
+        with pytest.raises(OSError):
+            write_events_csv(util.make_log([1.0]), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["e.csv"] and path.is_dir()
 
 
 class TestBoundTracker:
@@ -824,7 +943,8 @@ class TestEventLogContainer:
             EventLog(times=(math.inf, 0.5), marks=(1, 0), meta=util.make_log([]).meta)
 
     def test_rejects_times_that_are_not_numbers(self):
-        meta = util.make_log([]).meta
+        # each meta matches its rows, so only the times can be refused
+        meta = util.make_meta([1.0, 2.0**70])
         for bad in ("2.0", 10**400, Fraction(10**400), None, 1j, b"2"):
             with pytest.raises(ValueError, match="index 1: event times must be finite real numbers"):
                 EventLog(times=(1.0, bad), marks=(1, 1), meta=meta)
@@ -834,7 +954,7 @@ class TestEventLogContainer:
         # numpy would turn it into)
         for times, row in (((True,), 0), (np.array([True]), 0), ((0.5, True), 1)):
             with pytest.raises(ValueError, match=f"index {row}: event times must be finite real numbers"):
-                EventLog(times=times, marks=(1,) * len(times), meta=meta)
+                EventLog(times=times, marks=(1,) * len(times), meta=util.make_meta([1.0] * len(times)))
 
     def test_rejects_bad_marks(self):
         for bad in (0, -1, 1.5, 2**70, 2**63, -(2**63) - 1, np.uint64(2**63), "1"):
@@ -873,7 +993,7 @@ class TestEventLogContainer:
         times, marks = [0.5, 1.0, 2.5], [2, 1, 2]
         for given in ((times, marks), (tuple(times), tuple(marks)),
                       (np.array(times), np.array(marks, dtype=np.int32))):
-            log = EventLog(times=given[0], marks=given[1], meta=util.make_log([]).meta)
+            log = EventLog(times=given[0], marks=given[1], meta=util.make_meta(times))
             assert log.times == tuple(times) and log.marks == tuple(marks)
             assert all(type(t) is float for t in log.times)
             assert all(type(m) is int for m in log.marks)
@@ -951,7 +1071,7 @@ class TestEventLogContainer:
         write_meta_json(log, meta_path)
         lines = csv_path.read_text().splitlines(keepends=True)
         csv_path.write_text("".join(lines[:-1]))
-        with pytest.raises(ValueError, match=f"metadata accepted {len(log)} events, the file holds {len(log) - 1}"):
+        with pytest.raises(ValueError, match=f"metadata accepted {len(log)} events, the log holds {len(log) - 1}"):
             read_events_csv(csv_path, meta_path)
         assert len(read_events_csv(csv_path)) == len(log) - 1
 
@@ -1066,7 +1186,8 @@ class TestEventLogContainer:
         # name the same first bad row with the same problem
         times, marks = [t for t, _ in rows], [m for _, m in rows]
         try:
-            made = EventLog(times=times, marks=marks, meta=util.make_log([]).meta)
+            # the meta the reader gives the file, which has no sidecar
+            made = EventLog(times=times, marks=marks, meta=util.make_meta(times))
             refused = None
         except ValueError as exc:
             refused = str(exc)

@@ -16,6 +16,8 @@ the collector alone.  Every public name resolves to its own module's
 object, and the per-event oracles, which live in tests/oracles.py, are not
 in the package.  summarize is checked for the one residual_transform call
 per log that the tracer times, and for one modal scan per mode group.
+The CLI writes events files only through thinning's one writer, and the
+reader leaves the sidecar's count and horizon to EventLog.
 The benchmark's own correctness check of an in-process replication
 (perfbench/checks.py) must pass on every benchmark model, so a change to the
 record types cannot fail its operations."""
@@ -276,6 +278,35 @@ def test_sidecar_rules_live_in_simulation_meta_alone():
     reader = ast.walk(functions["read_events_csv"])
     calls = {ast.unparse(node.func) for node in reader if isinstance(node, ast.Call)}
     assert not calls & {"_is_int", "_is_real"}, calls
+
+
+def _identifiers(tree) -> set:
+    """Every name a module's code defines, imports or reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_events_file_pair_lives_in_thinning_alone():
+    # cli writes events files only through thinning's one writer, and
+    # EventLog checks a sidecar against its rows, not the reader
+    cli_tree = ast.parse((SRC / "carma_hawkes" / "cli.py").read_text(encoding="utf-8"))
+    names = _identifiers(cli_tree)
+    assert not names & {"EVENTS_HEADER", "EVENT_ROW", "_part", "_stream_events"}
+    assert "events_csv" in names
+    tree = ast.parse((SRC / "carma_hawkes" / "thinning.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    compares = [node for node in ast.walk(functions["read_events_csv"]) if isinstance(node, ast.Compare)]
+    for node in compares:
+        assert not _identifiers(node) & {"accepted", "horizon"}, ast.unparse(node)
 
 
 def test_cli_runs_load_no_oracles(tmp_path):

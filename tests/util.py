@@ -218,15 +218,15 @@ def bent_pair(dyn):
 # synthetic logs
 
 
-def make_log(times, marks=None, horizon=None, spec=None) -> EventLog:
-    times = tuple(float(t) for t in times)
-    if marks is None:
-        marks = (1,) * len(times)
+def make_meta(times, horizon=None, spec=None) -> SimulationMeta:
+    """The meta of a log of these times, every one accepted: by default
+    its horizon is the last time, as read_events_csv gives a file without a
+    sidecar.  A meta's horizon is finite: a last time that is not is left
+    for EventLog to refuse, as the reader leaves it."""
+    times = [float(t) for t in times]
     if horizon is None:
-        # a meta's horizon is finite: a last time that is not is left for
-        # EventLog to refuse, as read_events_csv leaves it
         horizon = times[-1] if times and math.isfinite(times[-1]) else 0.0
-    meta = SimulationMeta(
+    return SimulationMeta(
         seed=None,
         horizon=float(horizon),
         proposed=len(times),
@@ -235,7 +235,13 @@ def make_log(times, marks=None, horizon=None, spec=None) -> EventLog:
         wall_time_seconds=0.0,
         spec_hash=spec_hash(spec) if spec is not None else None,
     )
-    return EventLog(times=times, marks=tuple(marks), meta=meta)
+
+
+def make_log(times, marks=None, horizon=None, spec=None) -> EventLog:
+    times = tuple(float(t) for t in times)
+    if marks is None:
+        marks = (1,) * len(times)
+    return EventLog(times=times, marks=tuple(marks), meta=make_meta(times, horizon, spec))
 
 
 # ---------------------------------------------------------------------------
