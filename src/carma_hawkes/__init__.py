@@ -16,8 +16,11 @@ Imports are lazy (PEP 562): `import carma_hawkes` loads no submodule, and
 a public name imports its submodule on first use and is then kept here, so
 a call loads only the modules it runs: load_spec, dynamics and validate load
 errors, spectral and model alone.  The submodules resolve as attributes too
-(carma_hawkes.model, ...).  The per-event references that the fast paths
-are tested against are not part of the package: they live with the tests.
+(carma_hawkes.model, ...).  No submodule imports numpy when it loads: the
+functions that make or read arrays import it, so a run that makes none,
+such as a CLI simulate whose spec constants are cached, never loads it.
+The per-event references that the fast paths are tested against are not
+part of the package: they live with the tests.
 """
 
 from importlib import import_module
@@ -76,7 +79,6 @@ _EXPORTS = {
     ),
     "thinning": (
         "EventLog",
-        "ScriptedUniforms",
         "SimulationMeta",
         "UniformStream",
         "bound_path",

@@ -27,8 +27,26 @@ whatever the horizon.  The writer writes under a temporary name
 if the run fails, so a replication that fails leaves no events file.  A
 worker killed by its caller (interrupted, say) or dying on its own cannot
 remove its own, so the calling process also removes every replication's
-temporary file, once its workers are reaped.  Only --trace-intensity reads
-the whole log, back from that file.  `bench` drops each slice.
+temporary file, once its workers are reaped.  The replication's sidecar is
+written before that rename, and its trace after it; if either fails, the
+replication removes what it wrote, so a replication that fails leaves none
+of its events file, sidecar or trace.  Only --trace-intensity reads the
+whole log, back from that file.  `bench` drops each slice.
+
+The constants cache.  Every command loads its spec through _load_spec,
+which puts the spec's Dynamics and ValidationReport into the caches of
+model.dynamics and model.validate from one JSON entry per spec under
+$XDG_CACHE_HOME/carma-hawkes (~/.cache/carma-hawkes where that is unset),
+or computes them, with numpy, and writes the entry.  The entry holds every
+double by float.hex and is used only under the key it was written under:
+the package's source, numpy's location and version, the Python build and
+the host (_entry_key), so a warm process uses exactly the doubles it would
+compute.  A warm `simulate` (without --trace-intensity), `validate` or
+`bench` then loads no numpy at all: importing this module loads none, and
+numpy is imported only inside the functions that make or read arrays.  A
+missing, stale or damaged entry, or a cache directory that cannot be
+written, only means computing in process.  Library calls never read or
+write the cache.
 
 main() leaves CPython's cyclic collector as it finds it, and importing this
 module does not touch it: the process entry point, __main__.run, keeps the
@@ -39,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import itertools
 import json
 import math
@@ -52,11 +71,23 @@ import traceback
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .diagnostics import summarize, write_report_json, write_residuals_csv
 from .errors import BoundViolation, CarmaHawkesError, NonStationarySpec
-from .model import intensity_path, load_spec, validate
+from .model import (
+    Dynamics,
+    ValidationReport,
+    _sha256,
+    canonical_json,
+    dynamics,
+    intensity_path,
+    load_spec,
+    seed_constants,
+    spec_hash,
+    spec_to_dict,
+    validate,
+)
+from .spectral import _is_int
+
 # simulate and write_events_csv are not called here, but perfbench's tracer
 # wraps them in this module's namespace
 from .thinning import (  # noqa: F401
@@ -88,13 +119,181 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _load_spec(path: str):
+    """The spec at path, every command's one way in: its constants are then
+    in the caches of dynamics and validate (_seed_constants)."""
     try:
-        return load_spec(path)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+        spec = load_spec(path)
+    except (OSError, ValueError, TypeError) as exc:
         raise CarmaHawkesError(f"cannot load model spec from {path}: {exc}") from exc
+    _seed_constants(spec)
+    return spec
+
+
+# ---------------------------------------------------------------------------
+# the constants cache: one JSON entry per spec, holding its Dynamics and
+# ValidationReport exactly, so a warm process never loads numpy for them
+
+
+def _cache_dir() -> Path | None:
+    """The cache's directory, by the XDG Base Directory spec:
+    $XDG_CACHE_HOME/carma-hawkes, or ~/.cache/carma-hawkes where that
+    variable is unset, empty or a relative path; None, and no cache, where
+    there is no home directory either."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base, "carma-hawkes") if os.path.isabs(base) else None
+
+
+def _entry_key() -> dict:
+    """What the computed doubles depend on besides the spec: the package's
+    source (a digest of its modules), numpy's location and version (a
+    digest of its version.py, read without importing numpy), the Python
+    build, and the host's name and machine, as OpenBLAS picks its kernels
+    by CPU."""
+    source = _sha256()
+    for module in sorted(Path(__file__).parent.glob("*.py")):
+        source.update(module.name.encode() + b"\0" + module.read_bytes())
+    numpy = importlib.util.find_spec("numpy")
+    origin = numpy and numpy.origin
+    version = None
+    if origin:
+        with contextlib.suppress(OSError):
+            version = _sha256(Path(origin).with_name("version.py").read_bytes()).hexdigest()
+    if hasattr(os, "uname"):
+        host = [os.uname().nodename, os.uname().machine]
+    else:  # Windows, where platform asks the system instead
+        import platform
+
+        host = [platform.node(), platform.machine()]
+    return {
+        "source": source.hexdigest(),
+        "numpy": [origin, version],
+        "python": sys.version,
+        "host": host,
+    }
+
+
+def _encode(value):
+    """A leaf tree of a Dynamics or ValidationReport field as JSON: a tuple
+    as a list, a float as its float.hex string, a complex number as
+    {"j": [real, imag]} in float.hex, a string as {"s": text}; ints and
+    None as they are."""
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return {"j": [value.real.hex(), value.imag.hex()]}
+    if isinstance(value, str):
+        return {"s": value}
+    if _is_int(value):
+        return int(value)
+    if value is None:
+        return value
+    raise TypeError(f"no entry form for {type(value).__name__}")
+
+
+def _decode(value):
+    """The leaf tree _encode gave value for; a ValueError or TypeError for
+    anything else."""
+    if isinstance(value, list):
+        return tuple(_decode(v) for v in value)
+    if isinstance(value, str):
+        return float.fromhex(value)
+    if isinstance(value, dict):
+        (tag, leaf), = value.items()
+        if tag == "j":
+            real, imag = leaf
+            return complex(float.fromhex(real), float.fromhex(imag))
+        if tag == "s" and isinstance(leaf, str):
+            return leaf
+        raise ValueError(f"unknown entry leaf {value!r}")
+    if value is None or _is_int(value):
+        return value
+    raise TypeError(f"unknown entry leaf {value!r}")
+
+
+# The records an entry holds, by the name they are stored under.
+_ENTRY_RECORDS = {"dynamics": Dynamics, "report": ValidationReport}
+
+
+def _entry_payload(dyn: Dynamics, report: ValidationReport) -> dict:
+    return {
+        name: {field: _encode(getattr(record, field)) for field in cls.__dataclass_fields__}
+        for (name, cls), record in zip(_ENTRY_RECORDS.items(), (dyn, report))
+    }
+
+
+def _payload_digest(payload: dict) -> str:
+    return _sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def read_entry(path: Path, key: dict, spec_json: str):
+    """The (Dynamics, ValidationReport) the entry at path holds, or None.
+    None, and so a computation in process, for a missing or unreadable
+    file, one that is not the JSON write_entry writes, one with another key
+    or another spec's canonical JSON, or one whose payload does not match
+    its digest (an edited number).  JSON alone is read, so reading an
+    entry runs no code."""
+    try:
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        payload = entry["payload"]
+        if (entry["key"], entry["spec"], entry["digest"]) != (key, spec_json, _payload_digest(payload)):
+            return None
+        return tuple(
+            cls(**{field: _decode(value) for field, value in payload[name].items()})
+            for name, cls in _ENTRY_RECORDS.items()
+        )
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
+        # what reading, parsing or decoding a damaged entry raises
+        return None
+
+
+def write_entry(path: Path, key: dict, spec_json: str, dyn: Dynamics,
+                report: ValidationReport) -> None:
+    """Write the entry of a spec (its canonical JSON, spec_json) at path,
+    under a temporary name of this process's and then renamed, so a
+    concurrent reader never sees part of it.  A directory that cannot be
+    made or written leaves the cache as it was, silently."""
+    payload = _entry_payload(dyn, report)
+    text = json.dumps({"key": key, "spec": spec_json, "digest": _payload_digest(payload),
+                       "payload": payload})
+    part = path.with_name(f"{path.name}.{os.getpid()}.part")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        part.write_text(text, encoding="utf-8")
+        os.replace(part, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            part.unlink()
+
+
+def _seed_constants(spec) -> None:
+    """Put the spec's Dynamics and ValidationReport into the caches of
+    dynamics and validate (model.seed_constants) from its cache entry,
+    <cache dir>/<spec_hash>.json; on a miss, compute them here and write
+    the entry.  A spec whose dynamics raises writes no entry: the command
+    meets the error where it meets it without the cache."""
+    cache = _cache_dir()
+    if cache is None:
+        return
+    path = cache / f"{spec_hash(spec)}.json"
+    key, spec_json = _entry_key(), canonical_json(spec_to_dict(spec))
+    found = read_entry(path, key, spec_json)
+    if found is not None:
+        seed_constants(spec, *found)
+        return
+    try:
+        dyn = dynamics(spec)
+    except CarmaHawkesError:
+        return
+    write_entry(path, key, spec_json, dyn, validate(spec))
 
 
 def _write_trace(spec, log, horizon: float, dt: float, path: Path) -> None:
+    import numpy as np
+
     grid = np.arange(0.0, horizon + dt / 2, dt)
     lam = intensity_path(spec, log, grid).reshape(len(grid), -1)
     n_comp = lam.shape[1]
@@ -253,14 +452,25 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def write(k):
+        # the sidecar is written before the events file is renamed, and what
+        # this replication wrote is removed if a later step fails
         path = out_dir / f"events_{k}.csv"
-        with events_csv(path) as sink:
-            meta = simulate_into(spec, args.horizon, sink, rng=args.seed + k,
-                                 override_validation=True)
-        write_meta_json(meta, out_dir / f"events_{k}.meta.json")
-        if step is not None:
-            log = read_events_csv(path)
-            _write_trace(spec, log, args.horizon, step, out_dir / f"trace_{k}.csv")
+        written = []
+        try:
+            with events_csv(path) as sink:
+                meta = simulate_into(spec, args.horizon, sink, rng=args.seed + k,
+                                     override_validation=True)
+                written.append(out_dir / f"events_{k}.meta.json")
+                write_meta_json(meta, written[-1])
+            written.append(path)
+            if step is not None:
+                written.append(out_dir / f"trace_{k}.csv")
+                _write_trace(spec, read_events_csv(path), args.horizon, step, written[-1])
+        except BaseException:
+            for done in written:
+                with contextlib.suppress(OSError):
+                    done.unlink()
+            raise
         return meta.accepted, meta.acceptance_ratio
 
     try:
@@ -345,6 +555,12 @@ def cmd_bench(args) -> int:
     }
     print(json.dumps(result, indent=2, allow_nan=False))
     return EXIT_OK
+
+
+def makes_arrays(args) -> bool:
+    """Whether the command args parsed to makes arrays, and so always loads
+    numpy: `diagnose`, and `simulate` with --trace-intensity."""
+    return args.command == "diagnose" or getattr(args, "trace_intensity", None) is not None
 
 
 def build_parser() -> argparse.ArgumentParser:

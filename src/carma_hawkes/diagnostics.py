@@ -24,8 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EmptySample, NanSample, SpecLogMismatch
 from .model import (  # the scan's block limits are re-exported
@@ -44,6 +43,9 @@ from .model import (  # the scan's block limits are re-exported
 )
 from .spectral import _as_float, _is_real, _real_array
 from .thinning import EventLog, write_csv_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Terms of the asymptotic p-value series are dropped below this size, so the
 # alternating-series truncation error stays under 1e-10.
@@ -69,6 +71,8 @@ class ResidualSeries:
     component: int
 
     def __post_init__(self):
+        import numpy as np
+
         taus = self.taus
         if not (isinstance(taus, np.ndarray) and taus.dtype == float and not taus.flags.writeable):
             taus = _real_array(taus, "residuals must be real numbers")
@@ -82,6 +86,8 @@ class ResidualSeries:
     def mean(self) -> float:
         """The taus summed in order, as Python's sum of floats (not numpy's
         pairwise sum), over their count."""
+        import numpy as np
+
         n = len(self.taus)
         return float(np.add.accumulate(self.taus)[-1]) / n if n else math.nan
 
@@ -109,6 +115,8 @@ def residual_transform(spec: Spec, log: EventLog) -> tuple[ResidualSeries, ...]:
     have (check_log_marks).  A spec with a root at 0 raises ZeroEigenvalue
     on a non-empty log.  The log is only read.
     """
+    import numpy as np
+
     n_comp = spec.n_components
     if log.meta.spec_hash is not None and log.meta.spec_hash != spec_hash(spec):
         raise SpecLogMismatch(
@@ -191,6 +199,8 @@ def ks_exp1(residuals) -> KsResult:
     converted once, as a ResidualSeries, which raises ValueError for a value
     that is not a real number (a bool or a string).
     """
+    import numpy as np
+
     if not isinstance(residuals, ResidualSeries):
         residuals = ResidualSeries(taus=residuals, component=0)
     xs = residuals.taus

@@ -27,9 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import spectral
 from .errors import (
@@ -40,6 +38,9 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .spectral import _as_float, _finite_tuple, _is_int, _is_real, _real_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before), as the
 # random module takes its sha512: hashlib would load OpenSSL's libcrypto
@@ -62,6 +63,9 @@ KERNEL_GRID_SPAN = 20.0
 # Unbounded, they grow by a few kB per distinct spec for the life of the
 # process; a run touches a handful of specs, a sweep many thousands.
 CACHE_MAXSIZE = 512
+# The (Dynamics, ValidationReport) of a spec that seed_constants is putting
+# into the caches of dynamics and validate, by spec; empty between its calls.
+_SEEDS: dict = {}
 
 # modal_scan: a numpy pass takes this many events, and an anchor segment a
 # span short enough that max|Re lam| * span stays below this exponent
@@ -169,7 +173,10 @@ def dynamics(spec: Spec) -> Dynamics:
     spec.  Raises DegenerateEigenvalues or RootFindingFailure for a block
     whose spectrum fails its checks, and NumericalOverflow, naming the
     value, where the summed baseline, an envelope weight or a K_m is not a
-    finite double."""
+    finite double.  The eigen-solves load numpy; a spec whose constants
+    seed_constants put in the cache is never solved, and loads none."""
+    if spec in _SEEDS:
+        return _SEEDS[spec][0]
     sds = tuple(spectral.spectral_decompose(a) for a in spec.ar)
     weights = tuple(
         tuple(spectral.ma_value(b, lam) for b, sd in zip(row, sds) for lam in sd.eigenvalues)
@@ -285,6 +292,8 @@ def _mode_kernel(dyn: Dynamics, comp: int, mark: int, t: float) -> float:
 
 
 def _kernel_grid(decay: float) -> np.ndarray:
+    import numpy as np
+
     span = KERNEL_GRID_SPAN / abs(decay) if decay < 0 else KERNEL_GRID_SPAN
     return np.concatenate(
         [[0.0], np.geomspace(span * 1e-6, span, KERNEL_GRID_POINTS - 1)]
@@ -295,6 +304,8 @@ def _kernel_mins_on_grid(dyn: Dynamics, mark: int, decay: float) -> list[float]:
     """Grid minimum of h_{c,mark} for every target component c.  The kernels
     of one source have terms on its block's modes only, the modes a mark
     event jumps, and share their exponentials on the grid."""
+    import numpy as np
+
     ts = _kernel_grid(decay)
     # unstable specs can overflow here; they get flagged NonStationary anyway
     with np.errstate(over="ignore", invalid="ignore"):
@@ -397,8 +408,12 @@ def validate(spec: Spec) -> ValidationReport:
     one-component spec reports its scalar `branching`; a multi-component
     spec reports `branching_matrix` and the per-kernel minima `kernel_mins`.
     process_type is "univariate", "bivariate" or, from three components on,
-    "multivariate".
+    "multivariate".  Cached per spec, as dynamics is; the kernel grid and
+    the spectral radius load numpy, unless seed_constants put the report in
+    the cache.
     """
+    if spec in _SEEDS:
+        return _SEEDS[spec][1]
     one_block = spec.n_components == 1
     kind = {1: "univariate", 2: "bivariate"}.get(spec.n_components, "multivariate")
     try:
@@ -410,6 +425,8 @@ def validate(spec: Spec) -> ValidationReport:
 
     bmatrix = _branching_matrix(spec)
     if all(math.isfinite(v) for row in bmatrix for v in row):
+        import numpy as np
+
         radius = float(max(abs(np.linalg.eigvals(np.array(bmatrix)))))
     else:
         radius = math.inf
@@ -440,11 +457,27 @@ def validate(spec: Spec) -> ValidationReport:
     )
 
 
+def seed_constants(spec: Spec, dyn: Dynamics, report: ValidationReport) -> None:
+    """Make dyn and report what dynamics(spec) and validate(spec) return in
+    this process, from the caches they keep, without computing them.  They
+    must be exactly what the two compute for spec (the CLI's constants
+    cache checks that its entries are).  A spec already cached keeps its
+    cached values, which are the same."""
+    _SEEDS[spec] = dyn, report
+    try:
+        dynamics(spec)
+        validate(spec)
+    finally:
+        del _SEEDS[spec]
+
+
 def stationary_rates(spec: Spec) -> tuple[float, ...]:
     """Long-run event rate per component, (I - K)^{-1} mu; inf when non-stationary."""
     report = validate(spec)
     if report.spectral_radius is None or report.spectral_radius >= 1:
         return (math.inf,) * spec.n_components
+    import numpy as np
+
     k = np.array(_branching_matrix(spec))
     rates = np.linalg.solve(np.eye(len(k)) - k, np.array(spec.mu))
     return tuple(float(r) for r in rates)
@@ -515,6 +548,8 @@ def mode_groups(dyn: Dynamics) -> tuple[ModeGroup, ...]:
 
 
 def _frozen(values, real: bool) -> np.ndarray:
+    import numpy as np
+
     arr = np.array(values, dtype=complex)
     if real:
         arr = np.ascontiguousarray(arr.real)
@@ -557,6 +592,8 @@ def modal_scan(lams: np.ndarray, jumps: np.ndarray, times: np.ndarray, marks: np
     C-contiguous p x (stop - start + 1) array, so states.T is the
     mode-major array itself.
     """
+    import numpy as np
+
     gaps = np.diff(times, prepend=0.0)
     _guard_exponent(float(lams.real.max()), float(gaps.max(initial=0.0)))
     max_rate = float(np.abs(lams.real).max())
@@ -608,6 +645,8 @@ def _outer_exact(rel: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndar
     a plain product alone would cost ~1e-13 relative in every exp factor;
     exp(hi) * (1 + lo) keeps them to a few ulp.
     """
+    import numpy as np
+
     parts = np.concatenate((lams.real, lams.imag)) if lams.dtype.kind == "c" else lams
     prod = np.multiply.outer(parts, rel)
     parts_hi, parts_lo = _split(parts)
@@ -624,6 +663,8 @@ def _outer_exact(rel: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _complex_rows(stacked: np.ndarray) -> np.ndarray:
     """p complex rows from 2p float rows, the real parts above the imaginary."""
+    import numpy as np
+
     half = len(stacked) // 2
     out = np.empty((half, stacked.shape[1]), dtype=complex)
     out.real = stacked[:half]
@@ -639,6 +680,8 @@ def modal_path(dyn: Dynamics, log, times: Sequence[float]) -> np.ndarray:
     times that are not real numbers (a bool or a string), unsorted,
     negative or not finite, and SpecLogMismatch (a ValueError) for a log
     mark outside 1..len(dyn.jumps) (check_log_marks)."""
+    import numpy as np
+
     samples = _real_array(times, "sample times must be finite real numbers")
     if not np.isfinite(samples).all():
         raise ValueError("sample times must be finite")
@@ -693,17 +736,29 @@ def spec_to_dict(spec: Spec) -> dict:
     return {"type": "multivariate", "mu": list(spec.mu), "a": list(map(list, spec.ar)), "b": ma}
 
 
+# The keys of each spec type's JSON form, in the order its builder takes them.
+_SPEC_KEYS = {
+    "univariate": ("mu", "a", "b"),
+    "bivariate": ("mu", "a1", "a2", "b11", "b12", "b21", "b22"),
+    "multivariate": ("mu", "a", "b"),
+}
+_SPEC_BUILDERS = {"univariate": UnivariateSpec, "bivariate": BivariateSpec, "multivariate": Spec}
+
+
 def spec_from_dict(data: dict) -> Spec:
+    """The Spec of a JSON form (spec_to_dict's).  A form that is not a dict,
+    has no known type, or lacks a key of its type raises ValueError, the
+    last naming the type and the first key missing."""
     if not isinstance(data, dict):
         raise ValueError(f"a model spec must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
-    if kind == "univariate":
-        return UnivariateSpec(data["mu"], data["a"], data["b"])
-    if kind == "bivariate":
-        return BivariateSpec(*(data[k] for k in ("mu", "a1", "a2", "b11", "b12", "b21", "b22")))
-    if kind == "multivariate":
-        return Spec(mu=data["mu"], ar=data["a"], ma=data["b"])
-    raise ValueError(f"unknown spec type: {kind!r}")
+    keys = _SPEC_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ValueError(f"unknown spec type: {kind!r}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{kind} spec lacks key {key!r}")
+    return _SPEC_BUILDERS[kind](*(data[key] for key in keys))
 
 
 def load_spec(path) -> Spec:
@@ -719,9 +774,13 @@ def save_spec(spec: Spec, path) -> None:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def spec_hash(spec: Spec) -> str:
-    """The hex SHA-256 of the spec's canonical JSON (spec_to_dict, sorted
-    keys, no spaces), the digest hashlib.sha256 gives, taken by CPython's
-    built-in implementation and kept per spec, so a run hashes its spec
-    once."""
-    payload = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
-    return _sha256(payload.encode("utf-8")).hexdigest()
+    """The hex SHA-256 of the spec's canonical JSON (canonical_json), the
+    digest hashlib.sha256 gives, taken by CPython's built-in implementation
+    and kept per spec, so a run hashes its spec once."""
+    return _sha256(canonical_json(spec_to_dict(spec)).encode("utf-8")).hexdigest()
+
+
+def canonical_json(value) -> str:
+    """value as JSON with sorted keys and no spaces: equal values give equal
+    text, so a digest of it names the value."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))

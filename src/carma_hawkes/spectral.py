@@ -22,11 +22,12 @@ import math
 import sys
 from dataclasses import dataclass
 from numbers import Integral, Rational, Real
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegenerateEigenvalues, RootFindingFailure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Residual tolerance for |a(root)|, relative to max(1, max |a_i|).
 ROOT_RESIDUAL_RTOL = 1e-9
@@ -100,19 +101,21 @@ def _finite_tuple(vals, name: str) -> tuple[float, ...]:
     return out
 
 
-def _real_array(values, what: str, dtype=np.float64) -> np.ndarray:
-    """The values as a new float64 array, or as an int64 one with dtype
-    np.int64.  Unless they are an array numpy converts exactly (integer or
-    float for float64, signed integer for int64), or Python floats (ints for
-    int64) alone within range, each is checked one by one, as
+def _real_array(values, what: str, integer: bool = False) -> np.ndarray:
+    """The values as a new float64 array, or as an int64 one if integer.
+    Unless they are an array numpy converts exactly (integer or float for
+    float64, signed integer for int64), or Python floats (ints for int64)
+    alone within range, each is checked one by one, as
     np.array((0.5, True)) reads the bool as 1.0: one that is not a real
     number (_is_real; for int64 an integer, _is_int), or is an integer or a
     fraction beyond +-limit, the dtype's largest value (a float cannot be
     past a double's), raises ValueError "index i: what, got v"."""
-    if dtype == np.int64:
-        is_number, kinds, plain, limit = _is_int, "i", int, 2**63 - 1
+    import numpy as np
+
+    if integer:
+        dtype, is_number, kinds, plain, limit = np.int64, _is_int, "i", int, 2**63 - 1
     else:
-        is_number, kinds, plain, limit = _is_real, "iuf", float, sys.float_info.max
+        dtype, is_number, kinds, plain, limit = np.float64, _is_real, "iuf", float, sys.float_info.max
     if isinstance(values, np.ndarray) and values.dtype.kind in kinds or set(map(type, values)) <= {plain}:
         try:
             return np.array(values, dtype=dtype)
@@ -156,6 +159,8 @@ def build_companion(a: Sequence[float]) -> np.ndarray:
     For p = 1 this is the scalar matrix (-a1).  Coefficients that are not
     finite real numbers (_finite_tuple), or none at all, raise ValueError.
     """
+    import numpy as np
+
     coeffs = _finite_tuple(a, "polynomial coefficients")
     p = len(coeffs)
     if not p:
@@ -203,6 +208,8 @@ def spectral_decompose(a: Sequence[float]) -> SpectralData:
     if p == 1:
         roots = [complex(-coeffs[0])]
     else:
+        import numpy as np
+
         roots = [complex(z) for z in np.linalg.eigvals(build_companion(coeffs))]
         polished = []
         for r in roots:
@@ -229,6 +236,8 @@ def spectral_decompose(a: Sequence[float]) -> SpectralData:
 
 def vandermonde(s: SpectralData) -> np.ndarray:
     """The eigenvector matrix S, column j = (1, lam_j, ..., lam_j^{p-1})."""
+    import numpy as np
+
     return np.vander(np.array(s.eigenvalues), N=s.p, increasing=True).T
 
 
@@ -260,6 +269,8 @@ def _bound_constant_dense(s: SpectralData, b: Sequence[float]) -> float:
     Where the squares behind ||b^T S|| overflow or underflow a double, b is
     scaled by a power of two first, so that max|b| lies in [0.5, 1), and
     the norm scaled back, which is exact where nothing overflows."""
+    import numpy as np
+
     bf = np.array(_pad(b, s.p))
     mat = vandermonde(s)
     e = np.zeros(s.p, dtype=complex)

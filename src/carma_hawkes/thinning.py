@@ -115,9 +115,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from operator import add
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import BoundViolation, HorizonNonPositive, NonStationarySpec
 from .model import (
@@ -131,6 +129,9 @@ from .model import (
     validate,
 )
 from .spectral import _as_float, _is_int, _is_real, _real_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BOUND_SLACK = 1e-9
 _BOUND_RTOL = 1e-10
@@ -147,7 +148,8 @@ CSV_CHUNK_ROWS = 1 << 12
 # line.
 EVENTS_HEADER = "time,mark\n"
 EVENT_ROW = "%.17g,%d\n"
-_ROW_DTYPE = np.dtype([("time", np.float64), ("mark", np.int64)])
+# The reader's row type, as numpy's dtype takes it.
+_ROW_DTYPE = [("time", "f8"), ("mark", "i8")]
 _BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 
 
@@ -182,27 +184,6 @@ class UniformStream:
         while u <= 0.0:
             u = self._rng.random()
         return u
-
-
-class ScriptedUniforms:
-    """Fixed uniform sequence for hand-traced tests, from any iterable of
-    values in (0, 1), taken once.  Like any stream passed to simulate as
-    rng, it has no seed: the run's meta.seed is None."""
-
-    def __init__(self, values: Sequence[float]):
-        # taken once, so an iterator is not used up by the check
-        self._values = list(values)
-        for v in self._values:
-            if not 0.0 < v < 1.0:
-                raise ValueError("scripted uniforms must lie strictly in (0, 1)")
-        self._pos = 0
-
-    def draw(self) -> float:
-        if self._pos >= len(self._values):
-            raise RuntimeError("scripted uniform sequence exhausted")
-        v = self._values[self._pos]
-        self._pos += 1
-        return v
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +282,7 @@ class EventLog:
             raise TypeError(f"meta must be a SimulationMeta, got {type(self.meta).__name__}")
         if len(self.times) != len(self.marks):
             raise ValueError("times and marks must have equal length")
-        marks = _real_array(self.marks, "marks must be integers >= 1 in int64", np.int64)
+        marks = _real_array(self.marks, "marks must be integers >= 1 in int64", integer=True)
         times = _real_array(self.times, "event times must be finite real numbers")
         self._seal(times, marks, tuple(times.tolist()), tuple(marks.tolist()))
 
@@ -331,6 +312,8 @@ def _first_bad_row(times: np.ndarray, marks: np.ndarray) -> tuple[int, str] | No
     """(row, problem) of the first bad row of a log's float64 times and
     int64 marks, or None: a non-finite time wherever it is, else a time not
     above the one before it (or not > 0), or a mark below 1, time first."""
+    import numpy as np
+
     finite = np.isfinite(times)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -349,14 +332,16 @@ def _first_bad_row(times: np.ndarray, marks: np.ndarray) -> tuple[int, str] | No
 def write_csv_rows(fh, row: str, columns: Sequence) -> None:
     """Write `row % values` for each row of the equal-length columns, one
     % operation per CSV_CHUNK_ROWS (4,096) rows: the bytes of one format per
-    row, with the string held in memory bounded to one chunk's.  A numpy
-    column is taken a chunk at a time as Python numbers."""
+    row, with the string held in memory bounded to one chunk's.  A column
+    with a tolist method (a numpy array) is taken a chunk at a time as
+    Python numbers; this test imports no numpy, so a run that writes lists
+    never loads it."""
     width = len(columns)
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         parts = [col[start : start + CSV_CHUNK_ROWS] for col in columns]
         values = [None] * (width * len(parts[0]))
         for i, part in enumerate(parts):
-            values[i::width] = part.tolist() if isinstance(part, np.ndarray) else part
+            values[i::width] = part.tolist() if hasattr(part, "tolist") else part
         fh.write(row * len(parts[0]) % tuple(values))
 
 
@@ -405,6 +390,8 @@ def write_meta_json(source: EventLog | SimulationMeta, path) -> None:
 
 
 def _parse_rows(body: str) -> np.ndarray:
+    import numpy as np
+
     return np.loadtxt(
         io.StringIO(body), dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1
     )
@@ -427,6 +414,8 @@ def _line_of(body: str, row: int) -> int:
 def _row_problem(line: str) -> str | None:
     """Why numpy's reader refuses one row of an events file, or None if it
     reads it."""
+    import numpy as np
+
     fields = line.split(",")
     if len(fields) != 2:
         return f"expected 2 comma-separated fields (time,mark), found {len(fields)}"
@@ -485,6 +474,8 @@ def read_events_csv(path, meta_path=None) -> EventLog:
             raise ValueError(f"unexpected events header: {header!r}")
         body = fh.read()
     if not body or body.isspace():
+        import numpy as np
+
         rows = np.empty(0, dtype=_ROW_DTYPE)
     else:
         try:
@@ -571,6 +562,8 @@ def _finish_log(times: list, marks: list, meta: SimulationMeta) -> EventLog:
     for the times; bytes for the marks, which a Spec's at most 9 components
     keep within a byte, so a mark above 255 raises rather than wraps), and
     EventLog._seal checks them."""
+    import numpy as np
+
     log = object.__new__(EventLog)
     object.__setattr__(log, "meta", meta)
     time_array = np.fromiter(times, np.float64, len(times))

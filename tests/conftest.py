@@ -3,6 +3,15 @@ import pytest
 import util
 
 
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path, monkeypatch):
+    # the CLI's constants cache of each test lives in its own temporary
+    # directory, which the subprocesses it starts inherit: no test writes
+    # outside its directories or reads an entry another test wrote
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache"
+
+
 @pytest.fixture
 def hawkes():
     return util.hawkes_spec()

@@ -1,31 +1,41 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from carma_hawkes import (
     BoundViolation,
     bound_path,
+    dynamics,
     intensity_path,
     read_events_csv,
     save_spec,
     simulate,
+    spec_from_dict,
+    spec_hash,
+    spec_to_dict,
     summarize,
+    validate,
     write_events_csv,
     write_meta_json,
 )
 from carma_hawkes import cli, diagnostics, thinning
 from carma_hawkes.cli import main
+from carma_hawkes.model import canonical_json
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 # a zero AR root: the branching ratio and the spectral radius are infinite
@@ -334,6 +344,25 @@ class TestValidateCommand:
                     f"a model spec must be a JSON object, got {kind}\n"
                 )
                 assert captured.out == ""
+
+    # a spec lacking a key of its type: the type and the first key missing
+    MISSING_KEYS = {
+        "univariate": ({"type": "univariate", "mu": 1, "a": [2]}, "univariate spec lacks key 'b'"),
+        "bivariate": ({"type": "bivariate", "mu": [1, 1], "a2": [2], "b11": [0.5], "b12": [0],
+                       "b21": [0], "b22": [0.5]}, "bivariate spec lacks key 'a1'"),
+        "multivariate": ({"type": "multivariate", "mu": [1, 1, 1], "a": [[2], [2], [2]]},
+                         "multivariate spec lacks key 'b'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISSING_KEYS))
+    def test_missing_key_is_named(self, tmp_path, capsys, case):
+        spec, message = self.MISSING_KEYS[case]
+        path = tmp_path / "nob.json"
+        path.write_text(json.dumps(spec))
+        assert main(["validate", "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot load model spec from {path}: {message}\n"
+        assert captured.out == ""
 
     # a coefficient that is not a real number within a double's range:
     # "32" would be read as (3, 2), true as 1, and a 400-digit integer
@@ -795,6 +824,28 @@ class TestWorkers:
         assert not (tmp_path / "runs3" / "events_1.csv").exists()
         assert list((tmp_path / "runs3").glob("*.part")) == []
 
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_failed_replication_leaves_none_of_its_files(self, tmp_path, carma21, monkeypatch,
+                                                         reps, capfd):
+        # a directory where the last replication's sidecar or trace goes:
+        # that replication (in a worker with --reps 2) exits 2 and leaves
+        # neither its events file nor its sidecar, and the others keep theirs
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        model = write_spec(tmp_path, carma21)
+        k = reps - 1
+        for blocked, extra in ((f"events_{k}.meta.json", []),
+                               (f"trace_{k}.csv", ["--trace-intensity", "1"])):
+            out = tmp_path / f"runs_{blocked}"
+            (out / blocked).mkdir(parents=True)
+            code = main(["simulate", "--model", model, "--horizon", "50", "--seed", "1",
+                         "--reps", str(reps), "--out", str(out), *extra])
+            assert_no_children()
+            assert code == 2
+            captured = capfd.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            kept = [] if k == 0 else ["events_0.csv", "events_0.meta.json", *(["trace_0.csv"] if extra else [])]
+            assert sorted(p.name for p in out.iterdir()) == sorted([blocked, *kept])
+
     def test_caller_interrupted_kills_its_workers(self, tmp_path, carma21, monkeypatch,
                                                   capfd):
         # an exception in the caller (Ctrl-C, say) ends the workers that are
@@ -918,3 +969,199 @@ class TestOverflowingSpecs:
             assert (done.returncode, done.stdout) == (2, ""), done.stderr
             assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
             assert "overflows a double" in done.stderr
+
+
+def leaves(value):
+    """A record field's leaves, each with its type, every float and complex
+    part by float.hex: equal leaves are the same doubles, signed zeros and
+    infinities included."""
+    if isinstance(value, tuple):
+        return [leaves(v) for v in value]
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, complex):
+        return ("complex", value.real.hex(), value.imag.hex())
+    return (type(value).__name__, value)
+
+
+def record_leaves(record):
+    return {name: leaves(getattr(record, name)) for name in record.__dataclass_fields__}
+
+
+class TestConstantsCache:
+    """The CLI's cache of each spec's Dynamics and ValidationReport
+    (cli.read_entry, cli.write_entry): exact, JSON only, refused whole when
+    anything in it is off, and never needed."""
+
+    @staticmethod
+    def entry_path(spec):
+        return cli._cache_dir() / f"{spec_hash(spec)}.json"
+
+    @staticmethod
+    def round_trip(spec, dyn, report):
+        key, spec_json = cli._entry_key(), canonical_json(spec_to_dict(spec))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "entry.json")
+            cli.write_entry(path, key, spec_json, dyn, report)
+            return cli.read_entry(path, key, spec_json)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bivariate=st.booleans(), forced=st.booleans())
+    def test_entry_reads_back_the_computed_doubles(self, seed, bivariate, forced):
+        rng = np.random.default_rng(seed)
+        make = util.random_bivariate_spec if bivariate else util.random_univariate_spec
+        spec = make(rng, p_max=3)
+        while validate(spec).admissible == forced:
+            spec = make(rng, p_max=3)
+        computed = dynamics(spec), validate(spec)
+        read = self.round_trip(spec, *computed)
+        assert [record_leaves(r) for r in read] == [record_leaves(r) for r in computed]
+        assert read == computed
+
+    def test_signed_zeros_and_infinities_read_back(self):
+        # a zero root: infinite branching and radius; and hand-set leaves
+        # that no computation promises, as the entry must keep any double
+        spec = spec_from_dict(ZERO_ROOT_SPEC)
+        dyn, report = dynamics(spec), validate(spec)
+        assert report.spectral_radius == math.inf
+        odd = (
+            dataclasses.replace(dyn, lams=(complex(-0.0, -0.0), complex(-1.0, 0.0)), decay=-0.0),
+            dataclasses.replace(report, kernel_min=-math.inf, detail="x", branching=math.nan),
+        )
+        for computed in ((dyn, report), odd):
+            read = self.round_trip(spec, *computed)
+            assert [record_leaves(r) for r in read] == [record_leaves(r) for r in computed]
+
+    def test_cold_call_writes_one_entry_a_warm_one_reads_it(self, tmp_path, cache_home, capsys):
+        path = write_spec(tmp_path, util.biv_cross())
+        assert main(["validate", "--model", path]) == 0
+        expected = capsys.readouterr().out
+        entries = list((cache_home / "carma-hawkes").iterdir())
+        assert [p.name for p in entries] == [f"{spec_hash(util.biv_cross())}.json"]
+        text = entries[0].read_text()
+        assert "payload" in json.loads(text)
+        dynamics.cache_clear()
+        validate.cache_clear()
+        assert main(["validate", "--model", path]) == 0
+        assert capsys.readouterr().out == expected
+        assert entries[0].read_text() == text
+
+    @staticmethod
+    def corruptions(text, other_text):
+        """name -> the bytes of an entry that must be refused."""
+        entry = json.loads(text)
+        cases = {
+            "truncated": text[: len(text) // 2].encode(),
+            "not json": b"not json at all",
+            "another spec's entry": other_text.encode(),
+            "pickle": pickle.dumps((dynamics(util.biv_cross()), validate(util.biv_cross()))),
+        }
+        for field in entry["key"]:
+            foreign = json.loads(text)
+            foreign["key"][field] = ["elsewhere"]
+            cases[f"foreign {field}"] = json.dumps(foreign).encode()
+        edited = json.loads(text)
+        edited["payload"]["report"]["decay"] = (-0.5).hex()
+        cases["edited number"] = json.dumps(edited).encode()
+        return cases
+
+    def test_refused_entries_are_recomputed_and_rewritten(self, tmp_path, capsys):
+        spec = util.biv_cross()
+        path = write_spec(tmp_path, spec)
+        other = write_spec(tmp_path, util.carma21_spec(), "other.json")
+        assert main(["validate", "--model", path]) == 0
+        expected = capsys.readouterr().out
+        assert main(["validate", "--model", other]) == 0
+        capsys.readouterr()
+        entry = self.entry_path(spec)
+        good = entry.read_text()
+        cases = self.corruptions(good, self.entry_path(util.carma21_spec()).read_text())
+        assert sorted(cases) == sorted([
+            "another spec's entry", "edited number", "foreign host", "foreign numpy",
+            "foreign python", "foreign source", "not json", "pickle", "truncated",
+        ])
+        key, spec_json = cli._entry_key(), canonical_json(spec_to_dict(spec))
+        for name, data in cases.items():
+            entry.write_bytes(data)
+            assert cli.read_entry(entry, key, spec_json) is None, name
+            dynamics.cache_clear()
+            validate.cache_clear()
+            assert main(["validate", "--model", path]) == 0, name
+            assert capsys.readouterr().out == expected, name
+            assert entry.read_text() == good, name
+
+    def test_unusable_cache_directory_changes_no_output(self, tmp_path, monkeypatch, capfd):
+        # the cache home a file, the cache directory a file, an entry's name
+        # a directory: each command's exit code and output are those of a
+        # writable cache
+        spec = util.carma21_spec()
+        path = write_spec(tmp_path, spec)
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        (blocked / "file").write_text("")
+        (blocked / "home" / "carma-hawkes").mkdir(parents=True)
+        (blocked / "home" / "carma-hawkes" / f"{spec_hash(spec)}.json").mkdir()
+        (blocked / "dirfile").mkdir()
+        (blocked / "dirfile" / "carma-hawkes").write_text("")
+        commands = (["validate"], ["bench", "--horizon", "20", "--seed", "1"],
+                    ["simulate", "--horizon", "20", "--seed", "1", "--out", str(tmp_path / "runs")])
+
+        def outputs():
+            dynamics.cache_clear()
+            validate.cache_clear()
+            got = []
+            for command in commands:
+                code = main([*command, "--model", path])
+                captured = capfd.readouterr()
+                out = json.loads(captured.out)
+                for timing in ("wall_seconds", "simulate_seconds", "events_per_sec",
+                               "proposals_per_sec"):
+                    out.pop(timing, None)
+                got.append((code, out, captured.err))
+            return got
+
+        expected = outputs()
+        assert [code for code, _, _ in expected] == [0, 0, 0]
+        for home in (blocked / "file", blocked / "home", blocked / "dirfile"):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+            assert outputs() == expected, home
+        assert sorted(p.name for p in (blocked / "home" / "carma-hawkes").iterdir()) == [
+            f"{spec_hash(spec)}.json"
+        ]
+
+    def test_failing_dynamics_writes_no_entry(self, tmp_path, cache_home, capsys):
+        # a repeated root: validate reports it (exit 3), simulate refuses it
+        # even forced (exit 2), and there is nothing to keep
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps({"type": "univariate", "mu": 0.3, "a": [2.0, 1.0], "b": [1.0]}))
+        assert main(["validate", "--model", str(path)]) == 3
+        assert json.loads(capsys.readouterr().out)["flags"] == ["DegenerateEigenvalues"]
+        assert main(["simulate", "--model", str(path), "--horizon", "5", "--seed", "1",
+                     "--force", "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.startswith("error: roots ")
+        assert not (cache_home / "carma-hawkes").exists()
+
+    def test_library_calls_touch_no_file(self, cache_home):
+        spec = util.carma31_spec()
+        log = simulate(spec, 50.0, rng=3)
+        summarize(spec, log)
+        dynamics(util.biv_lagged())
+        validate(util.biv_lagged())
+        assert not cache_home.exists()
+
+    def test_cache_home_follows_xdg(self, monkeypatch):
+        # an unset, empty or relative XDG_CACHE_HOME means ~/.cache
+        monkeypatch.setenv("HOME", "/home/someone")
+        for value in (None, "", "relative/cache"):
+            if value is None:
+                monkeypatch.delenv("XDG_CACHE_HOME")
+            else:
+                monkeypatch.setenv("XDG_CACHE_HOME", value)
+            assert cli._cache_dir() == Path("/home/someone/.cache/carma-hawkes")
+        monkeypatch.setenv("XDG_CACHE_HOME", "/var/cache/me")
+        assert cli._cache_dir() == Path("/var/cache/me/carma-hawkes")
+        # no home directory either (expanduser leaves "~"): no cache, rather
+        # than one under the working directory
+        monkeypatch.setenv("XDG_CACHE_HOME", "")
+        monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+        assert cli._cache_dir() is None

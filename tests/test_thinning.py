@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import util
+from util import ScriptedUniforms
 from carma_hawkes import (
     BivariateSpec,
     BoundViolation,
@@ -22,7 +23,6 @@ from carma_hawkes import (
     EventLog,
     HorizonNonPositive,
     NonStationarySpec,
-    ScriptedUniforms,
     Spec,
     UniformStream,
     UnivariateSpec,

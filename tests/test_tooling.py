@@ -8,7 +8,10 @@ The package's imports are lazy.  A fresh import of the package loads no
 submodule, numpy or worker machinery; the benchmark's set-up code, which
 setup_s times, loads errors, spectral and model alone; a CLI simulate and
 diagnose load the package's six run modules and not OpenSSL, and a CLI
-simulate's peak memory does not grow with its horizon.  The process entry
+simulate's peak memory does not grow with its horizon.  `import
+carma_hawkes.cli` loads no numpy; a simulate, validate or bench whose spec
+constants are cached never loads it, while diagnose and --trace-intensity,
+which make arrays, load it before the entry point's freeze.  The process entry
 point loads the CLI with the cyclic collector off and freezes what it
 loaded, the script in pyproject.toml runs that same entry point, `python
 -m carma_hawkes.cli` refuses to bypass it, and an in-process main() leaves
@@ -34,7 +37,16 @@ from pathlib import Path
 import carma_hawkes
 import pytest
 import util
-from carma_hawkes import cli, diagnostics, dynamics, load_spec, simulate, summarize, validate
+from carma_hawkes import (
+    cli,
+    diagnostics,
+    dynamics,
+    load_spec,
+    simulate,
+    spec_hash,
+    summarize,
+    validate,
+)
 from carma_hawkes.model import mode_groups
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,7 +54,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The package's public names before its imports became lazy, and
 # simulate_into since, each with the module that defines it; the per-event
-# oracles, exp_action and NegativeIntensity left for tests/oracles.py.
+# oracles, exp_action and NegativeIntensity left for tests/oracles.py, and
+# ScriptedUniforms for tests/util.py.
 PUBLIC_NAMES = {
     **dict.fromkeys(
         ("ComponentDiagnostics", "DiagnosticsReport", "KsResult", "ResidualSeries",
@@ -67,17 +80,18 @@ PUBLIC_NAMES = {
         "spectral",
     ),
     **dict.fromkeys(
-        ("EventLog", "ScriptedUniforms", "SimulationMeta", "UniformStream", "bound_path",
+        ("EventLog", "SimulationMeta", "UniformStream", "bound_path",
          "read_events_csv", "simulate", "simulate_into", "write_events_csv", "write_meta_json"),
         "thinning",
     ),
 }
 SUBMODULES = ("cli", "diagnostics", "errors", "model", "spectral", "thinning")
-# The names that moved to tests/oracles.py; no run loads them.
+# The names that moved to tests/oracles.py and tests/util.py; no run loads
+# them.
 MOVED_NAMES = (
-    "BoundTracker", "NegativeIntensity", "ProcessState", "apply_event", "bound_after_event",
-    "bound_value", "compensator_increment", "exp_action", "initial_bound", "initial_state",
-    "intensity_at", "state_vector",
+    "BoundTracker", "NegativeIntensity", "ProcessState", "ScriptedUniforms", "apply_event",
+    "bound_after_event", "bound_value", "compensator_increment", "exp_action", "initial_bound",
+    "initial_state", "intensity_at", "state_vector",
 )
 # Code that prints the package's loaded submodules, by name.
 PRINT_SUBMODULES = ("print(sorted(m.split('.', 1)[1] for m in __import__('sys').modules "
@@ -365,6 +379,9 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
     # the events file slice by slice, so its peak grows by less than 10%
     # when the horizon grows ×10 (a whole log held adds about 6 MB)
     model = util.MODELS / "bivariate_cross.json"
+    # both timed calls read the spec's constants from the cache, so neither
+    # loads numpy: an untimed call writes the entry first
+    _run_fresh(LAUNCHER, "-m", "carma_hawkes", "validate", "--model", str(model))
     peaks = []
     for horizon in ("4e3", "4e4"):
         out = _run_fresh(LAUNCHER, "-m", "carma_hawkes", "simulate", "--model", str(model),
@@ -399,6 +416,59 @@ ENTRY_LAUNCHER = "\n".join((
 ))
 
 
+# Runs `python -m carma_hawkes` with its arguments, as ENTRY_LAUNCHER does,
+# and prints whether numpy was loaded by the end.
+NUMPY_LAUNCHER = "\n".join((
+    "import runpy, sys",
+    "try:",
+    "    runpy.run_module('carma_hawkes', run_name='__main__', alter_sys=True)",
+    "except SystemExit as exc:",
+    "    assert exc.code == 0, exc.code",
+    "print('numpy' in sys.modules)",
+))
+
+
+def test_cli_import_loads_no_numpy():
+    code = "import sys, carma_hawkes.cli; print('numpy' in sys.modules)"
+    assert _run_fresh(code) == "False\n"
+
+
+def test_warm_commands_load_no_numpy(tmp_path, cache_home):
+    # the first call of each spec computes its constants, with numpy, and
+    # writes one entry; a later simulate, validate or bench reads it and
+    # never loads numpy
+    for name in ("carma31", "bivariate_cross"):
+        model = str(util.MODELS / f"{name}.json")
+        commands = (
+            ["validate", "--model", model],
+            ["simulate", "--model", model, "--horizon", "100", "--seed", "1", "--reps", "2",
+             "--out", str(tmp_path / name)],
+            ["bench", "--model", model, "--horizon", "100", "--reps", "2"],
+        )
+        before = set(cache_home.glob("carma-hawkes/*"))
+        loaded = [_run_fresh(NUMPY_LAUNCHER, *commands[0]).splitlines()[-1]]
+        assert [p.name for p in set(cache_home.glob("carma-hawkes/*")) - before] == [
+            f"{spec_hash(load_spec(model))}.json"
+        ]
+        loaded += [_run_fresh(NUMPY_LAUNCHER, *command).splitlines()[-1] for command in commands]
+        assert loaded == ["True", "False", "False", "False"], name
+
+
+def test_array_commands_still_load_numpy(tmp_path):
+    # diagnose and --trace-intensity make arrays: warm, they load numpy and
+    # run as before
+    model = str(util.MODELS / "carma21.json")
+    simulate_args = ["simulate", "--model", model, "--horizon", "50", "--seed", "1",
+                     "--out", str(tmp_path)]
+    assert _run_fresh(NUMPY_LAUNCHER, *simulate_args).splitlines()[-1] == "True"
+    for command in (
+        simulate_args + ["--trace-intensity", "0.5"],
+        ["diagnose", "--model", model, "--events", str(tmp_path / "events_0.csv")],
+    ):
+        assert _run_fresh(NUMPY_LAUNCHER, *command).splitlines()[-1] == "True"
+    assert (tmp_path / "trace_0.csv").exists() and (tmp_path / "events_0.report.json").exists()
+
+
 def test_entry_point_loads_without_collections():
     # the objects cli and numpy build at import are never scanned: no
     # collection runs while they load, and they are frozen by the time
@@ -407,6 +477,22 @@ def test_entry_point_loads_without_collections():
     collections, enabled, frozen = out.splitlines()[-1].split()
     assert (collections, enabled) == ("0", "True")
     assert int(frozen) > 0
+
+
+def test_array_commands_load_numpy_before_the_freeze(tmp_path):
+    # diagnose always loads numpy, so the entry point imports it with cli,
+    # before the freeze: its objects are frozen too, and no collection
+    # runs while it loads
+    model = str(util.MODELS / "carma21.json")
+    assert cli.main(["simulate", "--model", model, "--horizon", "50", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+    frozen = {}
+    for command in (["validate", "--model", model],
+                    ["diagnose", "--model", model, "--events", str(tmp_path / "events_0.csv")]):
+        out = _run_fresh(ENTRY_LAUNCHER, *command)
+        collections, enabled, frozen[command[0]] = out.splitlines()[-1].split()
+        assert (collections, enabled) == ("0", "True"), command
+    assert int(frozen["diagnose"]) > int(frozen["validate"]) + 10_000
 
 
 def test_main_in_process_leaves_the_collector_alone(tmp_path):

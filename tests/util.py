@@ -32,6 +32,27 @@ from oracles import (
     intensity_at,
 )
 
+class ScriptedUniforms:
+    """Fixed uniform sequence for hand-traced tests, from any iterable of
+    values in (0, 1), taken once.  Like any stream passed to simulate as
+    rng, it has no seed: the run's meta.seed is None."""
+
+    def __init__(self, values):
+        # taken once, so an iterator is not used up by the check
+        self._values = list(values)
+        for v in self._values:
+            if not 0.0 < v < 1.0:
+                raise ValueError("scripted uniforms must lie strictly in (0, 1)")
+        self._pos = 0
+
+    def draw(self) -> float:
+        if self._pos >= len(self._values):
+            raise RuntimeError("scripted uniform sequence exhausted")
+        v = self._values[self._pos]
+        self._pos += 1
+        return v
+
+
 # The bundled model files.
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
